@@ -32,8 +32,11 @@ def _gram_arg(text: str) -> matrix.GramMatrix:
     return matrix.GramMatrix.from_json(text)
 
 
-def _vector_arg(text: str):
-    return tuple(parse_word(t) for t in json.loads(text))
+def _partition_arg(text: str) -> tuple[int, ...]:
+    parts = json.loads(text)
+    if not isinstance(parts, list) or not all(type(t) is int for t in parts):
+        raise DomainError("a partition must be a JSON list of integers")
+    return tuple(parts)
 
 
 def _maybe_cache(args):
@@ -135,7 +138,7 @@ def _cmd_order_succ(args):
 
 
 def _cmd_gram(args):
-    g = matrix.gram(_vector_arg(args.vector))
+    g = matrix.gram(matrix.vector_from_json(args.vector))
     print(g.to_json())
 
 
@@ -163,7 +166,8 @@ def _cmd_classify(args):
     if text.startswith("("):
         w = parse_word(text)
         g = matrix.gram((order.sa_factor_min(w),))
-        assert g.cells[0][0] == w
+        if g.cells[0][0] != w:
+            raise DomainError("%s is not of the form w* w" % (w,))
     else:
         g = _gram_arg(text)
     print(matrix.classify_matrix(g).to_json())
@@ -175,7 +179,7 @@ def _cmd_partitions(args):
 
 
 def _cmd_iota_tau(args):
-    g = matrix.iota_tau(_gram_arg(args.gram), tuple(json.loads(args.partition)))
+    g = matrix.iota_tau(_gram_arg(args.gram), _partition_arg(args.partition))
     print(g.to_json())
 
 

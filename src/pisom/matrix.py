@@ -84,14 +84,31 @@ class GramMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "GramMatrix":
+        """Parse the :meth:`to_json` shape; any other shape is a DomainError."""
         obj = json.loads(text)
-        cells = tuple(tuple(parse_word(c) for c in row) for row in obj["cells"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list) or not obj["cells"]:
+            raise DomainError("a gram matrix must be a JSON object with a non-empty 'cells' list")
+        cells = tuple(_word_list(row, "a gram matrix row") for row in obj["cells"])
         wit = obj.get("witness")
-        witness = tuple(parse_word(w) for w in wit) if wit else None
+        witness = _word_list(wit, "a gram matrix witness") if wit else None
+        k = obj.get("k")
+        if type(k) is not int:
+            raise DomainError("a gram matrix needs an integer 'k'")
         g = cls(cells, witness)
-        if g.k != int(obj["k"]) or any(len(row) != g.k for row in cells):
+        if g.k != k or any(len(row) != k for row in cells) or (witness and len(witness) != k):
             raise DomainError("ragged or mislabelled gram matrix")
         return g
+
+
+def _word_list(obj, what: str) -> tuple[Word, ...]:
+    if not isinstance(obj, list) or not all(isinstance(t, str) for t in obj):
+        raise DomainError("%s must be a JSON list of word literals" % what)
+    return tuple(parse_word(t) for t in obj)
+
+
+def vector_from_json(text: str) -> tuple[Word, ...]:
+    """A word vector from a JSON list of word literals."""
+    return _word_list(json.loads(text), "a word vector")
 
 
 def gram(v) -> GramMatrix:
@@ -280,14 +297,17 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     """
     _require_tag(g, "D1")
     facts = factor_gram(g)
-    taus = {vec[0].star.tau for vec in facts}
-    top = max(taus)
+    uniform = [v for v in facts if _uniform_sign(v)]
+    if not uniform:
+        return MatrixClassification("Case3", True)
+    top = max(vec[0].star.tau for vec in facts)
 
     if top == 1:
         vec = next(v for v in facts if v[0].star.tau == 1)
         m = []
         for w in vec:
-            assert w == GEN_STAR or w[0] <= -2, w
+            if not (w == GEN_STAR or w[0] <= -2):
+                raise DomainError("case-1 factor %s is not (-1) and starts above -2" % (w,))
             m.append(unit_strip(w))
         for i in range(g.k):
             for j in range(g.k):
@@ -312,9 +332,6 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
                     raise DomainError("case-2 recomposition failed")
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 
-    uniform = [v for v in facts if _uniform_sign(v)]
-    if not uniform:
-        return MatrixClassification("Case3", True)
     for vec in uniform:
         flanks = []
         for i in range(g.k):

@@ -15,11 +15,22 @@ rules are
 Rule (b) preserves nonzeroness because |x + e + y| = |x| + |y| - 1 >= 1.
 Each rule strictly shortens the sequence, so normalization terminates; the
 test suite checks confluence against an exhaustive all-orders oracle.
+
+A product of two reduced words can be non-reduced only at the junction, so
+only the junction is settled.  Equal signs there merge into one entry of
+absolute value >= 2, and opposite signs with no unit at an interior
+position leave a plain concatenation; both are final.  Otherwise the
+entries of the right factor are pushed onto a copy of the left one and the
+top is settled after each push, until a pushed entry of absolute value >= 2
+sits unchanged.  No rule can reach past it, so the rest of the right factor
+is appended as it stands.  Every Word, products and stars included, is made
+by one checked constructor that validates the invariants.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 
 class WordError(ValueError):
@@ -37,7 +48,51 @@ _INT_RE = re.compile(r"-?[1-9][0-9]*")
 TAGS = ("A0", "Aplus", "Aminus", "Aplus0", "D0", "D1")
 
 
-def _reduce_entries(raw):
+def _checked(entries) -> "Word":
+    """Validate the normal-form invariants of an int sequence and wrap it.
+
+    The one place a Word instance is made, so every Word is checked.  The
+    checks run as C-level scans (a zero membership test, min/max over the
+    even and odd slices, min of the interior magnitudes); faults are
+    reported zero first, then sign, then interior, as a per-entry scan
+    would find them.
+    """
+    n = len(entries)
+    if not n:
+        raise WordError("empty word")
+    if 0 in entries:
+        raise WordError("zero entry in word")
+    if n == 2:
+        if (entries[0] > 0) == (entries[1] > 0):
+            raise WordError("adjacent entries share a sign: %r" % (tuple(entries),))
+    elif n > 2:
+        if entries[0] > 0:
+            alternating = min(entries[::2]) > 0 > max(entries[1::2])
+        else:
+            alternating = max(entries[::2]) < 0 < min(entries[1::2])
+        if not alternating:
+            raise WordError("adjacent entries share a sign: %r" % (tuple(entries),))
+        if min(map(abs, entries[1:-1])) < 2:
+            raise WordError("interior entry of absolute value 1: %r" % (tuple(entries),))
+    return tuple.__new__(Word, entries)
+
+
+def _settle(out: list[int]) -> None:
+    """Apply rules (a) and (b) at the top of a stack that is reduced below
+    its top entry, until the whole stack is reduced."""
+    while True:
+        if len(out) >= 2 and (out[-2] > 0) == (out[-1] > 0):
+            y = out.pop()
+            out[-1] += y
+        elif len(out) >= 3 and abs(out[-2]) == 1:
+            y = out.pop()
+            e = out.pop()
+            out[-1] += e + y
+        else:
+            return
+
+
+def _reduce_entries(raw) -> list[int]:
     """Normalize a nonzero-integer sequence with a single stack pass.
 
     Only the junction under the cursor can be non-reduced, so settling the
@@ -49,20 +104,8 @@ def _reduce_entries(raw):
         if v == 0:
             raise WordError("zero entry in word")
         out.append(v)
-        while True:
-            if len(out) >= 2 and (out[-2] > 0) == (out[-1] > 0):
-                y = out.pop()
-                out[-1] += y
-                continue
-            if len(out) >= 3 and abs(out[-2]) == 1:
-                y = out.pop()
-                e = out.pop()
-                out[-1] += e + y
-                continue
-            break
-    if not out:
-        raise WordError("empty word")
-    return tuple(out)
+        _settle(out)
+    return out
 
 
 class Word(tuple):
@@ -82,19 +125,7 @@ class Word(tuple):
     __slots__ = ()
 
     def __new__(cls, entries):
-        entries = tuple(int(e) for e in entries)
-        if not entries:
-            raise WordError("empty word")
-        for e in entries:
-            if e == 0:
-                raise WordError("zero entry in word")
-        for a, b in zip(entries, entries[1:]):
-            if (a > 0) == (b > 0):
-                raise WordError("adjacent entries share a sign: %r" % (entries,))
-        for e in entries[1:-1]:
-            if abs(e) < 2:
-                raise WordError("interior entry of absolute value 1: %r" % (entries,))
-        return super().__new__(cls, entries)
+        return _checked(tuple(map(int, entries)))
 
     def __repr__(self):
         return "Word((%s))" % ",".join(str(e) for e in self)
@@ -103,7 +134,25 @@ class Word(tuple):
         return format_word(self)
 
     def __mul__(self, other):
-        return reduce_word(tuple(self) + tuple(other))
+        if type(other) is not Word:
+            return reduce_word(tuple(self) + tuple(other))
+        x, y = self[-1], other[0]
+        # the two junction cases that need no settling: a merge, or opposite
+        # signs with no unit that would become interior
+        if (x > 0) == (y > 0):
+            return _checked(self[:-1] + (x + y,) + other[1:])
+        if (x > 1 or x < -1 or len(self) == 1) and (y > 1 or y < -1 or len(other) == 1):
+            return _checked(self + other)
+        out = list(self)
+        for i, v in enumerate(other):
+            out.append(v)
+            _settle(out)
+            if out[-1] == v and abs(v) > 1:
+                # v sits unchanged and cannot take part in rule (b), so the
+                # rest of the reduced word `other` settles nothing.
+                out += other[i + 1 :]
+                break
+        return _checked(out)
 
     def __pow__(self, n):
         if n < 1:
@@ -116,12 +165,12 @@ class Word(tuple):
     @property
     def star(self) -> "Word":
         """Reverse and negate; the involution of the *-semigroup."""
-        return Word(tuple(-e for e in reversed(self)))
+        return _checked([-e for e in reversed(self)])
 
     @property
     def weight(self) -> int:
         """Sum of absolute values; the termination measure for reduction."""
-        return sum(abs(e) for e in self)
+        return sum(map(abs, self))
 
     @property
     def tau(self) -> int:
@@ -158,7 +207,7 @@ class Word(tuple):
 
 def reduce_word(raw) -> Word:
     """Normal form of an arbitrary nonzero-integer sequence."""
-    return Word(_reduce_entries(raw))
+    return _checked(_reduce_entries(raw))
 
 
 def mul(a: Word, b: Word) -> Word:
@@ -217,9 +266,9 @@ def member(w: Word, tag: str) -> bool:
     if tag == "Aplus0":
         return member(w, "Aplus") and w.tau == 0
     if tag == "D0":
-        return w.tau == 0 and all(s <= 0 for s in w.sigmas())
+        return w.tau == 0 and max(accumulate(w)) <= 0
     if tag == "D1":
-        return w.tau == 0 and all(s <= 1 for s in w.sigmas())
+        return w.tau == 0 and max(accumulate(w)) <= 1
     raise WordError("unknown membership tag %r (expected one of %s)" % (tag, ", ".join(TAGS)))
 
 

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -48,6 +51,19 @@ GOLDEN_CASES = [
     ("partitions", ["partitions", "2", "3"]),
     ("iota_tau", ["iota-tau", '{"k": 1, "cells": [["(-3,2,-2,3)"]], "witness": ["(-2,3)"]}', "[2]"]),
     ("verify_rep", ["verify-rep", "--seed", "0", "--dim", "3", "--count", "20"]),
+]
+
+
+ONE_CELL_GRAM_JSON = '{"k": 1, "cells": [["(-3,2,-2,3)"]], "witness": ["(-2,3)"]}'
+
+MALFORMED_JSON_CASES = [
+    ("vector_of_ints", ["gram", "[3]"]),
+    ("gram_is_list_of_ints", ["factor-gram", "[1,2]"]),
+    ("gram_is_list_of_rows", ["factor-gram", '[["(-1,1)"]]']),
+    ("gram_without_cells", ["factor-gram", '{"k": 1, "witness": ["(1)"]}']),
+    ("partition_string_part", ["iota-tau", ONE_CELL_GRAM_JSON, '["x"]']),
+    ("partition_float_part", ["iota-tau", HMM_GRAM_JSON, "[1.5,1]"]),
+    ("partition_bool_part", ["iota-tau", ONE_CELL_GRAM_JSON, "[true]"]),
 ]
 
 
@@ -114,3 +130,22 @@ def test_json_flag_variants():
     assert code == 0 and json.loads(out) == "(-3,5,-2)"
     code, out, _ = invoke(["order-leq", "(-5,5)", "(-1,1)", "--json"])
     assert json.loads(out) is True
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in MALFORMED_JSON_CASES], ids=[c[0] for c in MALFORMED_JSON_CASES])
+def test_malformed_json_is_one_error_line(argv):
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_json_under_optimize():
+    # python -O strips asserts; input checks must not depend on them
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for name, argv in MALFORMED_JSON_CASES:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pisom.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1, name
+        assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, name

@@ -276,6 +276,43 @@ def test_classify_case3_nontrivial_flank():
             assert res.m[i].star * core * res.m[j] == g.cells[i][j]
 
 
+def test_classify_exhaustive_d1_small():
+    # every distinct D1 Gram matrix with k <= 3 and entries of weight <= 5:
+    # classification never raises, mixed signs are Case3 maximal, and the
+    # maximal flag agrees with the successor set, except on the constant
+    # idempotent matrices (see the strict xfail below)
+    pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
+    compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    seen = {}
+    for k in (1, 2, 3):
+        for vec in vectors(k, 5):
+            if all(vec[j] in compat.get(vec[i], ()) for i in range(k) for j in range(i, k)):
+                seen.setdefault(gram(vec), vec)
+    mixed = 0
+    for g, vec in seen.items():
+        res = classify_matrix(g)
+        if len({w[0] > 0 for w in vec}) > 1:
+            mixed += 1
+            assert (res.case, res.maximal) == ("Case3", True), g
+        if not any(all(c == idem for row in g.cells for c in row) for idem in (UNIT_MINUS, UNIT_PLUS)):
+            assert res.maximal == (not matrix_successors(g)), g
+    assert len(seen) == 649 and mixed == 44 + 378
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: [(1,-1)]^kxk (Case1) and [(-1,1)]^kxk (Case2) have no successors but "
+    "report maximal false; perfbench/wl_matrix.py check_classification still requires maximal => Case3",
+)
+def test_classify_constant_idempotents_maximal():
+    for k in (1, 2, 3):
+        for idem, case in ((UNIT_MINUS, "Case1"), (UNIT_PLUS, "Case2")):
+            g = GramMatrix(((idem,) * k,) * k)
+            assert matrix_successors(g) == set()
+            res = classify_matrix(g)
+            assert (res.case, res.maximal) == (case, True)
+
+
 def test_classify_scalar_consistency():
     # the scalar tag reads tau of the *minimal* factor, the matrix case the
     # max over both factorizations; they part ways exactly when the center

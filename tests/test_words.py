@@ -36,6 +36,28 @@ def test_word_invariants_enforced():
         Word((2, -1, 2))
 
 
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ((), "empty word"),
+        ((1, 0), "zero entry in word"),
+        ((2, 2, 0), "zero entry in word"),
+        ((2, 3), "adjacent entries share a sign: (2, 3)"),
+        ((-2, 3, -3, 4, 5), "adjacent entries share a sign: (-2, 3, -3, 4, 5)"),
+        ((3, -1, -2), "adjacent entries share a sign: (3, -1, -2)"),
+        ((2.0, 3), "adjacent entries share a sign: (2, 3)"),
+        ((2, -1, 2), "interior entry of absolute value 1: (2, -1, 2)"),
+        ((-2, 3, 1, -2), "adjacent entries share a sign: (-2, 3, 1, -2)"),
+        ((-2, 1, -1, 2), "interior entry of absolute value 1: (-2, 1, -1, 2)"),
+    ],
+)
+def test_word_error_messages(entries, message):
+    # zero faults are reported before sign faults, sign before interior
+    with pytest.raises(WordError) as exc:
+        Word(entries)
+    assert str(exc.value) == message
+
+
 def test_parse_examples():
     assert parse_word("(-2,3,-3,2)") == Word((-2, 3, -3, 2))
     # oracle: every rewrite order of (1,-1,1) ends at (1)
@@ -107,6 +129,33 @@ def test_length_law(m, n):
         assert len(prod) == len(m) + len(n) - 1
     else:
         assert len(prod) in (len(m) + len(n), len(m) + len(n) - 2)
+
+
+@given(words_st, words_st)
+def test_mul_matches_full_reduction(a, b):
+    prod = a * b
+    assert prod == reduce_word(tuple(a) + tuple(b))
+    assert type(prod) is Word and type(a.star) is Word
+    for x in (prod, a.star, reduce_word(tuple(b) + tuple(a))):
+        assert Word(tuple(x)) == x
+
+
+def test_mul_matches_oracle_small_weights():
+    # every pair of reduced words of weight <= 6 against the all-orders
+    # oracle, which shares nothing with the stack settling of the product
+    memo = {}
+    pool = list(words_upto(6))
+    for a in pool:
+        for b in pool:
+            assert oracle_normal_forms(tuple(a) + tuple(b), memo) == frozenset({tuple(a * b)}), (a, b)
+
+
+def test_mul_by_plain_tuple():
+    assert Word((-2, 3)) * (-3, 4) == Word((-2, 3, -3, 4))
+    assert Word((2, -1)) * (1, -1, 1) == Word((2,))
+    assert type(Word((1,)) * (1,)) is Word
+    with pytest.raises(WordError):
+        Word((1,)) * (0,)
 
 
 def test_star_examples():
