@@ -11,9 +11,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import maps, matrix, numeric, order, structure
+from . import maps, matrix, order, structure
 from .words import DomainError, Word, WordError, format_word, member, parse_word, reduce_word
 
 
@@ -184,33 +182,41 @@ def _cmd_iota_tau(args):
 
 
 def _cmd_random_pi(args):
+    from . import numeric
+
     rep = numeric.random_partial_isometry(args.n, args.seed)
     print(numeric.matrix_to_json(rep.v))
 
 
 def _cmd_verify_rep(args):
+    from . import numeric
+
+    tol = numeric.PSD_TOL if args.tol is None else args.tol
     rep = numeric.random_partial_isometry(args.dim, args.seed)
     pairs = numeric.scalar_relations(args.count, args.seed)
-    rpt = numeric.verify_order_rep(rep, pairs, args.tol)
-    rpt = rpt.merge(numeric.verify_schwarz(rep, [p[0] for p in pairs[: args.count // 2]], args.tol))
+    rpt = numeric.verify_order_rep(rep, pairs, tol)
+    rpt = rpt.merge(numeric.verify_schwarz(rep, [p[0] for p in pairs[: args.count // 2]], tol))
     rpt = rpt.merge(numeric.verify_conjugation(rep, [p[0] for p in pairs[: args.count // 2]]))
     print(rpt.to_json())
 
 
 def _cmd_verify_korder(args):
+    from . import numeric
+
     k = args.k
+    tol = numeric.PSD_TOL if args.tol is None else args.tol
     if args.fixture:
         assign = numeric.load_assignment(args.fixture)
         if k == 1:
             pairs = numeric.scalar_relations(args.count, args.seed, within="D0")
-            rpt = numeric.verify_order_rep(assign, pairs, args.tol)
+            rpt = numeric.verify_order_rep(assign, pairs, tol)
         else:
             lower, upper = numeric.displayed_block_relation()
-            rpt = numeric.verify_k_order(assign, 2, [(lower, upper)], args.tol)
+            rpt = numeric.verify_k_order(assign, 2, [(lower, upper)], tol)
     else:
         rep = numeric.random_partial_isometry(args.dim, args.seed)
         relations = numeric.matrix_relations(args.count, args.seed, ks=(k,))
-        rpt = numeric.verify_k_order(rep, k, relations, args.tol)
+        rpt = numeric.verify_k_order(rep, k, relations, tol)
     print(rpt.to_json())
 
 
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0),
             sp.add_argument("--dim", type=int, default=4),
             sp.add_argument("--count", type=int, default=50),
-            sp.add_argument("--tol", type=float, default=numeric.PSD_TOL),
+            sp.add_argument("--tol", type=float),
         ),
     )
     add(
@@ -288,11 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0),
             sp.add_argument("--dim", type=int, default=4),
             sp.add_argument("--count", type=int, default=20),
-            sp.add_argument("--tol", type=float, default=numeric.PSD_TOL),
+            sp.add_argument("--tol", type=float),
             sp.add_argument("--fixture"),
         ),
     )
     return p
+
+
+def _numeric_errors() -> tuple:
+    """The numeric layer's input errors, once a command has imported it
+    (and numpy with it); the except clause evaluates this when it matches."""
+    numeric = sys.modules.get("pisom.numeric")
+    return (numeric.InvalidRepError, sys.modules["numpy"].linalg.LinAlgError) if numeric else ()
 
 
 def run(argv) -> int:
@@ -303,7 +316,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         args.fn(args)
-    except (WordError, DomainError, numeric.InvalidRepError, json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+    except (WordError, DomainError, json.JSONDecodeError, *_numeric_errors()) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce as _fold
+from itertools import combinations
 from itertools import product as _cartesian
 
 from .order import hollow_choices, sa_factorizations, unit_strip
@@ -31,6 +32,7 @@ from .words import (
 )
 
 DEFAULT_K_CAP = 8
+PARTITION_CAP = 10**6  # integers in one partitions() result
 
 WordVector = tuple  # of Word
 
@@ -64,8 +66,8 @@ class GramMatrix:
         return "GramMatrix[%s]" % rows
 
     def is_selfadjoint(self) -> bool:
-        k = self.k
-        return all(self.cells[j][i] == self.cells[i][j].star for i in range(k) for j in range(k))
+        cells, k = self.cells, self.k
+        return all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k))
 
     def tagged(self, tag: str) -> bool:
         return all(member(c, tag) for row in self.cells for c in row)
@@ -130,7 +132,9 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     """All word vectors whose Gram matrix equals g, negative-start first.
 
     Cardinality is 2 exactly when some factorization has uniform
-    first-entry signs, else 1.
+    first-entry signs, else 1.  A branch matches the diagonal and row 0 by
+    construction, and column 0 by selfadjointness, so the check of a
+    complete branch compares only the cells (i, j) with 1 <= i < j.
     """
     k = g.k
     if not g.is_selfadjoint():
@@ -149,7 +153,7 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
                         new_branches.append(br + [cand])
             branches = new_branches
         for br in branches:
-            if gram(br).cells == g.cells:
+            if all(br[i].star * br[j] == g.cells[i][j] for i in range(1, k) for j in range(i + 1, k)):
                 found.add(tuple(br))
     if not found:
         raise DomainError("inconsistent gram matrix: no factorization")
@@ -362,19 +366,26 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
 
 
 def partitions(d: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All ordered d-tuples of nonnegative integers summing to k."""
+    """All ordered d-tuples of nonnegative integers summing to k.
+
+    There are C(d+k-1, k) of them; the binomial is built factor by factor
+    and the call refused as soon as the result would exceed PARTITION_CAP
+    integers, before anything is enumerated.
+    """
     if d < 1 or k < 1:
         raise DomainError("partitions need d, k >= 1")
-
-    def rec(slots, total):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in rec(slots - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(rec(d, k))
+    if d == 1:
+        return ((k,),)
+    count, r = 1, min(k, d - 1)
+    for i in range(1, r + 1):
+        count = count * (d + k - 1 - r + i) // i
+        if count * d > PARTITION_CAP:
+            raise DomainError("partitions of %d into %d parts exceed the cap of %d entries" % (k, d, PARTITION_CAP))
+    # stars and bars: d - 1 bar positions among k + d - 1 slots (at most
+    # the cap, by the check above), in lexicographic order, which is the
+    # lexicographic order of the tuples
+    n = k + d - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + c, c + (n,))) for c in combinations(range(n), d - 1))
 
 
 def identity_partition(k: int) -> tuple[int, ...]:

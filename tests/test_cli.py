@@ -149,3 +149,79 @@ def test_malformed_json_under_optimize():
         )
         assert proc.returncode == 1, name
         assert proc.stdout == "" and proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, name
+
+
+def _src_env():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_numpy_is_imported_only_by_numeric_commands():
+    script = (
+        "import io, sys, contextlib\n"
+        "import pisom, pisom.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pisom.cli.run(['reduce', '(2,-1,2,-1)']) == 0\n"
+        "    assert pisom.cli.run(['reduce', '(0)']) == 1\n"
+        "assert 'numpy' not in sys.modules, 'reduce'\n"
+        "pisom.eval_word\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numeric_errors_are_one_error_line(monkeypatch):
+    import numpy as np
+
+    import pisom.numeric as numeric
+
+    for exc in (numeric.InvalidRepError("not a partial isometry"), np.linalg.LinAlgError("no convergence")):
+
+        def boom(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(numeric, "random_partial_isometry", boom)
+        code, out, err = invoke(["random-pi", "2"])
+        assert code == 1 and out == "" and err == "error: %s\n" % exc
+
+
+# file name -> contents; None leaves the file missing, "/" names a directory
+FIXTURE_ERROR_CASES = {
+    "missing": None,
+    "directory": "/",
+    "bad_json": "{not json",
+    "no_images": '{"n": 1}',
+    "no_n": '{"images": {}}',
+    "not_an_object": "[1]",
+    "rule_without_number": '{"kind": "sa_depth_rule", "c": "x"}',
+    "non_numeric_image": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [["x"]], "im": [[0]]}}}',
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_ERROR_CASES)
+def test_verify_korder_fixture_errors(tmp_path, name):
+    path, text = tmp_path / name, FIXTURE_ERROR_CASES[name]
+    if text == "/":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    code, out, err = invoke(["verify-korder", "--k", "2", "--fixture", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random-pi", "65"],
+        ["verify-rep", "--dim", "65"],
+        ["verify-korder", "--dim", "65"],
+        ["partitions", "30", "30"],
+    ],
+)
+def test_size_caps_refuse_before_allocating(argv):
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, err

@@ -6,6 +6,7 @@ import pytest
 from pisom.matrix import (
     DEFAULT_K_CAP,
     GramMatrix,
+    PARTITION_CAP,
     KCapError,
     classify_matrix,
     compose_partitions,
@@ -78,6 +79,25 @@ def test_factor_gram_inconsistent():
     bad = GramMatrix(((W("(-2,2)"), W("(-2,2)")), (W("(-2,2)"), W("(-3,3)"))))
     with pytest.raises(DomainError):
         factor_gram(bad)
+
+
+def test_is_selfadjoint_checks_diagonal_and_upper_triangle():
+    assert not GramMatrix(((W("(-2,3)"),),)).is_selfadjoint()
+    a, b = W("(-3,2,-3,4)"), W("(-2,2)")
+    assert GramMatrix(((b, a), (a.star, b))).is_selfadjoint()
+    assert not GramMatrix(((b, a), (a, b))).is_selfadjoint()
+
+
+def test_factor_gram_rejects_inner_cell_mismatch():
+    # row 0 and the diagonal come from a real vector, so every candidate
+    # branch survives to the check of the inner cells (1, 2) and (2, 1)
+    g = gram((W("(-2,3)"), W("(-3,4)"), W("(-1,2)")))
+    odd = W("(-7,7)")
+    cells = [list(row) for row in g.cells]
+    cells[1][2], cells[2][1] = odd, odd.star
+    assert odd != g.cells[1][2]
+    with pytest.raises(DomainError, match="no factorization"):
+        factor_gram(GramMatrix(tuple(map(tuple, cells))))
 
 
 def test_factor_gram_exhaustive_small():
@@ -349,6 +369,17 @@ def test_partitions_count():
     for d in range(1, 5):
         for k in range(1, 6):
             assert len(partitions(d, k)) == math.comb(k + d - 1, d - 1)
+
+
+def test_partitions_wide_and_tall():
+    assert len(partitions(1000, 1)) == 1000  # was a RecursionError
+    assert partitions(1, 10**9) == ((10**9,),)
+
+
+@pytest.mark.parametrize("d,k", [(30, 30), (2, 10**9), (10**9, 1), (10**9, 10**9), (1001, 1)])
+def test_partitions_cap_refuses_before_enumerating(d, k):
+    with pytest.raises(DomainError, match="exceed the cap of %d" % PARTITION_CAP):
+        partitions(d, k)
 
 
 def test_iota_tau_examples():

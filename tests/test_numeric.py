@@ -1,11 +1,14 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pisom.maps import alpha
-from pisom.matrix import gram
+from pisom.matrix import GramMatrix, gram
 from pisom.numeric import (
+    PSD_TOL,
+    _certify,
     GeneratorAssignment,
     InvalidRepError,
     PartialIsometryRep,
@@ -286,3 +289,174 @@ def test_hollow_depth_values():
     assert hollow_depth(W("(-4,4)")) == 3
     assert hollow_depth(W("(-3,2,-2,3)")) == 3
     assert hollow_depth(W("(-4,3,-3,4)")) == 5
+
+
+# -- batched certification against the per-matrix check ---------------------------------
+
+
+def _per_matrix_verdict(m, tol):
+    """The certification as a single-matrix definition: SVD norm of the skew
+    part within tol and min eigenvalue of the Hermitian part >= -tol."""
+    return opnorm(m - m.conj().T) <= tol and min_eig(m) >= -tol
+
+
+def _mixed_stack(n, seed, tol=PSD_TOL):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    herm = (z + z.conj().T) / 2
+    psd = z @ z.conj().T
+    unit = np.eye(n, dtype=complex)
+    e = np.zeros((n, n), dtype=complex)
+    e[0, 0] = 1.0
+    out = [psd, herm, -psd, np.zeros((n, n), dtype=complex)]
+    # skew parts m - m* = 2i s E with ||E||_2 = 1: spectral norm 2s
+    for s in (0.999, 1.001, 0.5, 2.0):
+        out.append(psd + 1j * (s * tol / 2) * e)
+        out.append(psd + 1j * (s * tol / 2) * unit)  # Frobenius sqrt(n) times larger
+    out.append(unit - (tol / 2) * e)  # min eigenvalue just above -tol
+    out.append(unit - (3 * tol) * unit)
+    out.append(-(2 * tol) * e)  # min eigenvalue -2 tol
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 18])
+def test_batched_certify_matches_per_matrix(n):
+    tol = PSD_TOL
+    for seed in range(5):
+        stack = _mixed_stack(n, seed, tol)
+        ok, eigs = _certify(stack, tol)
+        for m, verdict, eig in zip(stack, ok, eigs):
+            assert bool(verdict) == _per_matrix_verdict(m, tol) == psd_check(m, tol)
+            assert abs(eig - min_eig(m)) <= 1e-12
+
+
+def test_frobenius_prefilter_leaves_near_ties_to_the_svd():
+    tol = PSD_TOL
+    # Frobenius norm above tol, spectral norm below: the SVD accepts
+    m = np.eye(3, dtype=complex) + 1j * (0.999 * tol / 2) * np.eye(3)
+    assert opnorm(m - m.conj().T) <= tol < np.linalg.norm(m - m.conj().T)
+    assert psd_check(m, tol)
+    assert not psd_check(np.eye(3, dtype=complex) + 1j * (1.001 * tol / 2) * np.eye(3), tol)
+    # a 1 x 1 skew part has equal Frobenius and spectral norms
+    for s in (1 - 1e-13, 1 + 1e-13):
+        m = np.array([[1.0 + 1j * s * tol / 2]])
+        assert psd_check(m, tol) == _per_matrix_verdict(m, tol)
+
+
+def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
+    bad = PartialIsometryRep(np.array([[1.3]], dtype=complex))
+    pairs = [(Word((-2, 2)), Word((-1, 1))), (Word((-3, 3)), Word((-2, 2))), (Word((-1, 1)), Word((-2, 2)))]
+    rpt = verify_order_rep(bad, pairs)
+    expected = [(lo, up) for lo, up in pairs if not psd_check(eval_word(bad, up) - eval_word(bad, lo))]
+    assert len(rpt.failures) == len(expected) >= 1
+    for failure, (lo, up) in zip(rpt.failures, expected):
+        assert failure["min_eig"] == pytest.approx(min_eig(eval_word(bad, up) - eval_word(bad, lo)), abs=1e-12)
+    # the fixture's 1 x 1 images, as one stack and one at a time
+    lower, upper = displayed_block_relation()
+    pairs = scalar_relations(40, 3, within="D0")
+    stack = np.stack([fixture_assignment(up) - fixture_assignment(lo) for lo, up in pairs])
+    ok, eigs = _certify(stack, PSD_TOL)
+    assert ok.all()
+    assert np.abs(eigs - [min_eig(m) for m in stack]).max() <= 1e-12
+    (failure,) = verify_k_order(fixture_assignment, 2, [(lower, upper)]).failures
+    blocks = [
+        np.array([[fixture_assignment(c)[0, 0] for c in row] for row in g.cells]) for g in (upper, lower)
+    ]
+    assert failure["min_eig"] == pytest.approx(min_eig(blocks[0] - blocks[1]), abs=1e-12)
+
+
+def test_certification_splits_large_batches(monkeypatch):
+    import pisom.numeric as numeric
+
+    bad = PartialIsometryRep(np.array([[1.3]], dtype=complex))
+    pairs = scalar_relations(40, 2)
+    whole = verify_order_rep(bad, pairs)
+    monkeypatch.setattr(numeric, "_BATCH_ENTRIES", 3)
+    assert verify_order_rep(bad, pairs) == whole
+    assert whole.total == 40 and whole.failures
+
+
+# -- exact control at truncated shifts -----------------------------------------------------
+
+
+def _shift_image(w, n):
+    """Image index of each basis vector under w at the n x n truncated shift
+    (v e_i = e_{i+1}, v e_{n-1} = 0), None where the vector is killed."""
+    out = []
+    for j in range(n):
+        i = j
+        for e in reversed(w):
+            i += e
+            if not 0 <= i < n:
+                i = None
+                break
+        out.append(i)
+    return out
+
+
+def _shift_matrix(w, n):
+    m = np.zeros((n, n))
+    for j, i in enumerate(_shift_image(w, n)):
+        if i is not None:
+            m[i, j] = 1.0
+    return m
+
+
+def _int_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(len(m)))
+
+
+def _int_psd(m):
+    """A symmetric integer matrix is PSD iff all its principal minors are >= 0."""
+    idx = range(len(m))
+    return all(
+        _int_det([[m[i][j] for j in sub] for i in sub]) >= 0
+        for size in range(1, len(m) + 1)
+        for sub in combinations(idx, size)
+    )
+
+
+def _exact_difference(lower_cells, upper_cells, n):
+    """eval(upper) - eval(lower) at the shift, one k x k integer matrix per
+    basis index: tau-zero cells evaluate to 0/1 diagonals."""
+    k = len(lower_cells)
+    fixed = lambda w: [i is not None for i in _shift_image(w, n)]
+    lo = [[fixed(c) for c in row] for row in lower_cells]
+    up = [[fixed(c) for c in row] for row in upper_cells]
+    return [[[int(up[i][j][t]) - int(lo[i][j][t]) for j in range(k)] for i in range(k)] for t in range(n)]
+
+
+def _exact_verdict(lower_cells, upper_cells, n):
+    return all(_int_psd(d) for d in _exact_difference(lower_cells, upper_cells, n))
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_exact_control_at_truncated_shifts(n):
+    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    scalar = scalar_relations(60, 5)
+    blocks = {k: matrix_relations(10, 50 + k, ks=(k,)) for k in (2, 3) if k * n <= 64}
+    cases = [(((lo,),), ((up,),)) for lo, up in scalar]
+    cases += [(lo.cells, up.cells) for rels in blocks.values() for lo, up in rels]
+    for lower_cells, upper_cells in cases:
+        for c in (c for cells in (lower_cells, upper_cells) for row in cells for c in row):
+            assert np.array_equal(eval_word(shift, c), _shift_matrix(c, n))
+        assert _exact_verdict(lower_cells, upper_cells, n)
+    assert verify_order_rep(shift, scalar).ok
+    for k, rels in blocks.items():
+        assert verify_k_order(shift, k, rels).ok
+    # reversed, a nonzero 0/1 difference is exactly not PSD and must fail
+    reversed_cases = [
+        (up, lo)
+        for lo, up in cases
+        if any(any(any(row) for row in d) for d in _exact_difference(lo, up, n))
+    ]
+    assert reversed_cases
+    for lower_cells, upper_cells in reversed_cases:
+        assert not _exact_verdict(lower_cells, upper_cells, n)
+        if len(lower_cells) == 1:
+            rpt = verify_order_rep(shift, [(lower_cells[0][0], upper_cells[0][0])])
+        else:
+            rpt = verify_k_order(shift, len(lower_cells), [(GramMatrix(lower_cells), GramMatrix(upper_cells))])
+        assert not rpt.ok
