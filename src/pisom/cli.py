@@ -37,19 +37,6 @@ def _partition_arg(text: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _maybe_cache(args):
-    if getattr(args, "cache", None):
-        try:
-            structure.load_irr_cache(args.cache)
-        except FileNotFoundError:
-            pass
-
-
-def _store_cache(args):
-    if getattr(args, "cache", None):
-        structure.save_irr_cache(args.cache)
-
-
 def _cmd_reduce(args):
     seq = parse_word(args.word)
     _emit(args, format_word(seq), format_word(seq))
@@ -92,9 +79,7 @@ def _cmd_factor(args):
 
 
 def _cmd_enum_irr(args):
-    _maybe_cache(args)
     table = structure.enum_irr(args.k)
-    _store_cache(args)
     if args.json:
         print(table.to_json())
     else:
@@ -240,11 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("member", _cmd_member, lambda sp: (sp.add_argument("word"), sp.add_argument("tag")))
     add("irr", _cmd_irr, lambda sp: sp.add_argument("word"))
     add("factor", _cmd_factor, lambda sp: (sp.add_argument("word"), sp.add_argument("--in-d0", action="store_true")))
-    add(
-        "enum-irr",
-        _cmd_enum_irr,
-        lambda sp: (sp.add_argument("k", type=int), sp.add_argument("--cache")),
-    )
+    add("enum-irr", _cmd_enum_irr, lambda sp: sp.add_argument("k", type=int))
     add("alpha", _cmd_alpha, lambda sp: sp.add_argument("word"))
     add("omega", _cmd_omega, lambda sp: sp.add_argument("word"))
     add("beta-omega", _cmd_beta_omega, lambda sp: sp.add_argument("word"))

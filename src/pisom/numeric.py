@@ -515,6 +515,9 @@ def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = 
 def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     """Deterministic sample of basic matrix relations (G, successor)."""
     words = [w for w in iter_words(entry_weight)]
+    # D1 membership of every Gram cell u* v, so that a draw is tested by
+    # lookups, diagonal first, and only a passing draw builds its matrix
+    in_d1 = {(u, v): member(u.star * v, "D1") for u in words for v in words}
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -522,9 +525,9 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
         attempts += 1
         k = rng.choice(ks)
         vec = tuple(rng.choice(words) for _ in range(k))
-        g = gram(vec)
-        if not g.tagged("D1"):
+        if not (all(in_d1[w, w] for w in vec) and all(in_d1[u, v] for u in vec for v in vec)):
             continue
+        g = gram(vec)
         succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
         if not succ:
             continue

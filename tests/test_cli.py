@@ -101,14 +101,10 @@ def test_random_pi_deterministic():
     assert obj["n"] == 3
 
 
-def test_enum_cache_file(tmp_path):
-    path = tmp_path / "irr.json"
-    code, out1, _ = invoke(["enum-irr", "6", "--json", "--cache", str(path)])
-    assert code == 0 and path.exists()
-    cached = json.loads(path.read_text())
-    assert cached["6"]["elements"] == json.loads(out1)["elements"]
-    code, out2, _ = invoke(["enum-irr", "6", "--json", "--cache", str(path)])
-    assert out2 == out1
+def test_enum_irr_has_no_cache_option(tmp_path):
+    code, out, _ = invoke(["enum-irr", "6", "--cache", str(tmp_path / "irr.json")])
+    assert code == 2 and out == ""
+    assert not (tmp_path / "irr.json").exists()
 
 
 def test_verify_korder_fixture_fails_at_2(tmp_path):
@@ -219,6 +215,7 @@ def test_verify_korder_fixture_errors(tmp_path, name):
         ["verify-rep", "--dim", "65"],
         ["verify-korder", "--dim", "65"],
         ["partitions", "30", "30"],
+        ["enum-irr", "21"],
     ],
 )
 def test_size_caps_refuse_before_allocating(argv):

@@ -1,11 +1,12 @@
 import json
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pisom.maps import alpha
-from pisom.matrix import GramMatrix, gram
+from pisom.matrix import GramMatrix, gram, matrix_successors
 from pisom.numeric import (
     PSD_TOL,
     _certify,
@@ -161,6 +162,32 @@ def test_verify_k_order_matches_scalar(rep):
         for a, b in pairs
     ]
     assert verify_k_order(rep, 1, rels).ok == verify_order_rep(rep, pairs).ok
+
+
+def rejection_matrix_relations(count, seed, ks, entry_weight=4):
+    """matrix_relations as first written: every draw builds its whole Gram
+    matrix before the D1 test."""
+    words = list(iter_words(entry_weight))
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.choice(ks)
+        g = gram(tuple(rng.choice(words) for _ in range(k)))
+        if not g.tagged("D1"):
+            continue
+        succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
+        if succ:
+            out.append((g, rng.choice(succ)))
+    return out
+
+
+@pytest.mark.parametrize("ks", [(1,), (2,), (3,), (2, 3)])
+def test_matrix_relations_match_rejection_sampler(ks):
+    for seed in range(4):
+        got = matrix_relations(12, seed, ks=ks)
+        want = rejection_matrix_relations(12, seed, ks)
+        assert got == want
+        assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
 
 
 def test_verify_k_order_dim_cap(rep):

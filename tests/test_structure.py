@@ -1,23 +1,23 @@
 import json
+from itertools import product as cartesian
 
 import pytest
 
+import pisom.structure as structure
 from pisom.maps import alpha, is_irr_plus
 from pisom.structure import (
+    IRR_CAP,
     IrrTable,
     classify_sa,
     enum_irr,
     factor_a0,
     factor_d0,
     is_irreducible,
-    load_irr_cache,
-    reset_irr_memo,
     sa_canonical_d1,
-    save_irr_cache,
 )
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
 
-from conftest import product, random_minimal_sequences, words_upto
+from conftest import is_minimal_sequence, product, random_minimal_sequences, words_upto
 
 
 # -- irreducibility ---------------------------------------------------------------
@@ -73,13 +73,15 @@ def test_factor_roundtrip_random(irr_pool):
 
 
 def test_factor_exhaustive_small():
-    for p in words_upto(9):
-        if p.tau != 0:
-            continue
+    # factor_a0 has no minimality pass; the split alone must give the
+    # unique minimal decomposition of every tau-kernel word up to weight 20
+    kernel = [p for p in words_upto(20) if p.tau == 0]
+    assert len(kernel) == 6092
+    for p in kernel:
         factors = factor_a0(p)
         assert product(factors) == p
-        for f in factors:
-            assert is_irreducible(f)
+        assert all(is_irreducible(f) for f in factors), p
+        assert is_minimal_sequence(factors), p
 
 
 def test_factor_d0_examples():
@@ -122,13 +124,76 @@ def test_irr_table_json_roundtrip():
     assert obj["elements"] == ["(-6,6)", "(-4,2,-2,4)", "(-4,3,-2,3)", "(-3,2,-3,4)"]
 
 
-def test_irr_cache_roundtrip(tmp_path):
-    enum_irr(6)
-    path = tmp_path / "cache.json"
-    save_irr_cache(path)
-    reset_irr_memo()
-    load_irr_cache(path)
-    assert enum_irr(6).elements[0] == Word((-6, 6))
+def stein_waterman(n_max):
+    """a(0..n_max) of a(0) = 1, a(n) = a(n-1) + sum_{k=1}^{n-2} a(k) a(n-2-k)
+    (Stein and Waterman's generalized Catalan numbers, OEIS A004148)."""
+    a = [1]
+    for n in range(1, n_max + 1):
+        a.append(a[n - 1] + sum(a[k] * a[n - 2 - k] for k in range(1, n - 1)))
+    return a
+
+
+def test_enum_counts_stein_waterman():
+    a = stein_waterman(16)
+    for g in range(1, 19):
+        assert len(enum_irr(g).elements) == (1 if g == 1 else a[g - 2]), g
+    assert a[16] == 72832
+
+
+def test_enum_elements_meet_the_definition():
+    for g in range(1, 17):
+        elements = enum_irr(g).elements
+        assert list(elements) == sorted(set(elements)), g
+        for w in elements:
+            assert is_irr_plus(w) and w.tau_plus() == g, w
+
+
+def generated_grades(k_max):
+    """Grades 1..k_max by the generation theorem: grade k collects alpha^k0
+    of every product of lower-grade plus-irreducibles whose grades sum to
+    k - k0, either one factor of any grade or at least two of grade >= 2."""
+
+    def compositions(total, min_part):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min_part, total + 1):
+            for rest in compositions(total - first, min_part):
+                yield (first,) + rest
+
+    grades = {1: {UNIT_PLUS}}
+    for k in range(2, k_max + 1):
+        found = set()
+        for k0 in range(1, k):
+            target = k - k0
+            comps = [(target,)] + [c for c in compositions(target, 2) if len(c) > 1]
+            for comp in comps:
+                for choice in cartesian(*(grades[ki] for ki in comp)):
+                    w = product(choice)
+                    for _ in range(k0):
+                        w = alpha(w)
+                    found.add(w)
+        grades[k] = found
+    return grades
+
+
+def test_enum_matches_generation_theorem():
+    for k, found in generated_grades(12).items():
+        assert enum_irr(k).elements == tuple(sorted(found)), k
+
+
+def test_enum_cap_refuses_before_enumerating(monkeypatch):
+    def boom(k):
+        raise AssertionError("enumerated grade %d" % k)
+
+    monkeypatch.setattr(structure, "_plus_irreducibles", boom)
+    a = stein_waterman(19)
+    assert a[18] <= IRR_CAP < a[19]
+    for k in (21, 30, 10**9):
+        with pytest.raises(DomainError, match="cap"):
+            enum_irr(k)
+    with pytest.raises(AssertionError, match="enumerated grade 20"):
+        enum_irr(20)
 
 
 # -- selfadjoint canonical form ------------------------------------------------------
