@@ -49,6 +49,7 @@ from .words import (
     DomainError,
     Word,
     format_word,
+    iter_words,
     member,
     parse_word,
 )
@@ -57,6 +58,7 @@ PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 CONJUGATION_TOL = 1e-10
 DIM_CAP = 64
+RELATION_CAP = 10**5  # pairs in one scalar_relations() sample
 
 
 class InvalidRepError(ValueError):
@@ -386,9 +388,7 @@ def hollow_depth(a: Word) -> int:
     cur = a
     while cur not in _DEPTH_CACHE:
         todo.append(cur)
-        succ = hollow_successors(cur)
-        assert len(succ) == 1, (cur, succ)
-        (cur,) = succ
+        (cur,) = hollow_successors(cur)
     d = _DEPTH_CACHE[cur]
     for w in reversed(todo):
         d += 1
@@ -398,9 +398,7 @@ def hollow_depth(a: Word) -> int:
 
 def square_hollow(s: Word) -> Word:
     """The single element one step above s* s (strip one unit off s)."""
-    succ = hollow_successors(s.star * s)
-    assert len(succ) == 1
-    (out,) = succ
+    (out,) = hollow_successors(s.star * s)
     return out
 
 
@@ -472,22 +470,6 @@ def displayed_block_relation() -> tuple[GramMatrix, GramMatrix]:
 # -- deterministic relation pools ---------------------------------------------
 
 
-def iter_words(max_weight: int):
-    """All reduced words of weight up to max_weight, depth first."""
-
-    def extend(seq, used):
-        yield Word(seq)
-        if len(seq) > 1 and abs(seq[-1]) < 2:
-            return
-        sign = -1 if seq[-1] > 0 else 1
-        for mag in range(1, max_weight - used + 1):
-            yield from extend(seq + (sign * mag,), used + mag)
-
-    for first in range(1, max_weight + 1):
-        yield from extend((first,), first)
-        yield from extend((-first,), first)
-
-
 def sa_pool(half_weight: int, within: str = "D1"):
     """Selfadjoint elements of the tagged semigroup, from small factors."""
     out = set()
@@ -500,6 +482,8 @@ def sa_pool(half_weight: int, within: str = "D1"):
 
 def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = "D1"):
     """Deterministic sample of basic order pairs (n, successor)."""
+    if not 0 <= count <= RELATION_CAP:
+        raise DomainError("a sample of %d relations is negative or exceeds the cap of %d" % (count, RELATION_CAP))
     pool = []
     for n in sa_pool(half_weight, within):
         for m in sorted(hollow_successors(n)):

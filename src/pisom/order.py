@@ -1,10 +1,13 @@
 """The partial order on selfadjoint words: hollowing and reachability.
 
-A selfadjoint word factors as w*w; stripping one unit off the front of w
-and recomposing yields the element one step above ("hollowing out" the
-middle).  Both factorizations and both per-factorization choices are
-generated and filtered, which is cheap and matches the definition; at most
-one strict successor survives, so reachability is a short chain walk.
+A selfadjoint word n factors as w* w; stripping one unit off the front of
+w and recomposing yields the element one step above ("hollowing out" the
+middle).  By definition a step may start from either reduced factorization
+and either way of splitting a unit off it, but every choice other than
+stripping the minimal factor recomposes to n itself.  So each element has
+at most one strict successor, computed directly, and reachability is a
+walk along a chain.  The tests keep the generate-and-filter definition
+and compare it with the direct step.
 """
 
 from __future__ import annotations
@@ -17,16 +20,13 @@ def sa_factor_min(n: Word) -> Word:
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
     half = len(n) // 2
-    w = Word(tuple(-e for e in reversed(n[:half])))
-    assert w.star * w == n
-    return w
+    return Word(tuple(-e for e in reversed(n[:half])))
 
 
 def sa_factorizations(n: Word) -> tuple[Word, Word]:
     """Both reduced factorizations w* w == n, negative-start first."""
     w = sa_factor_min(n)
-    other = (GEN if w[0] < 0 else GEN_STAR) * w
-    assert other.star * other == n
+    other = unit_shift(w)
     return (w, other) if w[0] < 0 else (other, w)
 
 
@@ -64,34 +64,26 @@ def _check_sa(n: Word, within: str | None) -> None:
 
 
 def hollow_successors(n: Word, within: str | None = None) -> set[Word]:
-    """Elements one basic step above n; empty iff n is maximal."""
+    """Elements one basic step above n: the hollowed minimal factor's
+    recomposition, or none when that is n itself (n is maximal)."""
     _check_sa(n, within)
-    out: set[Word] = set()
-    for u in sa_factorizations(n):
-        for c in hollow_choices(u):
-            m = c.star * c
-            if m != n:
-                out.add(m)
-    return out
+    c = unit_strip(sa_factor_min(n))
+    m = c.star * c
+    return set() if m == n else {m}
 
 
 def leq(n: Word, m: Word, within: str | None = None) -> bool:
-    """Reachability n <= m along hollowing steps (chain search)."""
+    """Reachability n <= m along hollowing steps (a walk up the chain).
+
+    Each step strictly lowers the weight, so the walk stops once it is no
+    heavier than m.  Only the two units are maximal, and no selfadjoint
+    word is lighter, so every element the walk steps from has a successor.
+    """
     _check_sa(n, within)
     _check_sa(m, within)
-    frontier = {n}
-    seen: set[Word] = set()
-    while frontier:
-        if m in frontier:
-            return True
-        seen |= frontier
-        nxt: set[Word] = set()
-        for x in frontier:
-            for y in hollow_successors(x):
-                if y not in seen and y.weight >= m.weight:
-                    nxt.add(y)
-        frontier = nxt
-    return False
+    while n != m and n.weight > m.weight:
+        (n,) = hollow_successors(n)
+    return n == m
 
 
 def upper_idempotent(n: Word) -> Word:

@@ -4,8 +4,12 @@ The factorization routine follows the least-bad-prefix split: scan for the
 first prefix sum whose sign disagrees with the leading entry, cut there,
 and recurse on the tail.  The cut prefix is always irreducible, and for
 reduced input the produced sequence is already the unique minimal
-decomposition, so no minimality pass follows (the tests check minimality
-exhaustively on short words).
+decomposition, so it is returned as it stands: no minimality pass and no
+recomposition check follow.  The canonical form and the case tag of a
+selfadjoint element are likewise computed once.  The theorems they rest
+on (recomposition, minimality, plus-irreducible factors in D0, the
+star-palindromic factor sequence) are checked exhaustively on short words
+in the tests.
 
 Plus-irreducibles are graded by the positive-entry sum.  A grade is
 enumerated directly from the definition by a depth-first search over the
@@ -21,17 +25,8 @@ import json
 from dataclasses import dataclass
 from functools import reduce as _fold
 
-from .maps import is_irr_plus
-from .words import (
-    UNIT_MINUS,
-    UNIT_PLUS,
-    DomainError,
-    Word,
-    _checked,
-    format_word,
-    member,
-    parse_word,
-)
+from .order import sa_factor_min
+from .words import DomainError, Word, _checked, format_word, member
 
 
 def is_irreducible(p: Word) -> bool:
@@ -74,7 +69,6 @@ def factor_a0(p: Word) -> list[Word]:
             break
         m, rest = split
         factors.append(m)
-    assert _fold(lambda a, b: a * b, factors) == p
     return factors
 
 
@@ -82,13 +76,7 @@ def factor_d0(d: Word) -> list[Word]:
     """Factor inside D0; every factor is a plus-irreducible."""
     if not member(d, "D0"):
         raise DomainError("not in D0: %s" % (d,))
-    factors = factor_a0(d)
-    for f in factors:
-        if not is_irr_plus(f):
-            raise DomainError("factor %s of %s escapes the plus-irreducibles" % (f, d))
-    if d != UNIT_PLUS and UNIT_PLUS in factors:
-        raise DomainError("unit factor in a non-unit D0 decomposition of %s" % (d,))
-    return factors
+    return factor_a0(d)
 
 
 # -- graded enumeration ------------------------------------------------------
@@ -106,11 +94,6 @@ class IrrTable:
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "elements": [format_word(w) for w in self.elements]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "IrrTable":
-        obj = json.loads(text)
-        return cls(int(obj["k"]), tuple(parse_word(t) for t in obj["elements"]))
 
 
 def _grade_size(k: int) -> int:
@@ -172,35 +155,27 @@ def enum_irr(k: int) -> IrrTable:
 # -- selfadjoint canonical form ----------------------------------------------
 
 
+def _check_sa_d1(n: Word) -> None:
+    if not n.is_selfadjoint():
+        raise DomainError("not selfadjoint: %s" % (n,))
+    if not member(n, "D1"):
+        raise DomainError("not in D1: %s" % (n,))
+
+
 def sa_canonical_d1(n: Word):
     """Split a selfadjoint element of D1 as flank* . center . flank.
 
     Returns (center, flank); the center is absent (None) when the minimal
     factor sequence has even length, the flank is absent when the element
-    is a single irreducible.
+    is a single irreducible.  The factor sequence of a selfadjoint element
+    is star-palindromic, so the flank is the product of its second half.
     """
-    if not n.is_selfadjoint():
-        raise DomainError("not selfadjoint: %s" % (n,))
-    if not member(n, "D1"):
-        raise DomainError("not in D1: %s" % (n,))
+    _check_sa_d1(n)
     factors = factor_a0(n)
     s = len(factors)
-    for i in range(s):
-        if factors[i].star != factors[s - 1 - i]:
-            raise DomainError("factor sequence of %s is not star-palindromic" % (n,))
-    if s % 2:
-        center = factors[s // 2]
-        tail = factors[s // 2 + 1 :]
-    else:
-        center = None
-        tail = factors[s // 2 :]
+    center = factors[s // 2] if s % 2 else None
+    tail = factors[(s + 1) // 2 :]
     flank = _fold(lambda a, b: a * b, tail) if tail else None
-    recomposed = flank.star if flank is not None else None
-    if center is not None:
-        recomposed = center if recomposed is None else recomposed * center
-    if flank is not None:
-        recomposed = recomposed * flank
-    assert recomposed == n
     return center, flank
 
 
@@ -211,22 +186,10 @@ def classify_sa(n: Word) -> str:
     Boundary: plain m*m with m fixed by the plus unit;
     CenterIrrNeg: an irreducible of D0 sits at the center.
     """
-    from .order import sa_factor_min
-
-    center, _ = sa_canonical_d1(n)
+    _check_sa_d1(n)
     t = sa_factor_min(n).star.tau
     if t == 1:
-        tag = "CenterUnitPos"
-    elif t == 0:
-        tag = "Boundary"
-    else:
-        tag = "CenterIrrNeg"
-    expected = (
-        "CenterUnitPos"
-        if center == UNIT_MINUS
-        else "Boundary"
-        if center is None
-        else "CenterIrrNeg"
-    )
-    assert tag == expected, (n, tag, expected)
-    return tag
+        return "CenterUnitPos"
+    if t == 0:
+        return "Boundary"
+    return "CenterIrrNeg"

@@ -250,6 +250,22 @@ def format_word(w) -> str:
     return "(%s)" % ",".join(str(e) for e in w)
 
 
+def iter_words(max_weight: int):
+    """All reduced words of weight up to max_weight, depth first."""
+
+    def extend(seq, used):
+        yield Word(seq)
+        if len(seq) > 1 and abs(seq[-1]) < 2:
+            return
+        sign = -1 if seq[-1] > 0 else 1
+        for mag in range(1, max_weight - used + 1):
+            yield from extend(seq + (sign * mag,), used + mag)
+
+    for first in range(1, max_weight + 1):
+        yield from extend((first,), first)
+        yield from extend((-first,), first)
+
+
 def member(w: Word, tag: str) -> bool:
     """Membership in the named subsemigroup.
 

@@ -11,7 +11,7 @@ from functools import reduce as fold
 import pytest
 
 from pisom.structure import enum_irr
-from pisom.words import Word
+from pisom.words import Word, iter_words as words_upto  # noqa: F401  (words_upto is shared)
 
 
 # -- independent rewrite oracle -----------------------------------------------
@@ -65,22 +65,6 @@ def raw_sequences(max_weight):
 
 
 # -- reduced-word enumeration --------------------------------------------------
-
-
-def words_upto(max_weight):
-    """All reduced words of weight <= max_weight."""
-
-    def extend(seq, used):
-        yield Word(seq)
-        if len(seq) > 1 and abs(seq[-1]) < 2:
-            return
-        sign = -1 if seq[-1] > 0 else 1
-        for mag in range(1, max_weight - used + 1):
-            yield from extend(seq + (sign * mag,), used + mag)
-
-    for first in range(1, max_weight + 1):
-        yield from extend((first,), first)
-        yield from extend((-first,), first)
 
 
 def sa_words_upto(max_weight, tag=None):

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import io
 import json
 import os
@@ -9,8 +11,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from pisom.cli import run
+from pisom.words import DomainError
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+ORDER_FIXTURE = str(pathlib.Path(__file__).parent / "assets" / "order_fixture.json")
 
 HMM_GRAM_JSON = (
     '{"k": 2, "cells": [["(-3,2,-2,3)", "(-3,2,-3,4)"], '
@@ -216,9 +221,48 @@ def test_verify_korder_fixture_errors(tmp_path, name):
         ["verify-korder", "--dim", "65"],
         ["partitions", "30", "30"],
         ["enum-irr", "21"],
+        ["iota-tau", ONE_CELL_GRAM_JSON, "[1001]"],
+        ["iota-tau", ONE_CELL_GRAM_JSON, "[1000000000000]"],
+        ["verify-rep", "--count", "100001"],
+        ["verify-rep", "--count", "-1"],
+        ["verify-korder", "--fixture", ORDER_FIXTURE, "--k", "1", "--count", "1000000000000"],
     ],
 )
 def test_size_caps_refuse_before_allocating(argv):
     code, out, err = invoke(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, err
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts: input checks raise, and the self-checks of
+    # the theorems the package relies on live in the tests
+    modules = sorted((REPO / "src" / "pisom").glob("*.py"))
+    assert modules
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("print_irr_tables", REPO / "scripts" / "print_irr_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    enum_irr = script.enum_irr
+
+    def capped(k):
+        if k > 2:
+            raise DomainError("plus-irreducibles of grade %d exceed the cap" % k)
+        return enum_irr(k)
+
+    monkeypatch.setattr(script, "enum_irr", capped)
+    monkeypatch.setattr(sys, "argv", ["print_irr_tables.py", "21"])
+    assert script.main() == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["grade  1 (  1 elements): (-1,1)", "grade  2 (  1 elements): (-2,2)"]
+    assert err == "error: plus-irreducibles of grade 3 exceed the cap\n"

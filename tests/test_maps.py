@@ -54,6 +54,13 @@ def test_beta_omega_examples():
         beta_omega(Word((-2, 3, -3, 2)))  # reducible
 
 
+def test_beta_omega_lands_in_d0():
+    # every non-unit plus-irreducible of grade <= 14 shifts into D0
+    for k in range(2, 15):
+        for w in enum_irr(k).elements:
+            assert member(beta_omega(w), "D0"), w
+
+
 def test_beta_omega_alpha_identities():
     for k in range(1, 7):
         for w in enum_irr(k).elements:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -22,7 +23,7 @@ from pisom.matrix import (
 )
 from pisom.maps import conj
 from pisom.structure import is_irreducible
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
+from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
 
 from conftest import words_upto
 
@@ -211,6 +212,12 @@ def test_immediate_predecessors_k1():
         assert gram((Word((1,)),)) in matrix_successors(lo, require=None)
 
 
+def test_immediate_predecessors_exhaustive_d1_small():
+    for g in d1_grams_small():
+        lo_neg, lo_pos = immediate_predecessors(g)
+        assert lo_neg != lo_pos, g
+
+
 def test_predecessors_random(irr_pool):
     rng = random.Random(99)
     pool = list(words_upto(4))
@@ -262,6 +269,19 @@ def test_classify_case3():
             assert res.m[i].star * core * res.m[j] == HMM_GRAM.cells[i][j]
 
 
+def test_classify_lets_a_real_error_through(monkeypatch):
+    # the Case3 search skips candidate quotients that are not reduced words
+    # (WordError) and nothing else
+    import pisom.matrix as matrix
+
+    def broken(entries):
+        raise TypeError("bug in the word layer")
+
+    monkeypatch.setattr(matrix, "Word", broken)
+    with pytest.raises(TypeError, match="bug in the word layer"):
+        classify_matrix(HMM_GRAM)
+
+
 def test_classify_case3_maximal():
     res = classify_matrix(gram((W("(-1,3)"), W("(1,-3,4)"))))
     assert res.case == "Case3" and res.maximal
@@ -296,11 +316,10 @@ def test_classify_case3_nontrivial_flank():
             assert res.m[i].star * core * res.m[j] == g.cells[i][j]
 
 
-def test_classify_exhaustive_d1_small():
-    # every distinct D1 Gram matrix with k <= 3 and entries of weight <= 5:
-    # classification never raises, mixed signs are Case3 maximal, and the
-    # maximal flag agrees with the successor set, except on the constant
-    # idempotent matrices (see the strict xfail below)
+@functools.cache
+def d1_grams_small():
+    """Every distinct D1 Gram matrix with k <= 3 and entries of weight <= 5,
+    each with one vector that has it as its Gram matrix."""
     pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
     compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
     seen = {}
@@ -308,15 +327,40 @@ def test_classify_exhaustive_d1_small():
         for vec in vectors(k, 5):
             if all(vec[j] in compat.get(vec[i], ()) for i in range(k) for j in range(i, k)):
                 seen.setdefault(gram(vec), vec)
-    mixed = 0
-    for g, vec in seen.items():
+    assert len(seen) == 649
+    return seen
+
+
+def test_classify_exhaustive_d1_small():
+    # classification never raises, mixed signs are Case3 maximal, and the
+    # maximal flag agrees with the successor set, except on the constant
+    # idempotent matrices (see the strict xfail below).  Case1 strips a
+    # factorization whose entries are (-1) or start at -2 or below, Case2
+    # cuts one whose entries lie in D1, and both recompose to g.
+    mixed, cases = 0, {}
+    for g, vec in d1_grams_small().items():
         res = classify_matrix(g)
+        cases[res.case] = cases.get(res.case, 0) + 1
         if len({w[0] > 0 for w in vec}) > 1:
             mixed += 1
             assert (res.case, res.maximal) == ("Case3", True), g
         if not any(all(c == idem for row in g.cells for c in row) for idem in (UNIT_MINUS, UNIT_PLUS)):
             assert res.maximal == (not matrix_successors(g)), g
-    assert len(seen) == 649 and mixed == 44 + 378
+        k = g.k
+        if res.case == "Case1":
+            threaded = next(v for v in factor_gram(g) if v[0].star.tau == 1)
+            assert all(w == GEN_STAR or w[0] <= -2 for w in threaded), g
+            for i in range(k):
+                for j in range(k):
+                    assert res.m[i].star * UNIT_MINUS * res.m[j] == g.cells[i][j], g
+        elif res.case == "Case2":
+            core = next(v for v in factor_gram(g) if v[0].star.tau == 0)
+            assert all(member(w, "D1") for w in core), g
+            for i in range(k):
+                for j in range(k):
+                    assert res.m[i].star * (res.a[i].star * res.a[j]) * res.m[j] == g.cells[i][j], g
+    assert mixed == 44 + 378
+    assert min(cases.get(c, 0) for c in ("Case1", "Case2", "Case3")) > 0, cases
 
 
 @pytest.mark.xfail(

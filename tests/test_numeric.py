@@ -17,7 +17,6 @@ from pisom.numeric import (
     displayed_block_relation,
     eval_word,
     hollow_depth,
-    iter_words,
     load_assignment,
     matrix_from_json,
     matrix_relations,
@@ -36,7 +35,7 @@ from pisom.numeric import (
 )
 from pisom.order import hollow_successors, leq
 from pisom.structure import enum_irr
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, parse_word, reduce_word
+from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, parse_word, reduce_word
 
 W = parse_word
 

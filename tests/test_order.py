@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pisom.order import (
+    hollow_choices,
     hollow_successors,
     leq,
     sa_factor_min,
@@ -46,7 +47,7 @@ def test_sa_factorizations_examples():
 
 
 def test_sa_factorizations_recompose_and_order():
-    for n in sa_words_upto(8):
+    for n in sa_words_upto(16):
         ws = sa_factorizations(n)
         assert len(ws) == 2 and ws[0][0] < 0 < ws[1][0]
         for w in ws:
@@ -85,6 +86,54 @@ def decrement_oracle(n):
         return set()
     raw = new_head + tuple(-e for e in reversed(new_head))
     return {reduce_word(raw)} - {n}
+
+
+def hollow_successors_by_definition(n):
+    """Generate and filter: hollow both factorizations by both choices and
+    keep every recomposition other than n."""
+    out = set()
+    for u in sa_factorizations(n):
+        for c in hollow_choices(u):
+            m = c.star * c
+            if m != n:
+                out.add(m)
+    return out
+
+
+def leq_by_search(n, m):
+    """Breadth-first search up the definitional successors, pruned below
+    the weight of m."""
+    frontier, seen = {n}, set()
+    while frontier:
+        if m in frontier:
+            return True
+        seen |= frontier
+        frontier = {
+            y
+            for x in frontier
+            for y in hollow_successors_by_definition(x)
+            if y not in seen and y.weight >= m.weight
+        }
+    return False
+
+
+def test_hollow_successors_match_definition():
+    elems = sa_words_upto(16)
+    assert len(elems) == 108
+    for n in elems:
+        succ = hollow_successors(n)
+        assert succ == hollow_successors_by_definition(n), n
+        assert bool(succ) == (n not in (UNIT_PLUS, UNIT_MINUS)), n
+
+
+def test_leq_matches_search():
+    # all pairs of selfadjoint words up to weight 12 (the D1 words of weight
+    # <= 10 among them)
+    elems = sa_words_upto(12)
+    assert len(elems) == 40 and len([n for n in elems if n.weight <= 10 and member(n, "D1")]) == 15
+    verdicts = [leq(a, b) for a in elems for b in elems]
+    assert verdicts == [leq_by_search(a, b) for a in elems for b in elems]
+    assert len(elems) < sum(verdicts) < len(verdicts)
 
 
 def test_hollowing_agrees_with_endpoint_decrement():

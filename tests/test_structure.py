@@ -7,7 +7,6 @@ import pisom.structure as structure
 from pisom.maps import alpha, is_irr_plus
 from pisom.structure import (
     IRR_CAP,
-    IrrTable,
     classify_sa,
     enum_irr,
     factor_a0,
@@ -17,7 +16,7 @@ from pisom.structure import (
 )
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
 
-from conftest import is_minimal_sequence, product, random_minimal_sequences, words_upto
+from conftest import is_minimal_sequence, product, random_minimal_sequences, sa_words_upto, words_upto
 
 
 # -- irreducibility ---------------------------------------------------------------
@@ -92,6 +91,18 @@ def test_factor_d0_examples():
         factor_d0(Word((-2, 3, -3, 2)))
 
 
+def test_factor_d0_exhaustive_small():
+    # every D0 word up to weight 20 factors into plus-irreducibles, with the
+    # unit (-1,1) as a factor only of the unit itself
+    d0 = [d for d in words_upto(20) if member(d, "D0")]
+    assert len(d0) == 338
+    for d in d0:
+        factors = factor_d0(d)
+        assert product(factors) == d
+        assert all(is_irr_plus(f) for f in factors), d
+        assert d == UNIT_PLUS or UNIT_PLUS not in factors, d
+
+
 # -- graded enumeration ------------------------------------------------------------
 
 
@@ -118,8 +129,6 @@ def test_enum_grading_invariants():
 
 def test_irr_table_json_roundtrip():
     t = enum_irr(6)
-    again = IrrTable.from_json(t.to_json())
-    assert again == t
     obj = json.loads(t.to_json())
     assert obj["elements"] == ["(-6,6)", "(-4,2,-2,4)", "(-4,3,-2,3)", "(-3,2,-3,4)"]
 
@@ -215,6 +224,19 @@ def test_sa_canonical_examples():
         sa_canonical_d1(Word((-2, 4, -4, 2)))  # selfadjoint, sigma hits 2
 
 
+def test_sa_canonical_exhaustive():
+    # every selfadjoint D1 word up to weight 16: the minimal factor sequence
+    # is star-palindromic and flank* . center . flank recomposes to it
+    elems = sa_words_upto(16, "D1")
+    assert len(elems) == 52
+    for n in elems:
+        factors = factor_a0(n)
+        assert factors == [f.star for f in reversed(factors)], n
+        center, flank = sa_canonical_d1(n)
+        parts = [x for x in (flank and flank.star, center, flank) if x is not None]
+        assert product(parts) == n, n
+
+
 def test_sa_canonical_unit_action():
     # when the center is (1,-1) the flank is fixed by (-1,1) and vice versa
     for u in words_upto(5):
@@ -239,9 +261,20 @@ def test_classify_sa_examples():
     # classifies as CenterUnitPos, not Boundary
     w = UNIT_MINUS * Word((-2, 2))
     assert classify_sa(w.star * w) == "CenterUnitPos"
+    # the selfadjointness check comes before the D1 check
+    with pytest.raises(DomainError, match="not selfadjoint"):
+        classify_sa(Word((1, -2)))  # outside D1 as well
+    with pytest.raises(DomainError, match="not in D1"):
+        classify_sa(Word((-2, 4, -4, 2)))
 
 
 def test_classify_sa_exhaustive_consistency():
-    for n in words_upto(10):
-        if n.is_selfadjoint() and member(n, "D1"):
-            classify_sa(n)  # internal assertion cross-checks the canonical form
+    # the tag read off the minimal factor names the center of the canonical
+    # form, for every selfadjoint D1 word up to weight 16
+    tags = set()
+    for n in sa_words_upto(16, "D1"):
+        center, _ = sa_canonical_d1(n)
+        expected = "CenterUnitPos" if center == UNIT_MINUS else "Boundary" if center is None else "CenterIrrNeg"
+        assert classify_sa(n) == expected, n
+        tags.add(expected)
+    assert len(tags) == 3

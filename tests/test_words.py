@@ -9,6 +9,7 @@ from pisom.words import (
     Word,
     WordError,
     format_word,
+    iter_words,
     member,
     parse_word,
     reduce_word,
@@ -229,6 +230,21 @@ def test_arbitrary_precision_entries():
     w = Word((-big, big))
     assert (w * w).weight == 4 * big
     assert w.sigma(0) == -big
+
+
+def test_iter_words_is_every_reduced_sequence():
+    # the enumerator against an independent filter: every raw sequence of
+    # weight <= w that Word accepts as it stands, each listed once
+    for w in range(1, 8):
+        valid = set()
+        for seq in raw_sequences(w):
+            try:
+                valid.add(Word(seq))
+            except WordError:
+                pass
+        listed = list(iter_words(w))
+        assert len(listed) == len(set(listed)), w
+        assert set(listed) == valid, w
 
 
 def test_value_semantics():
