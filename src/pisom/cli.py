@@ -188,19 +188,30 @@ def _cmd_verify_rep(args):
 def _cmd_verify_korder(args):
     from . import numeric
 
-    k = args.k
+    k, count = args.k, args.count
+    # sampled matrix relations need a successor, which is enumerated up to
+    # the k cap only
+    if not 1 <= k <= matrix.DEFAULT_K_CAP:
+        raise DomainError("--k must be between 1 and %d, got %d" % (matrix.DEFAULT_K_CAP, k))
+    if count is not None and count < 0:
+        raise DomainError("--count must be nonnegative, got %d" % count)
+    if args.fixture and k > 2:
+        raise DomainError("--fixture takes --k 1 or --k 2, got %d" % k)
+    if args.fixture and k == 2 and count is not None:
+        raise DomainError("--fixture at --k 2 certifies its one displayed relation; --count does not apply")
+    count = 20 if count is None else count
     tol = numeric.PSD_TOL if args.tol is None else args.tol
     if args.fixture:
         assign = numeric.load_assignment(args.fixture)
         if k == 1:
-            pairs = numeric.scalar_relations(args.count, args.seed, within="D0")
+            pairs = numeric.scalar_relations(count, args.seed, within="D0")
             rpt = numeric.verify_order_rep(assign, pairs, tol)
         else:
             lower, upper = numeric.displayed_block_relation()
             rpt = numeric.verify_k_order(assign, 2, [(lower, upper)], tol)
     else:
         rep = numeric.random_partial_isometry(args.dim, args.seed)
-        relations = numeric.matrix_relations(args.count, args.seed, ks=(k,))
+        relations = numeric.matrix_relations(count, args.seed, ks=(k,))
         rpt = numeric.verify_k_order(rep, k, relations, tol)
     print(rpt.to_json())
 
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--k", type=int, default=2),
             sp.add_argument("--seed", type=int, default=0),
             sp.add_argument("--dim", type=int, default=4),
-            sp.add_argument("--count", type=int, default=20),
+            sp.add_argument("--count", type=int),  # 20, or the one displayed relation at --fixture --k 2
             sp.add_argument("--tol", type=float),
             sp.add_argument("--fixture"),
         ),

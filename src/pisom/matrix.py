@@ -5,8 +5,11 @@ A Gram matrix stores the cells w_i* w_j of a word vector.  Factorization
 recovery walks the two candidates per diagonal cell and aligns them with
 the first row; a matrix has two factorizations exactly when all first
 entries of some factorization share a sign, otherwise one.  Successor
-generation lifts the scalar hollowing coordinatewise (2^k choice vectors),
-so a cap on k guards the enumeration.
+generation lifts the scalar hollowing coordinatewise: each word has one or
+two hollowing choices, and cell (i, j) of a successor depends on the
+choices at i and j only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are
+multiplied once, and each of the up to 2^k choice vectors is assembled
+from them by lookup; a cap on k guards that enumeration.
 """
 
 from __future__ import annotations
@@ -142,18 +145,17 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     diag_opts = [sa_factorizations(g.cells[i][i]) for i in range(k)]
     found: set[tuple[Word, ...]] = set()
     for first in diag_opts[0]:
-        vec = [first]
-        branches = [vec]
+        first_star = first.star
+        branches = [[first]]
         for i in range(1, k):
             target = g.cells[0][i]
-            new_branches = []
-            for br in branches:
-                for cand in diag_opts[i]:
-                    if br[0].star * cand == target:
-                        new_branches.append(br + [cand])
-            branches = new_branches
+            branches = [br + [cand] for br in branches for cand in diag_opts[i] if first_star * cand == target]
         for br in branches:
-            if all(br[i].star * br[j] == g.cells[i][j] for i in range(1, k) for j in range(i + 1, k)):
+            for i in range(1, k - 1):
+                s, row = br[i].star, g.cells[i]
+                if any(s * br[j] != row[j] for j in range(i + 1, k)):
+                    break
+            else:
                 found.add(tuple(br))
     if not found:
         raise DomainError("inconsistent gram matrix: no factorization")
@@ -183,10 +185,15 @@ def matrix_successors(
     for vec in factor_gram(g):
         if not _uniform_sign(vec):
             continue
-        for choice in _cartesian(*(hollow_choices(w) for w in vec)):
-            h = gram(choice)
-            if h != g:
-                out.add(h)
+        opts = [hollow_choices(w) for w in vec]
+        # table[i][a][j][b] = (choice a of w_i)* (choice b of w_j): the cell
+        # (i, j) of every choice vector that picks a at i and b at j
+        stars = [[c.star for c in o] for o in opts]
+        table = [[[[s * c for c in o] for o in opts] for s in row] for row in stars]
+        for pick in _cartesian(*(range(len(o)) for o in opts)):
+            cells = tuple(tuple(row[b] for row, b in zip(table[i][a], pick)) for i, a in enumerate(pick))
+            if cells != g.cells:
+                out.add(GramMatrix(cells, tuple(o[a] for o, a in zip(opts, pick))))
     return out
 
 
@@ -324,11 +331,11 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
             m.append(_fold(lambda x, y: x * y, tail) if tail else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 
+    flanks = []
+    for i in range(g.k):
+        _, flank = sa_canonical_d1(g.cells[i][i])
+        flanks.append(flank if flank is not None else UNIT_PLUS)
     for vec in uniform:
-        flanks = []
-        for i in range(g.k):
-            _, flank = sa_canonical_d1(g.cells[i][i])
-            flanks.append(flank if flank is not None else UNIT_PLUS)
         options = [_left_quotients(vec[i], flanks[i]) for i in range(g.k)]
         if any(not opt for opt in options):
             continue

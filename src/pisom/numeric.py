@@ -58,7 +58,7 @@ PSD_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 CONJUGATION_TOL = 1e-10
 DIM_CAP = 64
-RELATION_CAP = 10**5  # pairs in one scalar_relations() sample
+RELATION_CAP = 10**5  # pairs in one scalar_relations() or matrix_relations() sample
 
 
 class InvalidRepError(ValueError):
@@ -480,10 +480,14 @@ def sa_pool(half_weight: int, within: str = "D1"):
     return sorted(out)
 
 
-def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = "D1"):
-    """Deterministic sample of basic order pairs (n, successor)."""
+def _check_count(count: int) -> None:
     if not 0 <= count <= RELATION_CAP:
         raise DomainError("a sample of %d relations is negative or exceeds the cap of %d" % (count, RELATION_CAP))
+
+
+def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = "D1"):
+    """Deterministic sample of basic order pairs (n, successor)."""
+    _check_count(count)
     pool = []
     for n in sa_pool(half_weight, within):
         for m in sorted(hollow_successors(n)):
@@ -498,6 +502,7 @@ def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = 
 
 def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     """Deterministic sample of basic matrix relations (G, successor)."""
+    _check_count(count)
     words = [w for w in iter_words(entry_weight)]
     # D1 membership of every Gram cell u* v, so that a draw is tested by
     # lookups, diagonal first, and only a passing draw builds its matrix

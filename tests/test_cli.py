@@ -126,6 +126,34 @@ def test_verify_korder_fixture_fails_at_2(tmp_path):
     assert rpt["total"] == 40 and rpt["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--k", "0"], "--k"),
+        (["--k", "-1"], "--k"),
+        (["--k", "9"], "--k"),
+        (["--count", "-1"], "--count"),
+        (["--fixture", ORDER_FIXTURE, "--k", "5"], "--k"),
+        (["--fixture", ORDER_FIXTURE, "--k", "0"], "--k"),
+        (["--fixture", ORDER_FIXTURE, "--k", "-3"], "--k"),
+        (["--fixture", ORDER_FIXTURE, "--k", "1", "--count", "-1"], "--count"),
+        (["--fixture", ORDER_FIXTURE, "--k", "2", "--count", "999"], "--count"),
+        (["--fixture", ORDER_FIXTURE, "--k", "2", "--count", "20"], "--count"),
+    ],
+)
+def test_verify_korder_refuses_arguments_it_cannot_honour(argv, flag):
+    code, out, err = invoke(["verify-korder", *argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+
+
+def test_verify_korder_honours_count():
+    for argv, total in ((["--k", "1", "--count", "0"], 0), (["--k", "2", "--count", "3"], 3)):
+        code, out, err = invoke(["verify-korder", *argv])
+        assert code == 0, err
+        assert json.loads(out)["total"] == total
+
+
 def test_json_flag_variants():
     code, out, _ = invoke(["mul", "(-3,3)", "(2,-2)", "--json"])
     assert code == 0 and json.loads(out) == "(-3,5,-2)"
@@ -225,6 +253,7 @@ def test_verify_korder_fixture_errors(tmp_path, name):
         ["iota-tau", ONE_CELL_GRAM_JSON, "[1000000000000]"],
         ["verify-rep", "--count", "100001"],
         ["verify-rep", "--count", "-1"],
+        ["verify-korder", "--count", "100001"],
         ["verify-korder", "--fixture", ORDER_FIXTURE, "--k", "1", "--count", "1000000000000"],
     ],
 )
@@ -244,6 +273,23 @@ def test_package_has_no_assert_statements():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_trusted_word_construction_stays_in_words():
+    # tuple.__new__ makes a Word without the checked constructor; only the
+    # word arithmetic, whose products and stars test_words.py checks, may
+    # use it
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((REPO / "src" / "pisom").glob("*.py"))
+        if path.name != "words.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tuple"
     ]
     assert found == []
 

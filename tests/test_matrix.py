@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 
@@ -22,6 +23,7 @@ from pisom.matrix import (
     partitions,
 )
 from pisom.maps import conj
+from pisom.order import hollow_choices
 from pisom.structure import is_irreducible
 from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
 
@@ -175,6 +177,77 @@ def test_maximal_census_k2():
             if not uniform:
                 assert matrix_successors(g) == set()
     assert count > 100
+
+
+def successors_by_gram(g, require="D1"):
+    """matrix_successors as first written: the Gram matrix of every choice
+    vector, each built by gram(), the first choice vector of a matrix
+    keeping the witness."""
+    if require:
+        assert g.tagged(require)
+    out = set()
+    for vec in factor_gram(g):
+        if len({w[0] > 0 for w in vec}) != 1:
+            continue
+        for choice in itertools.product(*(hollow_choices(w) for w in vec)):
+            h = gram(choice)
+            if h != g:
+                out.add(h)
+    return out
+
+
+def assert_same_successors(g, require="D1"):
+    got = {h.cells: h.witness for h in matrix_successors(g, require=require)}
+    want = {h.cells: h.witness for h in successors_by_gram(g, require)}
+    assert got == want, g
+
+
+def test_successor_table_matches_gram_reference():
+    # cells and witnesses, on every D1 matrix of the small space and on
+    # both immediate predecessors of each (which may leave D1)
+    for g in d1_grams_small():
+        assert_same_successors(g)
+        for lo in immediate_predecessors(g):
+            assert_same_successors(lo, require=None)
+
+
+def draw_d1_vector(rng, pool, compat, k, uniform):
+    """k words whose Gram cells all lie in D1: each new word is drawn from
+    those compatible with every word drawn so far."""
+    while True:
+        sign = rng.random() < 0.5
+        cands = [w for w in pool if not uniform or (w[0] > 0) == sign]
+        vec = [rng.choice(cands)]
+        while len(vec) < k:
+            vec.append(rng.choice([w for w in cands if all(w in compat[u] for u in vec)]))
+        if (len({w[0] > 0 for w in vec}) == 1) == uniform:
+            return tuple(vec)
+
+
+def test_successor_table_matches_gram_reference_wide():
+    pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
+    compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    rng = random.Random(4)
+    for k in range(4, DEFAULT_K_CAP + 1):
+        for uniform in (True,) * 4 + (False,):
+            g = gram(draw_d1_vector(rng, pool, compat, k, uniform))
+            assert g.tagged("D1")
+            assert_same_successors(g)
+            if uniform:
+                assert matrix_successors(g), g
+
+
+def test_matrix_relations_keep_their_witnesses(monkeypatch):
+    # the sampler draws from the sorted successor set, so the witnesses it
+    # hands on must be those of the gram reference
+    import pisom.numeric as numeric
+
+    for ks in ((2,), (3,), (2, 3)):
+        got = numeric.matrix_relations(12, 7, ks=ks)
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "matrix_successors", successors_by_gram)
+            want = numeric.matrix_relations(12, 7, ks=ks)
+        assert [(lo, hi, hi.witness) for lo, hi in got] == [(lo, hi, hi.witness) for lo, hi in want]
 
 
 def test_matrix_leq_examples():

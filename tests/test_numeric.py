@@ -9,6 +9,7 @@ from pisom.maps import alpha
 from pisom.matrix import GramMatrix, gram, matrix_successors
 from pisom.numeric import (
     PSD_TOL,
+    RELATION_CAP,
     _certify,
     GeneratorAssignment,
     InvalidRepError,
@@ -187,6 +188,13 @@ def test_matrix_relations_match_rejection_sampler(ks):
         want = rejection_matrix_relations(12, seed, ks)
         assert got == want
         assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
+
+
+@pytest.mark.parametrize("count", [-1, RELATION_CAP + 1])
+def test_relation_samples_refuse_bad_counts(count):
+    for sample in (scalar_relations, matrix_relations):
+        with pytest.raises(DomainError, match="negative or exceeds the cap"):
+            sample(count, 0)
 
 
 def test_verify_k_order_dim_cap(rep):

@@ -8,6 +8,7 @@ from pisom.words import (
     DomainError,
     Word,
     WordError,
+    _checked,
     format_word,
     iter_words,
     member,
@@ -149,6 +150,20 @@ def test_mul_matches_oracle_small_weights():
     for a in pool:
         for b in pool:
             assert oracle_normal_forms(tuple(a) + tuple(b), memo) == frozenset({tuple(a * b)}), (a, b)
+
+
+def test_products_and_stars_pass_the_check():
+    # products and stars are built without the checked constructor; every
+    # product of two words of weight <= 8 (30,276 pairs) and every star
+    # must still satisfy its invariants and equal the full reduction
+    pool = list(words_upto(8))
+    assert len(pool) == 174
+    for a in pool:
+        s = a.star
+        assert type(s) is Word and _checked(tuple(s)) == s == Word(tuple(-e for e in reversed(a))), a
+        for b in pool:
+            p = a * b
+            assert type(p) is Word and _checked(tuple(p)) == p == reduce_word(tuple(a) + tuple(b)), (a, b)
 
 
 def test_mul_by_plain_tuple():
