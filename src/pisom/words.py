@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate
-from operator import neg
 
 
 class WordError(ValueError):
@@ -176,7 +175,7 @@ class Word(tuple):
     @property
     def star(self) -> "Word":
         """Reverse and negate; the involution of the *-semigroup."""
-        return tuple.__new__(Word, map(neg, self[::-1]))
+        return tuple.__new__(Word, [-e for e in self[::-1]])
 
     @property
     def weight(self) -> int:
