@@ -21,7 +21,7 @@ from itertools import combinations
 from itertools import product as _cartesian
 
 from .order import hollow_choices, sa_factorizations, unit_strip
-from .structure import factor_a0, is_irreducible, sa_canonical_d1
+from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
     GEN_STAR,
@@ -29,7 +29,6 @@ from .words import (
     UNIT_PLUS,
     DomainError,
     Word,
-    WordError,
     format_word,
     member,
     parse_word,
@@ -265,38 +264,6 @@ class MatrixClassification:
         )
 
 
-def _left_quotients(w: Word, m: Word) -> list[Word]:
-    """All x with x * m == w.
-
-    Products of reduced words lose at most two letters at the junction, so
-    candidates are prefixes of w with up to two adjusted trailing entries.
-    """
-    lw, lm = len(w), len(m)
-    cands: list[tuple[int, ...]] = []
-    L = lw - lm
-    if L >= 1:
-        cands.append(tuple(w[:L]))
-    L = lw - lm + 1
-    if 1 <= L <= lw:
-        cands.append(tuple(w[: L - 1]) + (w[L - 1] - m[0],))
-    L = lw - lm + 2
-    if 2 <= L <= lw + 1:
-        for e in (1, -1):
-            cands.append(tuple(w[: L - 2]) + (w[L - 2] - e - m[0], e))
-    if lm >= 2 and 1 <= lw - lm + 2 <= lw:
-        L = lw - lm + 2
-        cands.append(tuple(w[: L - 1]) + (w[L - 1] - m[0] - m[1],))
-    out = []
-    for entries in cands:
-        try:
-            x = Word(entries)
-        except WordError:
-            continue
-        if x * m == w and x not in out:
-            out.append(x)
-    return out
-
-
 def classify_matrix(g: GramMatrix) -> MatrixClassification:
     """Case analysis of a D1 Gram matrix by the middle exponent sum.
 
@@ -305,14 +272,14 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     Case3: an irreducible D0 core, or no uniform factorization at all, in
     which case the matrix is maximal.
 
-    Case1 and Case2 read their decomposition off a factorization (the
-    tests check that it recomposes to g); Case3 searches for one and keeps
-    the first candidate that recomposes.
+    Every case reads its decomposition off a factorization; the tests check
+    that it recomposes to g.  Case3 splits each diagonal cell as
+    m_i* center_i m_i (its minimal factor) and takes lam_i as the
+    negative-start factor of the center.
     """
     _require_tag(g, "D1")
     facts = factor_gram(g)
-    uniform = [v for v in facts if _uniform_sign(v)]
-    if not uniform:
+    if not any(_uniform_sign(v) for v in facts):
         return MatrixClassification("Case3", True)
     top = max(vec[0].star.tau for vec in facts)
 
@@ -331,30 +298,14 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
             m.append(_fold(lambda x, y: x * y, tail) if tail else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 
-    flanks = []
+    m, lam = [], []
     for i in range(g.k):
-        _, flank = sa_canonical_d1(g.cells[i][i])
-        flanks.append(flank if flank is not None else UNIT_PLUS)
-    for vec in uniform:
-        options = [_left_quotients(vec[i], flanks[i]) for i in range(g.k)]
-        if any(not opt for opt in options):
-            continue
-        for lam in _cartesian(*options):
-            ok = True
-            for i in range(g.k):
-                for j in range(g.k):
-                    core = lam[i].star * lam[j]
-                    if core == UNIT_PLUS or not (member(core, "D0") and is_irreducible(core)):
-                        ok = False
-                        break
-                    if flanks[i].star * core * flanks[j] != g.cells[i][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return MatrixClassification("Case3", False, m=tuple(flanks), lam=tuple(lam))
-    raise DomainError("no case-3 decomposition found")
+        center, flank = sa_canonical_d1(g.cells[i][i])
+        if center is None:
+            raise DomainError("no case-3 decomposition found")
+        m.append(flank if flank is not None else UNIT_PLUS)
+        lam.append(sa_factorizations(center)[0])
+    return MatrixClassification("Case3", False, m=tuple(m), lam=tuple(lam))
 
 
 # -- partitions and the block calculus ---------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from .matrix import GramMatrix, gram, matrix_successors
 from .maps import alpha, is_irr_plus
-from .order import hollow_successors
+from .order import hollow_successors, sa_factor_min
 from .structure import factor_d0
 from .words import (
     UNIT_MINUS,
@@ -377,23 +377,16 @@ def _evaluator(rep_or_assign):
 
 # -- the order-but-not-2-order fixture ----------------------------------------
 
-_DEPTH_CACHE: dict[Word, int] = {UNIT_PLUS: 0}
 OVERRIDE_ROOT = Word((-4, 3, -3, 4))
 
 
-def hollow_depth(a: Word) -> int:
-    """Number of hollowing steps from a selfadjoint irreducible of D0 down
-    to the unit.  The chain is a path: each element has one successor."""
-    todo = []
-    cur = a
-    while cur not in _DEPTH_CACHE:
-        todo.append(cur)
-        (cur,) = hollow_successors(cur)
-    d = _DEPTH_CACHE[cur]
-    for w in reversed(todo):
-        d += 1
-        _DEPTH_CACHE[w] = d
-    return _DEPTH_CACHE[a]
+def hollow_depth(n: Word) -> int:
+    """Number of hollowing steps from a selfadjoint word to the unit that
+    ends its chain: the sum of |e| - 1 over the entries e of its minimal
+    factor.  Defined on every selfadjoint word, (1,-1) and its chain
+    included; any other word is a DomainError."""
+    w = sa_factor_min(n)
+    return w.weight - len(w)
 
 
 def square_hollow(s: Word) -> Word:

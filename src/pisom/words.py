@@ -164,14 +164,6 @@ class Word(tuple):
                 break
         return tuple.__new__(Word, out)
 
-    def __pow__(self, n):
-        if n < 1:
-            raise WordError("powers start at 1")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     @property
     def star(self) -> "Word":
         """Reverse and negate; the involution of the *-semigroup."""

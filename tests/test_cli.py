@@ -294,6 +294,25 @@ def test_trusted_word_construction_stays_in_words():
     assert found == []
 
 
+def test_no_module_level_containers():
+    # nothing is kept from one call to the next: no module binds a dict,
+    # set or list (a display or a comprehension), except __all__
+    containers = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+    found = []
+    for path in sorted((REPO / "src" / "pisom").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node.value, containers) and names != ["__all__"]:
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("print_irr_tables", REPO / "scripts" / "print_irr_tables.py")
     script = importlib.util.module_from_spec(spec)

@@ -8,6 +8,7 @@ import pytest
 from pisom.matrix import (
     DEFAULT_K_CAP,
     GramMatrix,
+    MatrixClassification,
     PARTITION_CAP,
     KCapError,
     classify_matrix,
@@ -24,8 +25,8 @@ from pisom.matrix import (
 )
 from pisom.maps import conj
 from pisom.order import hollow_choices
-from pisom.structure import is_irreducible
-from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
+from pisom.structure import is_irreducible, sa_canonical_d1
+from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
 
 from conftest import words_upto
 
@@ -228,6 +229,7 @@ def test_successor_table_matches_gram_reference_wide():
     pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
     compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
     rng = random.Random(4)
+    case3 = 0
     for k in range(4, DEFAULT_K_CAP + 1):
         for uniform in (True,) * 4 + (False,):
             g = gram(draw_d1_vector(rng, pool, compat, k, uniform))
@@ -235,6 +237,12 @@ def test_successor_table_matches_gram_reference_wide():
             assert_same_successors(g)
             if uniform:
                 assert matrix_successors(g), g
+            res = classify_matrix(g)
+            if res.case == "Case3" and not res.maximal:
+                assert case3_recomposes(g, res.m, res.lam), g
+                case3 += 1
+            assert res == case3_by_search(g), g
+    assert case3 == 9
 
 
 def test_matrix_relations_keep_their_witnesses(monkeypatch):
@@ -335,24 +343,7 @@ def test_classify_case3():
     res = classify_matrix(HMM_GRAM)
     assert res.case == "Case3" and not res.maximal
     assert res.lam == HMM_VECTOR
-    for i in range(2):
-        for j in range(2):
-            core = res.lam[i].star * res.lam[j]
-            assert is_irreducible(core) and core != UNIT_PLUS
-            assert res.m[i].star * core * res.m[j] == HMM_GRAM.cells[i][j]
-
-
-def test_classify_lets_a_real_error_through(monkeypatch):
-    # the Case3 search skips candidate quotients that are not reduced words
-    # (WordError) and nothing else
-    import pisom.matrix as matrix
-
-    def broken(entries):
-        raise TypeError("bug in the word layer")
-
-    monkeypatch.setattr(matrix, "Word", broken)
-    with pytest.raises(TypeError, match="bug in the word layer"):
-        classify_matrix(HMM_GRAM)
+    assert case3_recomposes(HMM_GRAM, res.m, res.lam)
 
 
 def test_classify_case3_maximal():
@@ -382,11 +373,73 @@ def test_classify_case3_nontrivial_flank():
     assert res.case == "Case3" and not res.maximal
     assert res.m == (flank, flank)
     assert res.lam == lam
-    for i in range(2):
-        for j in range(2):
-            core = res.lam[i].star * res.lam[j]
-            assert is_irreducible(core)
-            assert res.m[i].star * core * res.m[j] == g.cells[i][j]
+    assert case3_recomposes(g, res.m, res.lam)
+
+
+def _left_quotients(w, m):
+    """All x with x * m == w.
+
+    Products of reduced words lose at most two letters at the junction, so
+    candidates are prefixes of w with up to two adjusted trailing entries.
+    """
+    lw, lm = len(w), len(m)
+    cands = []
+    L = lw - lm
+    if L >= 1:
+        cands.append(tuple(w[:L]))
+    L = lw - lm + 1
+    if 1 <= L <= lw:
+        cands.append(tuple(w[: L - 1]) + (w[L - 1] - m[0],))
+    L = lw - lm + 2
+    if 2 <= L <= lw + 1:
+        for e in (1, -1):
+            cands.append(tuple(w[: L - 2]) + (w[L - 2] - e - m[0], e))
+    if lm >= 2 and 1 <= lw - lm + 2 <= lw:
+        L = lw - lm + 2
+        cands.append(tuple(w[: L - 1]) + (w[L - 1] - m[0] - m[1],))
+    out = []
+    for entries in cands:
+        try:
+            x = Word(entries)
+        except WordError:
+            continue
+        if x * m == w and x not in out:
+            out.append(x)
+    return out
+
+
+def case3_by_search(g):
+    """classify_matrix with its Case3 branch as first written: the flank of
+    each diagonal cell, then every combination of left quotients of a
+    uniform factorization by those flanks, keeping the first whose cores
+    lam_i* lam_j are non-unit irreducibles of D0 that recompose g."""
+    res = classify_matrix(g)
+    if res.case != "Case3" or res.maximal:
+        return res
+    flanks = []
+    for i in range(g.k):
+        _, flank = sa_canonical_d1(g.cells[i][i])
+        flanks.append(flank if flank is not None else UNIT_PLUS)
+    for vec in factor_gram(g):
+        if len({w[0] > 0 for w in vec}) != 1:
+            continue
+        for lam in itertools.product(*(_left_quotients(vec[i], flanks[i]) for i in range(g.k))):
+            if case3_recomposes(g, flanks, lam):
+                return MatrixClassification("Case3", False, m=tuple(flanks), lam=lam)
+    raise DomainError("no case-3 decomposition found")
+
+
+def case3_recomposes(g, m, lam):
+    """Every core lam_i* lam_j is a non-unit irreducible of D0 and
+    m_i* core m_j is the cell (i, j) of g."""
+    for i in range(g.k):
+        for j in range(g.k):
+            core = lam[i].star * lam[j]
+            if core == UNIT_PLUS or not (member(core, "D0") and is_irreducible(core)):
+                return False
+            if m[i].star * core * m[j] != g.cells[i][j]:
+                return False
+    return True
 
 
 @functools.cache
@@ -409,8 +462,9 @@ def test_classify_exhaustive_d1_small():
     # maximal flag agrees with the successor set, except on the constant
     # idempotent matrices (see the strict xfail below).  Case1 strips a
     # factorization whose entries are (-1) or start at -2 or below, Case2
-    # cuts one whose entries lie in D1, and both recompose to g.
-    mixed, cases = 0, {}
+    # cuts one whose entries lie in D1, Case3 reads an irreducible core, and
+    # all three recompose to g and agree with the Case3 search.
+    mixed, case3, cases = 0, 0, {}
     for g, vec in d1_grams_small().items():
         res = classify_matrix(g)
         cases[res.case] = cases.get(res.case, 0) + 1
@@ -432,7 +486,12 @@ def test_classify_exhaustive_d1_small():
             for i in range(k):
                 for j in range(k):
                     assert res.m[i].star * (res.a[i].star * res.a[j]) * res.m[j] == g.cells[i][j], g
+        elif not res.maximal:
+            assert case3_recomposes(g, res.m, res.lam), g
+            case3 += 1
+        assert res == case3_by_search(g), g
     assert mixed == 44 + 378
+    assert case3 == 59
     assert min(cases.get(c, 0) for c in ("Case1", "Case2", "Case3")) > 0, cases
 
 
@@ -455,7 +514,7 @@ def test_classify_scalar_consistency():
     # max over both factorizations; they part ways exactly when the center
     # is the unit of D0 (then the shifted factorization reaches tau 0)
     from pisom.order import sa_factor_min
-    from pisom.structure import classify_sa, sa_canonical_d1
+    from pisom.structure import classify_sa
 
     for n in words_upto(8):
         if not (n.is_selfadjoint() and member(n, "D1")):

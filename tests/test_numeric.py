@@ -318,11 +318,29 @@ def test_fixture_asset_loads(tmp_path):
     assert not verify_k_order(fx, 2, [(lower, upper)]).ok
 
 
+def hollow_depth_by_walk(n):
+    """Hollowing steps from n until a word with no successor."""
+    steps = 0
+    while succ := hollow_successors(n):
+        (n,) = succ
+        steps += 1
+    return steps
+
+
 def test_hollow_depth_values():
     assert hollow_depth(UNIT_PLUS) == 0
+    assert hollow_depth(UNIT_MINUS) == 0
+    assert hollow_depth(W("(2,-2)")) == 1
     assert hollow_depth(W("(-4,4)")) == 3
     assert hollow_depth(W("(-3,2,-2,3)")) == 3
     assert hollow_depth(W("(-4,3,-3,4)")) == 5
+    # every selfadjoint word of weight <= 18 is u* u for some u of weight <= 9
+    sa_words = {u.star * u for u in iter_words(9)}
+    assert len(sa_words) == 176 and {UNIT_MINUS, W("(2,-2)")} <= sa_words
+    for n in sa_words:
+        assert hollow_depth(n) == hollow_depth_by_walk(n), n
+    with pytest.raises(DomainError, match="not selfadjoint"):
+        hollow_depth(W("(-2,3)"))
 
 
 # -- batched certification against the per-matrix check ---------------------------------
