@@ -9,7 +9,7 @@ left inverse of alpha on D0.
 
 from __future__ import annotations
 
-from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word
+from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word, _trusted
 
 
 def alpha(n: Word) -> Word:
@@ -41,4 +41,6 @@ def beta_omega(n: Word) -> Word:
     """
     if n == UNIT_PLUS or not is_irr_plus(n):
         raise DomainError("beta_omega needs a non-unit plus-irreducible, got %s" % (n,))
-    return Word((n[0] + 1,) + tuple(n[1:-1]) + (n[-1] - 1,))
+    # n starts at most -2 and ends at least 2, since only the unit has a
+    # unit endpoint, so the shifted endpoints stay nonzero
+    return _trusted((n[0] + 1,) + n[1:-1] + (n[-1] - 1,))

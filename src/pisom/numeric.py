@@ -494,21 +494,38 @@ def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = 
 
 
 def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
-    """Deterministic sample of basic matrix relations (G, successor)."""
+    """Deterministic sample of basic matrix relations (G, successor).
+
+    A vector of k <= 3 words is drawn whole and kept when every Gram cell
+    lies in D1.  Above k = 3 almost no whole draw passes, so each word is
+    drawn uniformly among those whose cells with itself and with every word
+    drawn so far lie in D1 (one cell of each pair suffices: v* u is the star
+    of u* v, and D1 is closed under star).
+    """
     _check_count(count)
     words = [w for w in iter_words(entry_weight)]
     # D1 membership of every Gram cell u* v, so that a draw is tested by
     # lookups, diagonal first, and only a passing draw builds its matrix
     in_d1 = {(u, v): member(u.star * v, "D1") for u in words for v in words}
+    diagonal = [w for w in words if in_d1[w, w]]
     rng = random.Random(seed)
     out = []
     attempts = 0
     while len(out) < count and attempts < 100000:
         attempts += 1
         k = rng.choice(ks)
-        vec = tuple(rng.choice(words) for _ in range(k))
-        if not (all(in_d1[w, w] for w in vec) and all(in_d1[u, v] for u in vec for v in vec)):
-            continue
+        if k <= 3:
+            vec = tuple(rng.choice(words) for _ in range(k))
+            if not (all(in_d1[w, w] for w in vec) and all(in_d1[u, v] for u in vec for v in vec)):
+                continue
+        else:
+            vec, cands = [], diagonal
+            while len(vec) < k and cands:
+                u = rng.choice(cands)
+                vec.append(u)
+                cands = [v for v in cands if in_d1[u, v]]
+            if len(vec) < k:
+                continue
         g = gram(vec)
         succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
         if not succ:

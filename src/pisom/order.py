@@ -6,21 +6,24 @@ middle).  By definition a step may start from either reduced factorization
 and either way of splitting a unit off it, but every choice other than
 stripping the minimal factor recomposes to n itself.  So each element has
 at most one strict successor, computed directly, and reachability is a
-walk along a chain.  The tests keep the generate-and-filter definition
-and compare it with the direct step.
+walk along a chain.  ``leq`` checks its two arguments once and walks
+without re-checking: every step c* c is selfadjoint by construction, and
+its minimal factor is its second half.  The tests keep the
+generate-and-filter definition and compare it with the direct step.
 """
 
 from __future__ import annotations
 
-from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, member
+from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _trusted, member
 
 
 def sa_factor_min(n: Word) -> Word:
     """The unique minimal-length w with w* w == n."""
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
-    half = len(n) // 2
-    return Word(tuple(-e for e in reversed(n[:half])))
+    # n has even length (a middle entry would equal its own negative), and
+    # its second half is the star of its first
+    return _trusted(n[len(n) // 2 :])
 
 
 def sa_factorizations(n: Word) -> tuple[Word, Word]:
@@ -38,11 +41,11 @@ def unit_strip(u: Word) -> Word:
     e0 = u[0]
     if e0 < 0:
         if e0 == -1:
-            return UNIT_MINUS if len(u) == 1 else Word(u[1:])
-        return Word((e0 + 1,) + u[1:])
+            return UNIT_MINUS if len(u) == 1 else _trusted(u[1:])
+        return _trusted((e0 + 1,) + u[1:])
     if e0 == 1:
-        return UNIT_PLUS if len(u) == 1 else Word(u[1:])
-    return Word((e0 - 1,) + u[1:])
+        return UNIT_PLUS if len(u) == 1 else _trusted(u[1:])
+    return _trusted((e0 - 1,) + u[1:])
 
 
 def unit_shift(u: Word) -> Word:
@@ -56,18 +59,22 @@ def hollow_choices(u: Word) -> tuple[Word, ...]:
     return (a,) if a == b else (a, b)
 
 
+def _check_within(n: Word, within: str | None) -> None:
+    if within is not None and not member(n, within):
+        raise DomainError("%s is not in %s" % (n, within))
+
+
 def _check_sa(n: Word, within: str | None) -> None:
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
-    if within is not None and not member(n, within):
-        raise DomainError("%s is not in %s" % (n, within))
+    _check_within(n, within)
 
 
 def hollow_successors(n: Word, within: str | None = None) -> set[Word]:
     """Elements one basic step above n: the hollowed minimal factor's
     recomposition, or none when that is n itself (n is maximal)."""
-    _check_sa(n, within)
-    c = unit_strip(sa_factor_min(n))
+    c = unit_strip(sa_factor_min(n))  # checks that n is selfadjoint
+    _check_within(n, within)
     m = c.star * c
     return set() if m == n else {m}
 
@@ -78,11 +85,15 @@ def leq(n: Word, m: Word, within: str | None = None) -> bool:
     Each step strictly lowers the weight, so the walk stops once it is no
     heavier than m.  Only the two units are maximal, and no selfadjoint
     word is lighter, so every element the walk steps from has a successor.
+    n and m are checked once; each step c* c of a hollowed minimal factor
+    is selfadjoint, so the walk takes its minimal factor unchecked.
     """
     _check_sa(n, within)
     _check_sa(m, within)
-    while n != m and n.weight > m.weight:
-        (n,) = hollow_successors(n)
+    top = m.weight
+    while n != m and n.weight > top:
+        c = unit_strip(_trusted(n[len(n) // 2 :]))
+        n = c.star * c
     return n == m
 
 

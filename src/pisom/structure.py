@@ -1,15 +1,22 @@
 """Irreducibility, unique minimal factorization, graded enumeration.
 
-The factorization routine follows the least-bad-prefix split: scan for the
-first prefix sum whose sign disagrees with the leading entry, cut there,
-and recurse on the tail.  The cut prefix is always irreducible, and for
-reduced input the produced sequence is already the unique minimal
+The factorization follows the least-bad-prefix split: cut at the first
+interior prefix sum that is zero or disagrees in sign with the leading
+entry, and go on with the remainder.  The remainder after a cut at r starts
+with the entry sig[r] (a crossing cut, where the entry p[r] is split as
+-sig[r-1] + sig[r]) or sig[r+1] (a zero cut), and the rest of its entries
+are those of p.  Its prefix sums are therefore p's own from that index on,
+so one scan over the prefix sums of p, computed once, finds every cut: each
+factor is (sig[i],) + p[i+1:r+1] or (sig[i],) + p[i+1:r] + (-sig[r-1],)
+for a remainder starting at i.  The cut prefix is always irreducible, and
+for reduced input the produced sequence is already the unique minimal
 decomposition, so it is returned as it stands: no minimality pass and no
-recomposition check follow.  The canonical form and the case tag of a
-selfadjoint element are likewise computed once.  The theorems they rest
-on (recomposition, minimality, plus-irreducible factors in D0, the
-star-palindromic factor sequence) are checked exhaustively on short words
-in the tests.
+recomposition check follow, and the factors, reduced by construction, are
+built without the checked constructor.  The canonical form and the case
+tag of a selfadjoint element are likewise computed once.  The theorems
+they rest on (recomposition, minimality, plus-irreducible factors in D0,
+the star-palindromic factor sequence) are checked exhaustively on short
+words in the tests, against the cut-and-recurse form of the split.
 
 Plus-irreducibles are graded by the positive-entry sum.  A grade is
 enumerated directly from the definition by a depth-first search over the
@@ -24,9 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce as _fold
+from itertools import accumulate
 
 from .order import sa_factor_min
-from .words import DomainError, Word, _checked, format_word, member
+from .words import DomainError, Word, _checked, _trusted, format_word, member
 
 
 def is_irreducible(p: Word) -> bool:
@@ -41,34 +49,26 @@ def is_irreducible(p: Word) -> bool:
     return all(s0 * s > 0 for s in p.sigmas()[:-1])
 
 
-def _split_once(p: Word):
-    """One least-index split p = m * n with m irreducible, or None."""
-    sig = p.sigmas()
-    s0 = p[0]
-    # interior indices only: the final prefix sum is tau = 0 by assumption
-    r = next((i for i in range(1, len(p) - 1) if s0 * sig[i] <= 0), None)
-    if r is None:
-        return None
-    if sig[r] == 0:
-        return Word(p[: r + 1]), Word(p[r + 1 :])
-    m = Word(p[:r] + (-sig[r - 1],))
-    n = Word((p[r] + sig[r - 1],) + p[r + 1 :])
-    return m, n
-
-
 def factor_a0(p: Word) -> list[Word]:
     """Unique minimal decomposition into irreducibles of the tau-kernel."""
     if p.tau != 0:
         raise DomainError("factorization lives in A0, got %s" % (p,))
+    sig = list(accumulate(p))
     factors: list[Word] = []
-    rest = p
-    while True:
-        split = _split_once(rest)
-        if split is None:
-            factors.append(rest)
-            break
-        m, rest = split
-        factors.append(m)
+    # the remainder starts at index i with the entry lead = sig[i]; a cut is
+    # the first interior r with sig[r] zero or of the other sign than lead
+    i, lead = 0, p[0]
+    for r in range(1, len(p) - 1):
+        s = sig[r]
+        if lead * s > 0:
+            continue
+        if s:
+            factors.append(_trusted((lead,) + p[i + 1 : r] + (-sig[r - 1],)))
+            i, lead = r, s
+        else:
+            factors.append(_trusted((lead,) + p[i + 1 : r + 1]))
+            i, lead = r + 1, sig[r + 1]
+    factors.append(_trusted((lead,) + p[i + 1 :]) if i else p)
     return factors
 
 

@@ -27,12 +27,28 @@ is appended as it stands.
 
 Words that come from outside (``Word(...)``, :func:`parse_word`,
 :func:`reduce_word`, a Word times a plain tuple, the JSON readers) pass
-through one checked constructor that validates the invariants.  Products
-and stars of Words are reduced by the argument above, so they are built
-without that check; the tests hold the guarantee instead:
-``test_products_and_stars_pass_the_check`` (every product of two words of
-weight <= 8, and every star), ``test_mul_matches_oracle_small_weights``
-(the all-orders oracle, weight <= 6) and ``test_mul_matches_full_reduction``.
+through one checked constructor that validates the invariants.  Words that
+are reduced by construction are wrapped unchecked by ``_trusted``, the only
+place a Word is made without that check; each of its callers has a test
+that re-validates every output on an exhaustive space:
+
+- products and stars of Words (the junction argument above):
+  ``test_products_and_stars_pass_the_check`` (every product of two words of
+  weight <= 8, and every star), ``test_mul_matches_oracle_small_weights``
+  (the all-orders oracle, weight <= 6) and ``test_mul_matches_full_reduction``;
+- the factors of ``structure.factor_a0`` (pieces of a reduced word between
+  cuts, with the cut entries replaced by prefix sums of the right sign):
+  ``test_factor_exhaustive_small`` (the 6,092 tau-kernel words of weight
+  <= 20, against the cut-and-recurse reference);
+- ``order.sa_factor_min`` (the second half of a selfadjoint word),
+  ``order.unit_strip`` (a reduced word with a unit taken off its front) and
+  each step of the ``order.leq`` walk: ``test_trusted_slices_pass_the_check``
+  (the 176 selfadjoint words of weight <= 18);
+- ``maps.beta_omega`` (a non-unit plus-irreducible with its endpoints moved
+  toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14).
+
+``test_trusted_word_construction_stays_in_words`` keeps ``tuple.__new__``
+inside ``_trusted`` and ``_trusted`` to the callers above.
 """
 
 from __future__ import annotations
@@ -60,30 +76,41 @@ def _checked(entries) -> "Word":
     """Validate the normal-form invariants of an int sequence and wrap it.
 
     Every Word made from outside input comes through here, and so does
-    every word of the irreducible enumerator; products and stars, which are
-    reduced by construction, do not (the module docstring names the tests
-    that check them).  The checks run as C-level scans (a zero membership
-    test, min/max over the even and odd slices, min of the interior
-    magnitudes); faults are reported zero first, then sign, then interior,
-    as a per-entry scan would find them.
+    every word of the irreducible enumerator; words reduced by construction
+    go through :func:`_trusted` instead (the module docstring names them and
+    the tests that check them).  The checks run as C-level scans: min/max
+    over the even and odd slices (strict, so they also catch a zero), then
+    min of the interior magnitudes.  Faults are reported zero first, then
+    sign, then interior, as a per-entry scan would find them; the zero
+    membership test runs only once the alternation has failed.
     """
     n = len(entries)
-    if not n:
-        raise WordError("empty word")
-    if 0 in entries:
-        raise WordError("zero entry in word")
-    if n == 2:
-        if (entries[0] > 0) == (entries[1] > 0):
-            raise WordError("adjacent entries share a sign: %r" % (tuple(entries),))
-    elif n > 2:
+    if n == 1:
+        ok = entries[0] != 0
+    elif n == 2:
+        ok = entries[0] * entries[1] < 0
+    elif n:
         if entries[0] > 0:
-            alternating = min(entries[::2]) > 0 > max(entries[1::2])
+            ok = min(entries[::2]) > 0 > max(entries[1::2])
         else:
-            alternating = max(entries[::2]) < 0 < min(entries[1::2])
-        if not alternating:
-            raise WordError("adjacent entries share a sign: %r" % (tuple(entries),))
-        if min(map(abs, entries[1:-1])) < 2:
-            raise WordError("interior entry of absolute value 1: %r" % (tuple(entries),))
+            ok = max(entries[::2]) < 0 < min(entries[1::2])
+    else:
+        raise WordError("empty word")
+    if not ok:
+        if 0 in entries:
+            raise WordError("zero entry in word")
+        raise WordError("adjacent entries share a sign: %r" % (tuple(entries),))
+    if n > 2 and min(map(abs, entries[1:-1])) < 2:
+        raise WordError("interior entry of absolute value 1: %r" % (tuple(entries),))
+    return _trusted(entries)
+
+
+def _trusted(entries) -> "Word":
+    """Wrap an int sequence that is reduced by construction, unchecked.
+
+    The only place a Word is made without :func:`_checked`; the module
+    docstring lists every caller and the test that holds it.
+    """
     return tuple.__new__(Word, entries)
 
 
@@ -150,9 +177,9 @@ class Word(tuple):
         # the two junction cases that need no settling: a merge, or opposite
         # signs with no unit that would become interior
         if (x > 0) == (y > 0):
-            return tuple.__new__(Word, self[:-1] + (x + y,) + other[1:])
+            return _trusted(self[:-1] + (x + y,) + other[1:])
         if (x > 1 or x < -1 or len(self) == 1) and (y > 1 or y < -1 or len(other) == 1):
-            return tuple.__new__(Word, self + other)
+            return _trusted(self + other)
         out = list(self)
         for i, v in enumerate(other):
             out.append(v)
@@ -162,12 +189,12 @@ class Word(tuple):
                 # rest of the reduced word `other` settles nothing.
                 out += other[i + 1 :]
                 break
-        return tuple.__new__(Word, out)
+        return _trusted(out)
 
     @property
     def star(self) -> "Word":
         """Reverse and negate; the involution of the *-semigroup."""
-        return tuple.__new__(Word, [-e for e in self[::-1]])
+        return _trusted([-e for e in self[::-1]])
 
     @property
     def weight(self) -> int:

@@ -81,6 +81,12 @@ def product(ws):
     return fold(lambda a, b: a * b, ws)
 
 
+def passes_the_check(w):
+    """A word the package built without the checked constructor is a Word
+    that the checked constructor accepts and leaves unchanged."""
+    return type(w) is Word and Word(tuple(w)) == w
+
+
 # -- irreducible pools ---------------------------------------------------------
 
 

@@ -154,6 +154,15 @@ def test_verify_korder_honours_count():
         assert json.loads(out)["total"] == total
 
 
+def test_verify_korder_samples_wide_vectors():
+    # above k = 3 each word is drawn among those compatible with the words
+    # drawn so far, so the documented top of the --k range is reachable
+    for k in ("5", "8"):
+        code, out, err = invoke(["verify-korder", "--k", k, "--dim", "2", "--count", "6"])
+        assert code == 0, err
+        assert json.loads(out) == {"total": 6, "failures": []}
+
+
 def test_json_flag_variants():
     code, out, _ = invoke(["mul", "(-3,3)", "(2,-2)", "--json"])
     assert code == 0 and json.loads(out) == "(-3,5,-2)"
@@ -277,21 +286,61 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+#: the only functions outside words.py that build a Word unchecked, each
+#: with the exhaustive test that holds its output
+TRUSTED_CALLERS = {
+    "factor_a0": "test_structure.py::test_factor_exhaustive_small",
+    "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
+    "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
+    "leq": "test_order.py::test_trusted_slices_pass_the_check",
+    "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",
+}
+
+
+def _enclosing_functions(tree):
+    """Map each node to the name of the innermost function around it."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            owner[child] = inner
+            visit(child, inner)
+
+    visit(tree, None)
+    return owner
+
+
 def test_trusted_word_construction_stays_in_words():
-    # tuple.__new__ makes a Word without the checked constructor; only the
-    # word arithmetic, whose products and stars test_words.py checks, may
-    # use it
-    found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted((REPO / "src" / "pisom").glob("*.py"))
-        if path.name != "words.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute)
-        and node.attr == "__new__"
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "tuple"
-    ]
-    assert found == []
+    # tuple.__new__ makes a Word without the checked constructor; it occurs
+    # once, in words._trusted, and outside words.py only the functions of
+    # TRUSTED_CALLERS use _trusted (under its own name)
+    new_sites, trusted_uses = [], []
+    for path in sorted((REPO / "src" / "pisom").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "tuple"
+            ):
+                new_sites.append((path.name, owner[node]))
+            if path.name == "words.py":
+                continue
+            if isinstance(node, ast.alias) and node.name == "_trusted":
+                assert node.asname is None, "%s imports _trusted as %s" % (path.name, node.asname)
+            elif (isinstance(node, ast.Name) and node.id == "_trusted") or (
+                isinstance(node, ast.Attribute) and node.attr == "_trusted"
+            ):
+                trusted_uses.append((path.name, owner[node]))
+    assert new_sites == [("words.py", "_trusted")]
+    assert trusted_uses
+    assert {fn for _, fn in trusted_uses} <= set(TRUSTED_CALLERS), trusted_uses
+    for held_by in TRUSTED_CALLERS.values():
+        module, test = held_by.split("::")
+        assert "\ndef %s(" % test in (REPO / "tests" / module).read_text(), held_by
 
 
 def test_no_module_level_containers():

@@ -5,7 +5,7 @@ from pisom.maps import alpha, beta_omega, conj, is_irr_plus, omega
 from pisom.structure import enum_irr
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, reduce_word
 
-from conftest import product, random_minimal_sequences
+from conftest import passes_the_check, product, random_minimal_sequences
 
 words_st = st.lists(
     st.integers(-5, 5).filter(lambda x: x != 0), min_size=1, max_size=7
@@ -55,10 +55,16 @@ def test_beta_omega_examples():
 
 
 def test_beta_omega_lands_in_d0():
-    # every non-unit plus-irreducible of grade <= 14 shifts into D0
+    # every non-unit plus-irreducible of grade <= 14 shifts into D0, to a
+    # reduced Word (built unchecked) that alpha takes back
+    count = 0
     for k in range(2, 15):
         for w in enum_irr(k).elements:
-            assert member(beta_omega(w), "D0"), w
+            b = beta_omega(w)
+            assert passes_the_check(b), w
+            assert member(b, "D0") and alpha(b) == w, w
+            count += 1
+    assert count == 4022
 
 
 def test_beta_omega_alpha_identities():

@@ -190,6 +190,42 @@ def test_matrix_relations_match_rejection_sampler(ks):
         assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
 
 
+def sequential_matrix_relations(count, seed, ks, entry_weight=4):
+    """The sampler's contract with Gram matrices in place of the lookup
+    table: k <= 3 as the rejection sampler; above that each word uniformly
+    among those that keep the Gram matrix of the vector so far in D1."""
+    words = list(iter_words(entry_weight))
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.choice(ks)
+        if k <= 3:
+            vec = tuple(rng.choice(words) for _ in range(k))
+        else:
+            vec = ()
+            while len(vec) < k:
+                cands = [w for w in words if gram(vec + (w,)).tagged("D1")]
+                if not cands:
+                    break
+                vec += (rng.choice(cands),)
+        g = gram(vec)
+        if len(vec) < k or not g.tagged("D1"):
+            continue
+        succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
+        if succ:
+            out.append((g, rng.choice(succ)))
+    return out
+
+
+@pytest.mark.parametrize("ks", [(4,), (5,), (8,), (3, 6)])
+def test_matrix_relations_draw_wide_vectors_compatibly(ks):
+    for seed in range(2):
+        got = matrix_relations(4, seed, ks=ks)
+        assert got == sequential_matrix_relations(4, seed, ks)
+        for lo, hi in got:
+            assert lo.k in ks and lo.tagged("D1") and hi in matrix_successors(lo)
+
+
 @pytest.mark.parametrize("count", [-1, RELATION_CAP + 1])
 def test_relation_samples_refuse_bad_counts(count):
     for sample in (scalar_relations, matrix_relations):

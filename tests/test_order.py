@@ -1,17 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import pisom.order as order
 from pisom.order import (
     hollow_choices,
     hollow_successors,
     leq,
     sa_factor_min,
     sa_factorizations,
+    unit_strip,
     upper_idempotent,
 )
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, reduce_word
 
-from conftest import sa_words_upto, words_upto
+from conftest import passes_the_check, sa_words_upto, words_upto
 
 words_st = st.lists(
     st.integers(-4, 4).filter(lambda x: x != 0), min_size=1, max_size=6
@@ -152,6 +154,41 @@ def test_hollow_stays_in_tag():
         for n in sa_words_upto(8, tag):
             for m in hollow_successors(n, within=tag):
                 assert member(m, tag)
+
+
+def test_trusted_slices_pass_the_check(monkeypatch):
+    # sa_factor_min, unit_strip and each step of the leq walk build their
+    # words unchecked; on every selfadjoint word of weight <= 18 each of
+    # them is a reduced Word
+    elems = sa_words_upto(18)
+    assert len(elems) == 176
+    chains = []
+    for n in elems:
+        w = sa_factor_min(n)
+        assert passes_the_check(w) and w.star * w == n, n
+        assert w == Word(tuple(-e for e in reversed(n[: len(n) // 2]))), n
+        for u in sa_factorizations(n):
+            c = unit_strip(u)
+            assert passes_the_check(c) and u in (Word((-1,)) * c, Word((1,)) * c), u
+        chain = [n]
+        while chain[-1] not in (UNIT_PLUS, UNIT_MINUS):
+            (m,) = hollow_successors(chain[-1])
+            chain.append(m)
+        chains.append(chain)
+    # the walk inside leq, with every unchecked construction made checked:
+    # an unreduced slice raises, and every element of the chain below the
+    # top has its minimal factor taken
+    made = []
+
+    def checked(entries):
+        made.append(Word(tuple(entries)))
+        return made[-1]
+
+    monkeypatch.setattr(order, "_trusted", checked)
+    for chain in chains:
+        made.clear()
+        assert leq(chain[0], chain[-1]), chain[0]
+        assert {x[len(x) // 2 :] for x in chain[:-1]} <= set(made), chain[0]
 
 
 # -- reachability --------------------------------------------------------------------

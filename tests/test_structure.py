@@ -16,7 +16,14 @@ from pisom.structure import (
 )
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
 
-from conftest import is_minimal_sequence, product, random_minimal_sequences, sa_words_upto, words_upto
+from conftest import (
+    is_minimal_sequence,
+    passes_the_check,
+    product,
+    random_minimal_sequences,
+    sa_words_upto,
+    words_upto,
+)
 
 
 # -- irreducibility ---------------------------------------------------------------
@@ -57,6 +64,24 @@ def test_irreducibles_are_bracketed_even_length():
 # -- factorization ----------------------------------------------------------------
 
 
+def factor_by_splits(p):
+    """The least-bad-prefix split as cut and recurse: cut p = m * n at the
+    first interior prefix sum that is zero or crosses the sign of the
+    leading entry, with every piece through the checked constructor, and
+    factor the remainder n again from its own prefix sums."""
+    factors = []
+    while True:
+        sig = p.sigmas()
+        r = next((i for i in range(1, len(p) - 1) if p[0] * sig[i] <= 0), None)
+        if r is None:
+            return factors + [p]
+        if sig[r] == 0:
+            m, p = Word(p[: r + 1]), Word(p[r + 1 :])
+        else:
+            m, p = Word(p[:r] + (-sig[r - 1],)), Word((p[r] + sig[r - 1],) + p[r + 1 :])
+        factors.append(m)
+
+
 def test_factor_examples():
     assert factor_a0(Word((-2, 3, -3, 2))) == [Word((-2, 2)), UNIT_MINUS, Word((-2, 2))]
     assert factor_a0(UNIT_PLUS) == [UNIT_PLUS]
@@ -72,12 +97,16 @@ def test_factor_roundtrip_random(irr_pool):
 
 
 def test_factor_exhaustive_small():
-    # factor_a0 has no minimality pass; the split alone must give the
-    # unique minimal decomposition of every tau-kernel word up to weight 20
+    # factor_a0 has no minimality pass; the one scan must give the unique
+    # minimal decomposition of every tau-kernel word up to weight 20, equal
+    # to the cut-and-recurse reference, with every factor (built unchecked)
+    # a reduced Word
     kernel = [p for p in words_upto(20) if p.tau == 0]
     assert len(kernel) == 6092
     for p in kernel:
         factors = factor_a0(p)
+        assert factors == factor_by_splits(p), p
+        assert all(passes_the_check(f) for f in factors), p
         assert product(factors) == p
         assert all(is_irreducible(f) for f in factors), p
         assert is_minimal_sequence(factors), p

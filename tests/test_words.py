@@ -1,3 +1,5 @@
+from itertools import product as cartesian
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,33 @@ def test_word_error_messages(entries, message):
     with pytest.raises(WordError) as exc:
         Word(entries)
     assert str(exc.value) == message
+
+
+def first_fault(entries):
+    """The normal-form check as a per-entry scan: the message of the first
+    fault, zero before sign before interior, or None."""
+    if not entries:
+        return "empty word"
+    if 0 in entries:
+        return "zero entry in word"
+    if any((a > 0) == (b > 0) for a, b in zip(entries, entries[1:])):
+        return "adjacent entries share a sign: %r" % (entries,)
+    if any(abs(e) < 2 for e in entries[1:-1]):
+        return "interior entry of absolute value 1: %r" % (entries,)
+    return None
+
+
+def test_checked_matches_per_entry_scan():
+    # every int sequence of length <= 5 with entries in -3..3, zeros included
+    for n in range(6):
+        for entries in cartesian(range(-3, 4), repeat=n):
+            fault = first_fault(entries)
+            if fault is None:
+                assert _checked(entries) == entries, entries
+            else:
+                with pytest.raises(WordError) as exc:
+                    _checked(entries)
+                assert str(exc.value) == fault, entries
 
 
 def test_parse_examples():
