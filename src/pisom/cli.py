@@ -12,11 +12,11 @@ import json
 import sys
 
 from . import maps, matrix, order, structure
-from .words import DomainError, Word, WordError, format_word, member, parse_word, reduce_word
+from .words import DomainError, WordError, format_word, member, parse_word
 
 
 def _emit(args, plain, obj=None):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj if obj is not None else plain))
     else:
         print(plain)
@@ -131,11 +131,11 @@ def _cmd_factor_gram(args):
 
 
 def _cmd_matrix_leq(args):
-    _bool_out(args, matrix.matrix_leq(_gram_arg(args.lower), _gram_arg(args.upper), args.max_k))
+    _bool_out(args, matrix.matrix_leq(_gram_arg(args.lower), _gram_arg(args.upper)))
 
 
 def _cmd_matrix_succ(args):
-    succ = sorted(matrix.matrix_successors(_gram_arg(args.gram), args.max_k), key=matrix.GramMatrix.sort_key)
+    succ = sorted(matrix.matrix_successors(_gram_arg(args.gram)), key=matrix.GramMatrix.sort_key)
     print(json.dumps([json.loads(g.to_json()) for g in succ]))
 
 
@@ -147,10 +147,7 @@ def _cmd_matrix_pred(args):
 def _cmd_classify(args):
     text = args.target.strip()
     if text.startswith("("):
-        w = parse_word(text)
-        g = matrix.gram((order.sa_factor_min(w),))
-        if g.cells[0][0] != w:
-            raise DomainError("%s is not of the form w* w" % (w,))
+        g = matrix.gram((order.sa_factor_min(parse_word(text)),))
     else:
         g = _gram_arg(text)
     print(matrix.classify_matrix(g).to_json())
@@ -191,8 +188,8 @@ def _cmd_verify_korder(args):
     k, count = args.k, args.count
     # sampled matrix relations need a successor, which is enumerated up to
     # the k cap only
-    if not 1 <= k <= matrix.DEFAULT_K_CAP:
-        raise DomainError("--k must be between 1 and %d, got %d" % (matrix.DEFAULT_K_CAP, k))
+    if not 1 <= k <= matrix.K_CAP:
+        raise DomainError("--k must be between 1 and %d, got %d" % (matrix.K_CAP, k))
     if count is not None and count < 0:
         raise DomainError("--count must be nonnegative, got %d" % count)
     if args.fixture and k > 2:
@@ -245,20 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("order-succ", _cmd_order_succ, lambda sp: sp.add_argument("word"))
     add("gram", _cmd_gram, lambda sp: sp.add_argument("vector"))
     add("factor-gram", _cmd_factor_gram, lambda sp: sp.add_argument("gram"))
-    add(
-        "matrix-leq",
-        _cmd_matrix_leq,
-        lambda sp: (
-            sp.add_argument("lower"),
-            sp.add_argument("upper"),
-            sp.add_argument("--max-k", type=int, default=matrix.DEFAULT_K_CAP),
-        ),
-    )
-    add(
-        "matrix-succ",
-        _cmd_matrix_succ,
-        lambda sp: (sp.add_argument("gram"), sp.add_argument("--max-k", type=int, default=matrix.DEFAULT_K_CAP)),
-    )
+    add("matrix-leq", _cmd_matrix_leq, lambda sp: (sp.add_argument("lower"), sp.add_argument("upper")))
+    add("matrix-succ", _cmd_matrix_succ, lambda sp: sp.add_argument("gram"))
     add("matrix-pred", _cmd_matrix_pred, lambda sp: sp.add_argument("gram"))
     add("classify", _cmd_classify, lambda sp: sp.add_argument("target"))
     add("partitions", _cmd_partitions, lambda sp: (sp.add_argument("d", type=int), sp.add_argument("k", type=int)))

@@ -9,7 +9,7 @@ generation lifts the scalar hollowing coordinatewise: each word has one or
 two hollowing choices, and cell (i, j) of a successor depends on the
 choices at i and j only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are
 multiplied once, and each of the up to 2^k choice vectors is assembled
-from them by lookup; a cap on k guards that enumeration.
+from them by lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
 """
 
 from __future__ import annotations
@@ -34,20 +34,17 @@ from .words import (
     parse_word,
 )
 
-DEFAULT_K_CAP = 8
+K_CAP = 8  # rank of the largest Gram matrix whose successors are enumerated
 PARTITION_CAP = 10**6  # integers in one partitions() result
 EXPANSION_CAP = 10**6  # cells in one iota_tau() result
-
-
-class KCapError(DomainError):
-    """Successor enumeration requested above the configured k cap."""
 
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """k x k array of cells w_i* w_j, with an optional witness vector.
 
-    Equality and hashing use the cells only; the witness is bookkeeping.
+    Equality and hashing use the cells only; the witness is bookkeeping
+    (:meth:`from_json` checks that its Gram matrix is the cells).
     """
 
     cells: tuple[tuple[Word, ...], ...]
@@ -101,6 +98,8 @@ class GramMatrix:
         g = cls(cells, witness)
         if g.k != k or any(len(row) != k for row in cells) or (witness and len(witness) != k):
             raise DomainError("ragged or mislabelled gram matrix")
+        if witness and gram(witness).cells != cells:
+            raise DomainError("the gram matrix of the witness differs from the cells")
         return g
 
 
@@ -167,19 +166,17 @@ def _uniform_sign(vec) -> int:
     return signs.pop() if len(signs) == 1 else 0
 
 
-def matrix_successors(
-    g: GramMatrix, k_cap: int = DEFAULT_K_CAP, require: str | None = "D1"
-) -> set[GramMatrix]:
+def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatrix]:
     """Gram matrices one basic step above g; empty iff g is maximal.
 
     ``require`` pins the subsemigroup the cells must lie in; pass None to
     work at the ambient level (immediate predecessors of a D1 matrix may
-    fall outside it).
+    fall outside it).  Ranks above K_CAP are refused.
     """
     if require:
         _require_tag(g, require)
-    if g.k > k_cap:
-        raise KCapError("successor enumeration capped at k = %d" % k_cap)
+    if g.k > K_CAP:
+        raise DomainError("successor enumeration capped at k = %d" % K_CAP)
     out: set[GramMatrix] = set()
     for vec in factor_gram(g):
         if not _uniform_sign(vec):
@@ -196,9 +193,7 @@ def matrix_successors(
     return out
 
 
-def matrix_leq(
-    g1: GramMatrix, g2: GramMatrix, k_cap: int = DEFAULT_K_CAP, require: str | None = "D1"
-) -> bool:
+def matrix_leq(g1: GramMatrix, g2: GramMatrix, require: str | None = "D1") -> bool:
     """Reachability along basic steps; diagonal weight strictly drops."""
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
@@ -214,7 +209,7 @@ def matrix_leq(
         seen |= frontier
         nxt: set[GramMatrix] = set()
         for x in frontier:
-            for y in matrix_successors(x, k_cap, require=None):
+            for y in matrix_successors(x, require=None):
                 if y not in seen and sum(y.cells[i][i].weight for i in range(y.k)) >= bound:
                     nxt.add(y)
         frontier = nxt

@@ -42,7 +42,7 @@ import numpy as np
 from .matrix import GramMatrix, gram, matrix_successors
 from .maps import alpha, is_irr_plus
 from .order import hollow_successors, sa_factor_min
-from .structure import factor_d0
+from .structure import factor_a0
 from .words import (
     UNIT_MINUS,
     UNIT_PLUS,
@@ -84,14 +84,13 @@ def opnorm(m) -> float:
 
 @dataclass(frozen=True)
 class PartialIsometryRep:
-    """A matrix v meant to satisfy v v* v = v up to tol.
+    """A matrix v meant to satisfy v v* v = v up to IDENTITY_TOL.
 
     Construction does not validate (negative controls need broken reps);
     use :meth:`checked` when validity is required.
     """
 
     v: np.ndarray
-    tol: float = IDENTITY_TOL
 
     @property
     def n(self) -> int:
@@ -102,13 +101,13 @@ class PartialIsometryRep:
         return opnorm(v @ v.conj().T @ v - v)
 
     def is_valid(self) -> bool:
-        return self.defect() <= self.tol
+        return self.defect() <= IDENTITY_TOL
 
     @classmethod
-    def checked(cls, v, tol: float = IDENTITY_TOL) -> "PartialIsometryRep":
-        rep = cls(np.asarray(v, dtype=complex), tol)
+    def checked(cls, v) -> "PartialIsometryRep":
+        rep = cls(np.asarray(v, dtype=complex))
         if not rep.is_valid():
-            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (rep.defect(), tol))
+            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (rep.defect(), IDENTITY_TOL))
         return rep
 
 
@@ -119,6 +118,8 @@ def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
         raise DomainError("dimension must be positive")
     if n > DIM_CAP:
         raise DomainError("dimension %d exceeds cap %d" % (n, DIM_CAP))
+    if seed < 0:
+        raise DomainError("seed must be nonnegative, got %d" % seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u, _, vh = np.linalg.svd(z)
@@ -266,12 +267,12 @@ def _block_eval(ev, g: GramMatrix, n: int):
     return out
 
 
-def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL, dim_cap: int = DIM_CAP) -> Report:
+def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Report:
     """PSD-check the k n x k n block differences of basic matrix relations."""
     ev = _evaluator(rep_or_assign)
     n = rep_or_assign.n
-    if k * n > dim_cap:
-        raise DomainError("block dimension %d exceeds cap %d" % (k * n, dim_cap))
+    if k * n > DIM_CAP:
+        raise DomainError("block dimension %d exceeds cap %d" % (k * n, DIM_CAP))
     relations = list(relations)
     for lower, upper in relations:
         if lower.k != k or upper.k != k:
@@ -351,7 +352,7 @@ class GeneratorAssignment:
         """Evaluate a word of the generated subsemigroup multiplicatively."""
         if not member(d, "D0"):
             raise DomainError("assignments evaluate D0 words only, got %s" % format_word(d))
-        return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_d0(d)))
+        return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_a0(d)))
 
 
 def _evaluator(rep_or_assign):
@@ -463,10 +464,10 @@ def displayed_block_relation() -> tuple[GramMatrix, GramMatrix]:
 # -- deterministic relation pools ---------------------------------------------
 
 
-def sa_pool(half_weight: int, within: str = "D1"):
+def sa_pool(within: str):
     """Selfadjoint elements of the tagged semigroup, from small factors."""
     out = set()
-    for u in iter_words(half_weight):
+    for u in iter_words(7):
         for n in (u.star * u, u.star * UNIT_MINUS * u, u.star * UNIT_PLUS * u):
             if member(n, within):
                 out.add(n)
@@ -478,15 +479,10 @@ def _check_count(count: int) -> None:
         raise DomainError("a sample of %d relations is negative or exceeds the cap of %d" % (count, RELATION_CAP))
 
 
-def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = "D1"):
+def scalar_relations(count: int, seed: int, within: str = "D1"):
     """Deterministic sample of basic order pairs (n, successor)."""
     _check_count(count)
-    pool = []
-    for n in sa_pool(half_weight, within):
-        for m in sorted(hollow_successors(n)):
-            if within == "D0" and not member(m, "D0"):
-                continue
-            pool.append((n, m))
+    pool = [(n, m) for n in sa_pool(within) for m in sorted(hollow_successors(n))]
     rng = random.Random(seed)
     if count <= len(pool):
         return rng.sample(pool, count)
@@ -496,16 +492,15 @@ def scalar_relations(count: int, seed: int, half_weight: int = 7, within: str = 
 def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     """Deterministic sample of basic matrix relations (G, successor).
 
-    A vector of k <= 3 words is drawn whole and kept when every Gram cell
-    lies in D1.  Above k = 3 almost no whole draw passes, so each word is
-    drawn uniformly among those whose cells with itself and with every word
-    drawn so far lie in D1 (one cell of each pair suffices: v* u is the star
-    of u* v, and D1 is closed under star).
+    At every k the words are drawn one at a time, each uniformly among those
+    whose cells with itself and with every word drawn so far lie in D1 (one
+    cell of each pair suffices: v* u is the star of u* v, and D1 is closed
+    under star).  So each word, not the whole vector, is uniform.
     """
     _check_count(count)
-    words = [w for w in iter_words(entry_weight)]
-    # D1 membership of every Gram cell u* v, so that a draw is tested by
-    # lookups, diagonal first, and only a passing draw builds its matrix
+    words = list(iter_words(entry_weight))
+    # D1 membership of every Gram cell u* v, so that a draw is made by
+    # lookups and only a complete vector builds its matrix
     in_d1 = {(u, v): member(u.star * v, "D1") for u in words for v in words}
     diagonal = [w for w in words if in_d1[w, w]]
     rng = random.Random(seed)
@@ -514,18 +509,13 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     while len(out) < count and attempts < 100000:
         attempts += 1
         k = rng.choice(ks)
-        if k <= 3:
-            vec = tuple(rng.choice(words) for _ in range(k))
-            if not (all(in_d1[w, w] for w in vec) and all(in_d1[u, v] for u in vec for v in vec)):
-                continue
-        else:
-            vec, cands = [], diagonal
-            while len(vec) < k and cands:
-                u = rng.choice(cands)
-                vec.append(u)
-                cands = [v for v in cands if in_d1[u, v]]
-            if len(vec) < k:
-                continue
+        vec, cands = [], diagonal
+        while len(vec) < k and cands:
+            u = rng.choice(cands)
+            vec.append(u)
+            cands = [v for v in cands if in_d1[u, v]]
+        if len(vec) < k:
+            continue
         g = gram(vec)
         succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
         if not succ:

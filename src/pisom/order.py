@@ -10,6 +10,7 @@ walk along a chain.  ``leq`` checks its two arguments once and walks
 without re-checking: every step c* c is selfadjoint by construction, and
 its minimal factor is its second half.  The tests keep the
 generate-and-filter definition and compare it with the direct step.
+Hollowing keeps D0 and D1, so no function here takes a tag to stay within.
 """
 
 from __future__ import annotations
@@ -59,27 +60,22 @@ def hollow_choices(u: Word) -> tuple[Word, ...]:
     return (a,) if a == b else (a, b)
 
 
-def _check_within(n: Word, within: str | None) -> None:
-    if within is not None and not member(n, within):
-        raise DomainError("%s is not in %s" % (n, within))
-
-
-def _check_sa(n: Word, within: str | None) -> None:
+def _check_sa_d1(n: Word) -> None:
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
-    _check_within(n, within)
+    if not member(n, "D1"):
+        raise DomainError("not in D1: %s" % (n,))
 
 
-def hollow_successors(n: Word, within: str | None = None) -> set[Word]:
+def hollow_successors(n: Word) -> set[Word]:
     """Elements one basic step above n: the hollowed minimal factor's
     recomposition, or none when that is n itself (n is maximal)."""
     c = unit_strip(sa_factor_min(n))  # checks that n is selfadjoint
-    _check_within(n, within)
     m = c.star * c
     return set() if m == n else {m}
 
 
-def leq(n: Word, m: Word, within: str | None = None) -> bool:
+def leq(n: Word, m: Word) -> bool:
     """Reachability n <= m along hollowing steps (a walk up the chain).
 
     Each step strictly lowers the weight, so the walk stops once it is no
@@ -88,8 +84,9 @@ def leq(n: Word, m: Word, within: str | None = None) -> bool:
     n and m are checked once; each step c* c of a hollowed minimal factor
     is selfadjoint, so the walk takes its minimal factor unchecked.
     """
-    _check_sa(n, within)
-    _check_sa(m, within)
+    for x in (n, m):
+        if not x.is_selfadjoint():
+            raise DomainError("not selfadjoint: %s" % (x,))
     top = m.weight
     while n != m and n.weight > top:
         c = unit_strip(_trusted(n[len(n) // 2 :]))
@@ -99,5 +96,5 @@ def leq(n: Word, m: Word, within: str | None = None) -> bool:
 
 def upper_idempotent(n: Word) -> Word:
     """The idempotent above n; (-1,1) exactly when it fixes n on the left."""
-    _check_sa(n, "D1")
+    _check_sa_d1(n)
     return UNIT_PLUS if UNIT_PLUS * n == n else UNIT_MINUS

@@ -21,9 +21,10 @@ words in the tests, against the cut-and-recurse form of the split.
 Plus-irreducibles are graded by the positive-entry sum.  A grade is
 enumerated directly from the definition by a depth-first search over the
 reduced words that start negative, end positive, have every interior
-prefix sum < 0, have tau = 0 and positive-entry sum k; nothing is kept
-between calls.  The paper's generation theorem (each grade from
-conjugated products of lower ones) is checked against it in the tests.
+prefix sum < 0, have tau = 0 and positive-entry sum k, reduced by
+construction and so built unchecked; nothing is kept between calls.
+The paper's generation theorem (each grade from conjugated products of
+lower ones) is checked against it in the tests.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from functools import reduce as _fold
 from itertools import accumulate
 
-from .order import sa_factor_min
-from .words import DomainError, Word, _checked, _trusted, format_word, member
+from .order import _check_sa_d1, sa_factor_min
+from .words import DomainError, Word, _trusted, format_word, member
 
 
 def is_irreducible(p: Word) -> bool:
@@ -123,14 +124,14 @@ def _plus_irreducibles(k: int) -> list[Word]:
     interior -m with 2 <= m <= top - 2, which leaves a completable prefix.
     Trying x upward and m downward emits the words in tuple order.
     """
-    out = [_checked((-k, k))]
+    out = [_trusted((-k, k))]
     emit = out.append
 
     def extend(prefix, s, b):
         top = b + s
         for x in range(2, -s):
             p = prefix + (x,)
-            emit(_checked(p + (-top, b - x)))
+            emit(_trusted(p + (-top, b - x)))
             for m in range(top - 2, 1, -1):
                 extend(p + (-m,), s + x - m, b - x)
 
@@ -153,13 +154,6 @@ def enum_irr(k: int) -> IrrTable:
 
 
 # -- selfadjoint canonical form ----------------------------------------------
-
-
-def _check_sa_d1(n: Word) -> None:
-    if not n.is_selfadjoint():
-        raise DomainError("not selfadjoint: %s" % (n,))
-    if not member(n, "D1"):
-        raise DomainError("not in D1: %s" % (n,))
 
 
 def sa_canonical_d1(n: Word):

@@ -6,12 +6,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pisom.cli import run
-from pisom.words import DomainError
+from pisom.cli import build_parser, run
+from pisom.matrix import gram
+from pisom.words import DomainError, Word, parse_word
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -69,6 +72,7 @@ MALFORMED_JSON_CASES = [
     ("partition_string_part", ["iota-tau", ONE_CELL_GRAM_JSON, '["x"]']),
     ("partition_float_part", ["iota-tau", HMM_GRAM_JSON, "[1.5,1]"]),
     ("partition_bool_part", ["iota-tau", ONE_CELL_GRAM_JSON, "[true]"]),
+    ("gram_with_foreign_witness", ["iota-tau", '{"k":1,"cells":[["(-1,1)"]],"witness":["(5)"]}', "[2]"]),
 ]
 
 
@@ -272,6 +276,140 @@ def test_size_caps_refuse_before_allocating(argv):
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, err
 
 
+def _k9_gram_json(word):
+    return gram((Word(word),) * 9).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix-succ", _k9_gram_json((-2, 2))],
+        ["matrix-leq", _k9_gram_json((-2, 2)), _k9_gram_json((-1, 1))],
+    ],
+    ids=["matrix-succ", "matrix-leq"],
+)
+def test_matrix_enumeration_refuses_rank_nine(argv):
+    # successor enumeration is capped at k = 8, and no option lifts the cap
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err == "error: successor enumeration capped at k = 8\n"
+    code, out, err = invoke(argv + ["--max-k", "64"])
+    assert code == 2 and out == "" and "unrecognized arguments: --max-k" in err
+
+
+# -- the CLI contract as a property -----------------------------------------------
+
+BAD_INTS = ["-1", "-%d" % 10**30, "%d" % 10**30, "x", "1.5", ""]
+BAD_WORDS = ["", "(", ")", "()", "(0)", "(1,,2)", "(1.5)", "abc", "(-)", "(1 2)", "1,2", "(%d)" % 10**30,
+             "(-%d,%d)" % (10**30, 10**30)]
+BAD_JSON = ["", "{", "[", "null", "1", '"x"', "[1,2]", '[["(-1,1)"]]', '{"k": 1}', '{"k": 1, "cells": []}',
+            '{"k": "1", "cells": [["(-1,1)"]]}', '{"k": 2, "cells": [["(-1,1)"]]}', '{"k": 1, "cells": [[1]]}',
+            '{"k": 1, "cells": [["(0)"]]}', '{"k": 1, "cells": [["(-1,1)"]], "witness": ["(5)"]}',
+            '{"k": 1, "cells": [["(-1,1)"]], "witness": ["(1)", "(1)"]}', '{"k": 1, "cells": [["(1,-2)"]]}']
+BAD_JSON += [argv[-1] for _, argv in MALFORMED_JSON_CASES]
+
+# literals of nonzero entries, reduced or not: the CLI accepts both
+valid_words = st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6).map(
+    lambda es: "(%s)" % ",".join(map(str, es))
+)
+words = st.one_of(valid_words, st.sampled_from(BAD_WORDS))
+vectors = st.lists(valid_words, min_size=1, max_size=3)
+grams = st.one_of(
+    vectors.map(lambda v: gram(tuple(parse_word(w) for w in v)).to_json()),
+    st.sampled_from(BAD_JSON),
+)
+
+
+def small_ints(hi):
+    """Integers 0..hi, which the command honours quickly, and values it refuses."""
+    return st.one_of(st.integers(0, hi).map(str), st.sampled_from(BAD_INTS))
+
+
+ARG_KINDS = {
+    "word": words,
+    "vector": st.one_of(vectors.map(json.dumps), st.sampled_from(BAD_JSON)),
+    "gram": grams,
+    "target": st.one_of(grams, words),
+    "grade": small_ints(14),
+    "dim": small_ints(8),
+    "count": small_ints(50),
+    "seed": st.one_of(st.integers(0, 10**6).map(str), st.sampled_from(BAD_INTS)),
+    "tag": st.sampled_from(["D0", "D1", "A0", "Aplus0", "XX", ""]),
+    "partition": st.one_of(st.lists(st.integers(0, 4), max_size=4).map(json.dumps), st.sampled_from(BAD_JSON)),
+    "tol": st.sampled_from(["1e-9", "0", "-1", "nan", "inf", "1e400", "x"]),
+    "fixture": st.sampled_from([ORDER_FIXTURE, ORDER_FIXTURE + ".missing", "/"]),
+}
+
+#: subcommand -> (positional argument kinds, {option: kind or None for a switch})
+COMMANDS = {
+    "reduce": (["word"], {}),
+    "mul": (["word", "word"], {}),
+    "star": (["word"], {}),
+    "tau": (["word"], {}),
+    "sigma": (["word", "grade"], {}),
+    "tau-plus": (["word"], {}),
+    "member": (["word", "tag"], {}),
+    "irr": (["word"], {}),
+    "factor": (["word"], {"--in-d0": None}),
+    "enum-irr": (["grade"], {}),
+    "alpha": (["word"], {}),
+    "omega": (["word"], {}),
+    "beta-omega": (["word"], {}),
+    "sa-factor": (["word"], {"--all": None}),
+    "order-leq": (["word", "word"], {}),
+    "order-succ": (["word"], {}),
+    "gram": (["vector"], {}),
+    "factor-gram": (["gram"], {}),
+    "matrix-leq": (["gram", "gram"], {}),
+    "matrix-succ": (["gram"], {}),
+    "matrix-pred": (["gram"], {}),
+    "classify": (["target"], {}),
+    "partitions": (["dim", "dim"], {}),
+    "iota-tau": (["gram", "partition"], {}),
+    "random-pi": (["dim"], {"--seed": "seed"}),
+    "verify-rep": ([], {"--seed": "seed", "--dim": "dim", "--count": "count", "--tol": "tol"}),
+    "verify-korder": ([], {"--k": "dim", "--seed": "seed", "--dim": "dim", "--count": "count", "--tol": "tol",
+                           "--fixture": "fixture"}),
+}
+
+
+def test_property_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(COMMANDS)
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS) + ["bogus"]))
+    positional, options = COMMANDS.get(name, (["word"], {}))
+    args = [draw(ARG_KINDS[kind]) for kind in positional]
+    if args and draw(st.integers(0, 3)) == 0:
+        args = args[: draw(st.integers(0, len(args) - 1))]  # missing arguments
+    for flag, kind in options.items():
+        if draw(st.booleans()):
+            args += [flag] if kind is None else [flag, draw(ARG_KINDS[kind])]
+    if draw(st.booleans()):
+        args.append("--json")
+    return [name] + args
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_contract(argv):
+    # every input ends in exit code 0, 1 or 2 within a time bound, with at
+    # most one error line and never a traceback
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) <= 1, err
+    if code == 0:
+        assert err == ""
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts: input checks raise, and the self-checks of
     # the theorems the package relies on live in the tests
@@ -294,16 +432,21 @@ TRUSTED_CALLERS = {
     "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
     "leq": "test_order.py::test_trusted_slices_pass_the_check",
     "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",
+    "_plus_irreducibles": "test_structure.py::test_enum_elements_meet_the_definition",
 }
 
 
 def _enclosing_functions(tree):
-    """Map each node to the name of the innermost function around it."""
+    """Map each node to the name of the outermost function around it, so
+    that a nested helper counts as part of the function that defines it."""
     owner = {}
 
     def visit(node, name):
         for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+            if name is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            else:
+                inner = name
             owner[child] = inner
             visit(child, inner)
 

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from pisom.matrix import (
-    DEFAULT_K_CAP,
+    K_CAP,
     GramMatrix,
     MatrixClassification,
     PARTITION_CAP,
-    KCapError,
     classify_matrix,
     compose_partitions,
     conj_delta,
@@ -230,7 +229,7 @@ def test_successor_table_matches_gram_reference_wide():
     compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
     rng = random.Random(4)
     case3 = 0
-    for k in range(4, DEFAULT_K_CAP + 1):
+    for k in range(4, K_CAP + 1):
         for uniform in (True,) * 4 + (False,):
             g = gram(draw_d1_vector(rng, pool, compat, k, uniform))
             assert g.tagged("D1")
@@ -269,10 +268,9 @@ def test_matrix_leq_examples():
 
 
 def test_k_cap():
-    vec = tuple(Word((-1,)) for _ in range(DEFAULT_K_CAP + 1))
-    with pytest.raises(KCapError):
+    vec = tuple(Word((-1,)) for _ in range(K_CAP + 1))
+    with pytest.raises(DomainError, match="capped at k = 8"):
         matrix_successors(gram(vec))
-    assert matrix_successors(gram(vec), k_cap=DEFAULT_K_CAP + 1) == set()
 
 
 def test_immediate_predecessors_example():

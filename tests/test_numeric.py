@@ -27,6 +27,7 @@ from pisom.numeric import (
     psd_check,
     random_partial_isometry,
     sa_depth_fixture,
+    sa_pool,
     scalar_relations,
     square_hollow,
     verify_conjugation,
@@ -36,7 +37,7 @@ from pisom.numeric import (
 )
 from pisom.order import hollow_successors, leq
 from pisom.structure import enum_irr
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, parse_word, reduce_word
+from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
 
 W = parse_word
 
@@ -164,66 +165,51 @@ def test_verify_k_order_matches_scalar(rep):
     assert verify_k_order(rep, 1, rels).ok == verify_order_rep(rep, pairs).ok
 
 
-def rejection_matrix_relations(count, seed, ks, entry_weight=4):
-    """matrix_relations as first written: every draw builds its whole Gram
-    matrix before the D1 test."""
-    words = list(iter_words(entry_weight))
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        k = rng.choice(ks)
-        g = gram(tuple(rng.choice(words) for _ in range(k)))
-        if not g.tagged("D1"):
-            continue
-        succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
-        if succ:
-            out.append((g, rng.choice(succ)))
-    return out
-
-
-@pytest.mark.parametrize("ks", [(1,), (2,), (3,), (2, 3)])
-def test_matrix_relations_match_rejection_sampler(ks):
-    for seed in range(4):
-        got = matrix_relations(12, seed, ks=ks)
-        want = rejection_matrix_relations(12, seed, ks)
-        assert got == want
-        assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
-
-
 def sequential_matrix_relations(count, seed, ks, entry_weight=4):
     """The sampler's contract with Gram matrices in place of the lookup
-    table: k <= 3 as the rejection sampler; above that each word uniformly
-    among those that keep the Gram matrix of the vector so far in D1."""
+    table: each word uniformly among those that keep the Gram matrix of the
+    vector so far in D1."""
     words = list(iter_words(entry_weight))
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         k = rng.choice(ks)
-        if k <= 3:
-            vec = tuple(rng.choice(words) for _ in range(k))
-        else:
-            vec = ()
-            while len(vec) < k:
-                cands = [w for w in words if gram(vec + (w,)).tagged("D1")]
-                if not cands:
-                    break
-                vec += (rng.choice(cands),)
-        g = gram(vec)
-        if len(vec) < k or not g.tagged("D1"):
+        vec = ()
+        while len(vec) < k:
+            cands = [w for w in words if gram(vec + (w,)).tagged("D1")]
+            if not cands:
+                break
+            vec += (rng.choice(cands),)
+        if len(vec) < k:
             continue
+        g = gram(vec)
         succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
         if succ:
             out.append((g, rng.choice(succ)))
     return out
 
 
-@pytest.mark.parametrize("ks", [(4,), (5,), (8,), (3, 6)])
+# the wide ranks come first, so that ks0..ks3 keep naming them
+@pytest.mark.parametrize("ks", [(4,), (5,), (8,), (3, 6), (1,), (2,), (3,), (2, 3)])
 def test_matrix_relations_draw_wide_vectors_compatibly(ks):
     for seed in range(2):
         got = matrix_relations(4, seed, ks=ks)
-        assert got == sequential_matrix_relations(4, seed, ks)
+        want = sequential_matrix_relations(4, seed, ks)
+        assert got == want
+        assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
         for lo, hi in got:
             assert lo.k in ks and lo.tagged("D1") and hi in matrix_successors(lo)
+
+
+def test_relation_pools_stay_in_their_tag():
+    # scalar_relations pairs each pool element with all its successors:
+    # hollowing leaves neither D0 nor D1
+    for within, size in (("D0", 25), ("D1", 52)):
+        pool = sa_pool(within)
+        assert len(pool) == size
+        for n in pool:
+            for m in hollow_successors(n):
+                assert member(m, within), (n, m)
 
 
 @pytest.mark.parametrize("count", [-1, RELATION_CAP + 1])
@@ -233,10 +219,11 @@ def test_relation_samples_refuse_bad_counts(count):
             sample(count, 0)
 
 
-def test_verify_k_order_dim_cap(rep):
+def test_verify_k_order_dim_cap():
+    # k n = 66 exceeds DIM_CAP = 64 although n alone is within it
     lower, upper = displayed_block_relation()
-    with pytest.raises(DomainError):
-        verify_k_order(rep, 2, [(lower, upper)], dim_cap=4)
+    with pytest.raises(DomainError, match="block dimension 66 exceeds cap 64"):
+        verify_k_order(random_partial_isometry(33, 0), 2, [(lower, upper)])
 
 
 def test_verify_schwarz(rep):

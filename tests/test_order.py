@@ -152,7 +152,7 @@ def test_hollow_monotone_weight():
 def test_hollow_stays_in_tag():
     for tag in ("D0", "D1"):
         for n in sa_words_upto(8, tag):
-            for m in hollow_successors(n, within=tag):
+            for m in hollow_successors(n):
                 assert member(m, tag)
 
 

@@ -179,10 +179,12 @@ def test_enum_counts_stein_waterman():
 
 
 def test_enum_elements_meet_the_definition():
+    # the enumerator builds its words unchecked; each is a reduced Word
     for g in range(1, 17):
         elements = enum_irr(g).elements
         assert list(elements) == sorted(set(elements)), g
         for w in elements:
+            assert passes_the_check(w), w
             assert is_irr_plus(w) and w.tau_plus() == g, w
 
 
