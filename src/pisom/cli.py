@@ -1,8 +1,14 @@
 """Command line surface: one subcommand per library operation.
 
 Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.  All
-outputs are deterministic for fixed inputs and seeds; ``--json`` switches
-from plain literals to JSON.
+outputs are deterministic for fixed inputs and seeds.
+
+Each subcommand prints its result by kind.  A word prints as its literal,
+under --json as a JSON string; a list of words prints space-joined, under
+--json as a JSON list; true/false and integers print the same either way.
+enum-irr prints its words, or under --json the table as a JSON object.
+gram, factor-gram, matrix-succ, matrix-pred, classify, partitions,
+iota-tau, random-pi, verify-rep and verify-korder always print JSON.
 """
 
 from __future__ import annotations
@@ -12,22 +18,7 @@ import json
 import sys
 
 from . import maps, matrix, order, structure
-from .words import DomainError, WordError, format_word, member, parse_word
-
-
-def _emit(args, plain, obj=None):
-    if args.json:
-        print(json.dumps(obj if obj is not None else plain))
-    else:
-        print(plain)
-
-
-def _bool_out(args, value: bool):
-    _emit(args, "true" if value else "false", value)
-
-
-def _gram_arg(text: str) -> matrix.GramMatrix:
-    return matrix.GramMatrix.from_json(text)
+from .words import DomainError, Word, WordError, format_word, member, parse_word
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -37,140 +28,46 @@ def _partition_arg(text: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _cmd_reduce(args):
-    seq = parse_word(args.word)
-    _emit(args, format_word(seq), format_word(seq))
+def _grams_json(grams) -> str:
+    return json.dumps([json.loads(g.to_json()) for g in grams])
 
 
-def _cmd_mul(args):
-    w = parse_word(args.left) * parse_word(args.right)
-    _emit(args, format_word(w), format_word(w))
+def _show(args, result) -> None:
+    """Print a command's result by its kind, as the module docstring states."""
+    if isinstance(result, Word):
+        text = format_word(result)
+        print(json.dumps(text) if args.json else text)
+    elif isinstance(result, (list, tuple)):
+        texts = [format_word(w) for w in result]
+        print(json.dumps(texts) if args.json else " ".join(texts))
+    elif isinstance(result, str):
+        print(result)
+    else:
+        print(json.dumps(result))  # a bool or an int: alike in both forms
 
 
-def _cmd_star(args):
-    w = parse_word(args.word).star
-    _emit(args, format_word(w), format_word(w))
-
-
-def _cmd_tau(args):
-    _emit(args, parse_word(args.word).tau)
-
-
-def _cmd_sigma(args):
-    _emit(args, parse_word(args.word).sigma(args.r))
-
-
-def _cmd_tau_plus(args):
-    _emit(args, parse_word(args.word).tau_plus())
-
-
-def _cmd_member(args):
-    _bool_out(args, member(parse_word(args.word), args.tag))
-
-
-def _cmd_irr(args):
-    _bool_out(args, structure.is_irreducible(parse_word(args.word)))
-
-
-def _cmd_factor(args):
-    w = parse_word(args.word)
-    factors = structure.factor_d0(w) if args.in_d0 else structure.factor_a0(w)
-    _emit(args, " ".join(format_word(f) for f in factors), [format_word(f) for f in factors])
-
-
-def _cmd_enum_irr(args):
+def _enum_irr(args):
     table = structure.enum_irr(args.k)
-    if args.json:
-        print(table.to_json())
-    else:
-        print(" ".join(format_word(w) for w in table.elements))
+    return table.to_json() if args.json else table.elements
 
 
-def _cmd_alpha(args):
-    w = maps.alpha(parse_word(args.word))
-    _emit(args, format_word(w), format_word(w))
-
-
-def _cmd_omega(args):
-    w = maps.omega(parse_word(args.word))
-    _emit(args, format_word(w), format_word(w))
-
-
-def _cmd_beta_omega(args):
-    w = maps.beta_omega(parse_word(args.word))
-    _emit(args, format_word(w), format_word(w))
-
-
-def _cmd_sa_factor(args):
-    n = parse_word(args.word)
-    if args.all:
-        ws = order.sa_factorizations(n)
-        _emit(args, " ".join(format_word(w) for w in ws), [format_word(w) for w in ws])
-    else:
-        w = order.sa_factor_min(n)
-        _emit(args, format_word(w), format_word(w))
-
-
-def _cmd_order_leq(args):
-    _bool_out(args, order.leq(parse_word(args.lower), parse_word(args.upper)))
-
-
-def _cmd_order_succ(args):
-    succ = sorted(order.hollow_successors(parse_word(args.word)))
-    _emit(args, " ".join(format_word(w) for w in succ), [format_word(w) for w in succ])
-
-
-def _cmd_gram(args):
-    g = matrix.gram(matrix.vector_from_json(args.vector))
-    print(g.to_json())
-
-
-def _cmd_factor_gram(args):
-    vecs = matrix.factor_gram(_gram_arg(args.gram))
-    print(json.dumps([[format_word(w) for w in v] for v in vecs]))
-
-
-def _cmd_matrix_leq(args):
-    _bool_out(args, matrix.matrix_leq(_gram_arg(args.lower), _gram_arg(args.upper)))
-
-
-def _cmd_matrix_succ(args):
-    succ = sorted(matrix.matrix_successors(_gram_arg(args.gram)), key=matrix.GramMatrix.sort_key)
-    print(json.dumps([json.loads(g.to_json()) for g in succ]))
-
-
-def _cmd_matrix_pred(args):
-    lo_neg, lo_pos = matrix.immediate_predecessors(_gram_arg(args.gram))
-    print(json.dumps([json.loads(lo_neg.to_json()), json.loads(lo_pos.to_json())]))
-
-
-def _cmd_classify(args):
+def _classify(args):
     text = args.target.strip()
     if text.startswith("("):
         g = matrix.gram((order.sa_factor_min(parse_word(text)),))
     else:
-        g = _gram_arg(text)
-    print(matrix.classify_matrix(g).to_json())
+        g = matrix.GramMatrix.from_json(text)
+    return matrix.classify_matrix(g).to_json()
 
 
-def _cmd_partitions(args):
-    parts = matrix.partitions(args.d, args.k)
-    print(json.dumps([list(p) for p in parts]))
-
-
-def _cmd_iota_tau(args):
-    g = matrix.iota_tau(_gram_arg(args.gram), _partition_arg(args.partition))
-    print(g.to_json())
-
-
-def _cmd_random_pi(args):
+def _random_pi(args):
     from . import numeric
 
     rep = numeric.random_partial_isometry(args.n, args.seed)
-    print(numeric.matrix_to_json(rep.v))
+    return numeric.matrix_to_json(rep.v)
 
 
-def _cmd_verify_rep(args):
+def _verify_rep(args):
     from . import numeric
 
     tol = numeric.PSD_TOL if args.tol is None else args.tol
@@ -179,10 +76,10 @@ def _cmd_verify_rep(args):
     rpt = numeric.verify_order_rep(rep, pairs, tol)
     rpt = rpt.merge(numeric.verify_schwarz(rep, [p[0] for p in pairs[: args.count // 2]], tol))
     rpt = rpt.merge(numeric.verify_conjugation(rep, [p[0] for p in pairs[: args.count // 2]]))
-    print(rpt.to_json())
+    return rpt.to_json()
 
 
-def _cmd_verify_korder(args):
+def _verify_korder(args):
     from . import numeric
 
     k, count = args.k, args.count
@@ -210,71 +107,81 @@ def _cmd_verify_korder(args):
         rep = numeric.random_partial_isometry(args.dim, args.seed)
         relations = numeric.matrix_relations(count, args.seed, ks=(k,))
         rpt = numeric.verify_k_order(rep, k, relations, tol)
-    print(rpt.to_json())
+    return rpt.to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pisom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, configure):
+    def add(name, fn, *positional, flags=(), options=()):
+        """One subcommand; fn(args) returns the result that _show prints.  A positional
+        is a name or a (name, type) pair, an option a (flag, type, default) triple."""
         sp = sub.add_parser(name)
         sp.add_argument("--json", action="store_true")
-        configure(sp)
+        for arg in positional:
+            arg, kind = (arg, None) if isinstance(arg, str) else arg
+            sp.add_argument(arg, type=kind)
+        for flag in flags:
+            sp.add_argument(flag, action="store_true")
+        for flag, kind, default in options:
+            sp.add_argument(flag, type=kind, default=default)
         sp.set_defaults(fn=fn)
-        return sp
 
-    add("reduce", _cmd_reduce, lambda sp: sp.add_argument("word"))
-    add("mul", _cmd_mul, lambda sp: (sp.add_argument("left"), sp.add_argument("right")))
-    add("star", _cmd_star, lambda sp: sp.add_argument("word"))
-    add("tau", _cmd_tau, lambda sp: sp.add_argument("word"))
-    add("sigma", _cmd_sigma, lambda sp: (sp.add_argument("word"), sp.add_argument("r", type=int)))
-    add("tau-plus", _cmd_tau_plus, lambda sp: sp.add_argument("word"))
-    add("member", _cmd_member, lambda sp: (sp.add_argument("word"), sp.add_argument("tag")))
-    add("irr", _cmd_irr, lambda sp: sp.add_argument("word"))
-    add("factor", _cmd_factor, lambda sp: (sp.add_argument("word"), sp.add_argument("--in-d0", action="store_true")))
-    add("enum-irr", _cmd_enum_irr, lambda sp: sp.add_argument("k", type=int))
-    add("alpha", _cmd_alpha, lambda sp: sp.add_argument("word"))
-    add("omega", _cmd_omega, lambda sp: sp.add_argument("word"))
-    add("beta-omega", _cmd_beta_omega, lambda sp: sp.add_argument("word"))
-    add("sa-factor", _cmd_sa_factor, lambda sp: (sp.add_argument("word"), sp.add_argument("--all", action="store_true")))
-    add("order-leq", _cmd_order_leq, lambda sp: (sp.add_argument("lower"), sp.add_argument("upper")))
-    add("order-succ", _cmd_order_succ, lambda sp: sp.add_argument("word"))
-    add("gram", _cmd_gram, lambda sp: sp.add_argument("vector"))
-    add("factor-gram", _cmd_factor_gram, lambda sp: sp.add_argument("gram"))
-    add("matrix-leq", _cmd_matrix_leq, lambda sp: (sp.add_argument("lower"), sp.add_argument("upper")))
-    add("matrix-succ", _cmd_matrix_succ, lambda sp: sp.add_argument("gram"))
-    add("matrix-pred", _cmd_matrix_pred, lambda sp: sp.add_argument("gram"))
-    add("classify", _cmd_classify, lambda sp: sp.add_argument("target"))
-    add("partitions", _cmd_partitions, lambda sp: (sp.add_argument("d", type=int), sp.add_argument("k", type=int)))
-    add("iota-tau", _cmd_iota_tau, lambda sp: (sp.add_argument("gram"), sp.add_argument("partition")))
+    gram_arg = matrix.GramMatrix.from_json
+    add("reduce", lambda a: parse_word(a.word), "word")
+    add("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right")
+    add("star", lambda a: parse_word(a.word).star, "word")
+    add("tau", lambda a: parse_word(a.word).tau, "word")
+    add("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", int))
+    add("tau-plus", lambda a: parse_word(a.word).tau_plus(), "word")
+    add("member", lambda a: member(parse_word(a.word), a.tag), "word", "tag")
+    add("irr", lambda a: structure.is_irreducible(parse_word(a.word)), "word")
     add(
-        "random-pi",
-        _cmd_random_pi,
-        lambda sp: (sp.add_argument("n", type=int), sp.add_argument("--seed", type=int, default=0)),
+        "factor",
+        lambda a: (structure.factor_d0 if a.in_d0 else structure.factor_a0)(parse_word(a.word)),
+        "word",
+        flags=["--in-d0"],
     )
+    add("enum-irr", _enum_irr, ("k", int))
+    add("alpha", lambda a: maps.alpha(parse_word(a.word)), "word")
+    add("omega", lambda a: maps.omega(parse_word(a.word)), "word")
+    add("beta-omega", lambda a: maps.beta_omega(parse_word(a.word)), "word")
     add(
-        "verify-rep",
-        _cmd_verify_rep,
-        lambda sp: (
-            sp.add_argument("--seed", type=int, default=0),
-            sp.add_argument("--dim", type=int, default=4),
-            sp.add_argument("--count", type=int, default=50),
-            sp.add_argument("--tol", type=float),
-        ),
+        "sa-factor",
+        lambda a: (order.sa_factorizations if a.all else order.sa_factor_min)(parse_word(a.word)),
+        "word",
+        flags=["--all"],
     )
+    add("order-leq", lambda a: order.leq(parse_word(a.lower), parse_word(a.upper)), "lower", "upper")
+    add("order-succ", lambda a: sorted(order.hollow_successors(parse_word(a.word))), "word")
+    add("gram", lambda a: matrix.gram(matrix.vector_from_json(a.vector)).to_json(), "vector")
     add(
-        "verify-korder",
-        _cmd_verify_korder,
-        lambda sp: (
-            sp.add_argument("--k", type=int, default=2),
-            sp.add_argument("--seed", type=int, default=0),
-            sp.add_argument("--dim", type=int, default=4),
-            sp.add_argument("--count", type=int),  # 20, or the one displayed relation at --fixture --k 2
-            sp.add_argument("--tol", type=float),
-            sp.add_argument("--fixture"),
-        ),
+        "factor-gram",
+        lambda a: json.dumps([[format_word(w) for w in v] for v in matrix.factor_gram(gram_arg(a.gram))]),
+        "gram",
     )
+    add("matrix-leq", lambda a: matrix.matrix_leq(gram_arg(a.lower), gram_arg(a.upper)), "lower", "upper")
+    add(
+        "matrix-succ",
+        lambda a: _grams_json(sorted(matrix.matrix_successors(gram_arg(a.gram)), key=matrix.GramMatrix.sort_key)),
+        "gram",
+    )
+    add("matrix-pred", lambda a: _grams_json(matrix.immediate_predecessors(gram_arg(a.gram))), "gram")
+    add("classify", _classify, "target")
+    add("partitions", lambda a: json.dumps([list(p) for p in matrix.partitions(a.d, a.k)]), ("d", int), ("k", int))
+    add(
+        "iota-tau",
+        lambda a: matrix.iota_tau(gram_arg(a.gram), _partition_arg(a.partition)).to_json(),
+        "gram",
+        "partition",
+    )
+    seed, dim, tol = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
+    add("random-pi", _random_pi, ("n", int), options=[seed])
+    add("verify-rep", _verify_rep, options=[seed, dim, ("--count", int, 50), tol])
+    # --count defaults to 20, or to the one displayed relation at --fixture --k 2
+    korder = [("--k", int, 2), seed, dim, ("--count", int, None), tol, ("--fixture", None, None)]
+    add("verify-korder", _verify_korder, options=korder)
     return p
 
 
@@ -292,7 +199,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.fn(args)
+        _show(args, args.fn(args))
     except (WordError, DomainError, json.JSONDecodeError, *_numeric_errors()) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -193,13 +193,15 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     return out
 
 
-def matrix_leq(g1: GramMatrix, g2: GramMatrix, require: str | None = "D1") -> bool:
-    """Reachability along basic steps; diagonal weight strictly drops."""
+def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
+    """Reachability of D1 Gram matrices along basic steps; diagonal weight
+    strictly drops.  Ranks above K_CAP are refused, even for g1 == g2."""
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
-    if require:
-        _require_tag(g1, require)
-        _require_tag(g2, require)
+    _require_tag(g1, "D1")
+    _require_tag(g2, "D1")
+    if g1.k > K_CAP:
+        raise DomainError("successor enumeration capped at k = %d" % K_CAP)
     bound = sum(g2.cells[i][i].weight for i in range(g2.k))
     frontier = {g1}
     seen: set[GramMatrix] = set()
@@ -276,14 +278,14 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     facts = factor_gram(g)
     if not any(_uniform_sign(v) for v in facts):
         return MatrixClassification("Case3", True)
-    top = max(vec[0].star.tau for vec in facts)
+    top = max(-vec[0].tau for vec in facts)  # tau of w* is -tau of w
 
     if top == 1:
-        vec = next(v for v in facts if v[0].star.tau == 1)
+        vec = next(v for v in facts if -v[0].tau == 1)
         return MatrixClassification("Case1", False, m=tuple(unit_strip(w) for w in vec))
 
     if top == 0:
-        vec = next(v for v in facts if v[0].star.tau == 0)
+        vec = next(v for v in facts if -v[0].tau == 0)
         a, m = [], []
         for w in vec:
             factors = factor_a0(w)

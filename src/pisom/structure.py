@@ -180,8 +180,10 @@ def classify_sa(n: Word) -> str:
     Boundary: plain m*m with m fixed by the plus unit;
     CenterIrrNeg: an irreducible of D0 sits at the center.
     """
-    _check_sa_d1(n)
-    t = sa_factor_min(n).star.tau
+    w = sa_factor_min(n)  # checks that n is selfadjoint
+    if not member(n, "D1"):
+        raise DomainError("not in D1: %s" % (n,))
+    t = -w.tau  # tau of w*
     if t == 1:
         return "CenterUnitPos"
     if t == 0:

@@ -91,6 +91,27 @@ def test_golden(name, argv):
     assert out.encode() == expected
 
 
+#: goldens whose plain form is a space-joined word list, not one word
+WORD_LIST_GOLDENS = {"factor", "sa_factor_all", "order_succ"}
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_json(name, argv):
+    # --json prints json.dumps of the value the plain golden shows: a word as
+    # a string, a word list as a list, true/false and integers unchanged; the
+    # commands that always print JSON print the golden itself
+    code, out, err = invoke(argv + ["--json"])
+    assert code == 0, err
+    plain = (GOLDEN_DIR / (name + ".txt")).read_text()
+    try:
+        json.loads(plain)
+        expected = plain
+    except json.JSONDecodeError:
+        text = plain.rstrip("\n")
+        expected = json.dumps(text.split(" ") if name in WORD_LIST_GOLDENS else text) + "\n"
+    assert out == expected
+
+
 def test_exit_codes():
     code, _, err = invoke(["reduce", "(0)"])
     assert code == 1 and "zero entry" in err
@@ -285,8 +306,9 @@ def _k9_gram_json(word):
     [
         ["matrix-succ", _k9_gram_json((-2, 2))],
         ["matrix-leq", _k9_gram_json((-2, 2)), _k9_gram_json((-1, 1))],
+        ["matrix-leq", _k9_gram_json((-2, 2)), _k9_gram_json((-2, 2))],
     ],
-    ids=["matrix-succ", "matrix-leq"],
+    ids=["matrix-succ", "matrix-leq", "matrix-leq-equal"],
 )
 def test_matrix_enumeration_refuses_rank_nine(argv):
     # successor enumeration is capped at k = 8, and no option lifts the cap
@@ -397,7 +419,8 @@ def argvs(draw):
 @given(argvs())
 def test_cli_contract(argv):
     # every input ends in exit code 0, 1 or 2 within a time bound, with at
-    # most one error line and never a traceback
+    # most one error line and never a traceback; a success under --json
+    # prints exactly one JSON document
     start = time.perf_counter()
     code, out, err = invoke(argv)
     assert time.perf_counter() - start < 5.0, argv
@@ -406,6 +429,8 @@ def test_cli_contract(argv):
     assert sum("error:" in line for line in err.splitlines()) <= 1, err
     if code == 0:
         assert err == ""
+        if "--json" in argv:
+            json.loads(out)
     if code == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
