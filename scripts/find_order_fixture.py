@@ -34,8 +34,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pisom.numeric import sa_depth_fixture, square_hollow  # noqa: E402
-from pisom.order import hollow_successors  # noqa: E402
+from pisom.numeric import sa_depth_fixture  # noqa: E402
+from pisom.order import hollow_successors, square_hollow  # noqa: E402
 from pisom.structure import enum_irr  # noqa: E402
 from pisom.words import UNIT_PLUS, Word, format_word, parse_word  # noqa: E402
 

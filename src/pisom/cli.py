@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("matrix-leq", lambda a: matrix.matrix_leq(gram_arg(a.lower), gram_arg(a.upper)), "lower", "upper")
     add(
         "matrix-succ",
-        lambda a: _grams_json(sorted(matrix.matrix_successors(gram_arg(a.gram)), key=matrix.GramMatrix.sort_key)),
+        lambda a: _grams_json(sorted(matrix.matrix_successors(gram_arg(a.gram)), key=lambda g: g.cells)),
         "gram",
     )
     add("matrix-pred", lambda a: _grams_json(matrix.immediate_predecessors(gram_arg(a.gram))), "gram")

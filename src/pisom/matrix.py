@@ -20,7 +20,7 @@ from functools import reduce as _fold
 from itertools import combinations
 from itertools import product as _cartesian
 
-from .order import hollow_choices, sa_factorizations, unit_strip
+from .order import hollow_choices, leq, sa_factorizations, unit_strip
 from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
@@ -70,9 +70,6 @@ class GramMatrix:
 
     def tagged(self, tag: str) -> bool:
         return all(member(c, tag) for row in self.cells for c in row)
-
-    def sort_key(self):
-        return tuple(tuple(c) for row in self.cells for c in row)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -194,27 +191,31 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
 
 
 def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
-    """Reachability of D1 Gram matrices along basic steps; diagonal weight
-    strictly drops.  Ranks above K_CAP are refused, even for g1 == g2."""
+    """Reachability of D1 Gram matrices along basic steps.  Ranks above
+    K_CAP are refused, even for g1 == g2.
+
+    A basic step leaves each diagonal cell as it is or hollows it by one
+    scalar step, so every matrix on a walk from g1 to g2 has each diagonal
+    cell below that of g2; the walk keeps only those, and a pair that fails
+    this on g1 is decided without a walk.
+    """
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
     _require_tag(g1, "D1")
     _require_tag(g2, "D1")
     if g1.k > K_CAP:
         raise DomainError("successor enumeration capped at k = %d" % K_CAP)
-    bound = sum(g2.cells[i][i].weight for i in range(g2.k))
-    frontier = {g1}
+
+    def below(x):
+        return all(leq(x.cells[i][i], g2.cells[i][i]) for i in range(g2.k))
+
+    frontier = {g1} if below(g1) else set()
     seen: set[GramMatrix] = set()
     while frontier:
         if g2 in frontier:
             return True
         seen |= frontier
-        nxt: set[GramMatrix] = set()
-        for x in frontier:
-            for y in matrix_successors(x, require=None):
-                if y not in seen and sum(y.cells[i][i].weight for i in range(y.k)) >= bound:
-                    nxt.add(y)
-        frontier = nxt
+        frontier = {y for x in frontier for y in matrix_successors(x, require=None) if y not in seen and below(y)}
     return False
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .matrix import GramMatrix, gram, matrix_successors
 from .maps import alpha, is_irr_plus
-from .order import hollow_successors, sa_factor_min
+from .order import hollow_depth, hollow_successors, square_hollow
 from .structure import factor_a0
 from .words import (
     UNIT_MINUS,
@@ -381,21 +381,6 @@ def _evaluator(rep_or_assign):
 OVERRIDE_ROOT = Word((-4, 3, -3, 4))
 
 
-def hollow_depth(n: Word) -> int:
-    """Number of hollowing steps from a selfadjoint word to the unit that
-    ends its chain: the sum of |e| - 1 over the entries e of its minimal
-    factor.  Defined on every selfadjoint word, (1,-1) and its chain
-    included; any other word is a DomainError."""
-    w = sa_factor_min(n)
-    return w.weight - len(w)
-
-
-def square_hollow(s: Word) -> Word:
-    """The single element one step above s* s (strip one unit off s)."""
-    (out,) = hollow_successors(s.star * s)
-    return out
-
-
 def sa_depth_fixture(c: float = 0.5) -> GeneratorAssignment:
     """Scalar order representation that is not a 2-order map.
 
@@ -517,7 +502,7 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
         if len(vec) < k:
             continue
         g = gram(vec)
-        succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
+        succ = sorted(matrix_successors(g), key=lambda x: x.cells)
         if not succ:
             continue
         out.append((g, rng.choice(succ)))

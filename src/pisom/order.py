@@ -5,11 +5,16 @@ w and recomposing yields the element one step above ("hollowing out" the
 middle).  By definition a step may start from either reduced factorization
 and either way of splitting a unit off it, but every choice other than
 stripping the minimal factor recomposes to n itself.  So each element has
-at most one strict successor, computed directly, and reachability is a
-walk along a chain.  ``leq`` checks its two arguments once and walks
-without re-checking: every step c* c is selfadjoint by construction, and
-its minimal factor is its second half.  The tests keep the
-generate-and-filter definition and compare it with the direct step.
+at most one strict successor, computed directly, and the elements above n
+form a chain.  The tests keep the generate-and-filter definition and
+compare it with the direct step.
+
+The chain is read off the minimal factor w of n: a step takes one unit off
+w[0], and once that entry is a unit the recomposition absorbs it, so the
+next minimal factor is w[1:].  Hence, with u the minimal factor of m and
+j = len(w) - len(u), n <= m exactly when j >= 0, u[1:] == w[j+1:], u[0]
+has the sign of w[j] and |u[0]| <= |w[j]|; and the number of steps up to
+a unit, ``hollow_depth``, is the sum of |e| - 1 over the entries e of w.
 Hollowing keeps D0 and D1, so no function here takes a tag to stay within.
 """
 
@@ -76,22 +81,27 @@ def hollow_successors(n: Word) -> set[Word]:
 
 
 def leq(n: Word, m: Word) -> bool:
-    """Reachability n <= m along hollowing steps (a walk up the chain).
-
-    Each step strictly lowers the weight, so the walk stops once it is no
-    heavier than m.  Only the two units are maximal, and no selfadjoint
-    word is lighter, so every element the walk steps from has a successor.
-    n and m are checked once; each step c* c of a hollowed minimal factor
-    is selfadjoint, so the walk takes its minimal factor unchecked.
+    """n <= m along hollowing steps: the minimal factor of m is the suffix
+    of that of n with its first entry shrunk toward zero (module docstring).
     """
-    for x in (n, m):
-        if not x.is_selfadjoint():
-            raise DomainError("not selfadjoint: %s" % (x,))
-    top = m.weight
-    while n != m and n.weight > top:
-        c = unit_strip(_trusted(n[len(n) // 2 :]))
-        n = c.star * c
-    return n == m
+    w, u = sa_factor_min(n), sa_factor_min(m)
+    j = len(w) - len(u)
+    return j >= 0 and u[1:] == w[j + 1 :] and (u[0] < 0) == (w[j] < 0) and abs(u[0]) <= abs(w[j])
+
+
+def hollow_depth(n: Word) -> int:
+    """Number of hollowing steps from a selfadjoint word to the unit that
+    ends its chain: the sum of |e| - 1 over the entries e of its minimal
+    factor.  Defined on every selfadjoint word, (1,-1) and its chain
+    included; any other word is a DomainError."""
+    w = sa_factor_min(n)
+    return w.weight - len(w)
+
+
+def square_hollow(s: Word) -> Word:
+    """The single element one step above s* s (strip one unit off s)."""
+    (out,) = hollow_successors(s.star * s)
+    return out
 
 
 def upper_idempotent(n: Word) -> Word:

@@ -40,10 +40,10 @@ that re-validates every output on an exhaustive space:
   cuts, with the cut entries replaced by prefix sums of the right sign):
   ``test_factor_exhaustive_small`` (the 6,092 tau-kernel words of weight
   <= 20, against the cut-and-recurse reference);
-- ``order.sa_factor_min`` (the second half of a selfadjoint word),
-  ``order.unit_strip`` (a reduced word with a unit taken off its front) and
-  each step of the ``order.leq`` walk: ``test_trusted_slices_pass_the_check``
-  (the 176 selfadjoint words of weight <= 18);
+- ``order.sa_factor_min`` (the second half of a selfadjoint word) and
+  ``order.unit_strip`` (a reduced word with a unit taken off its front):
+  ``test_trusted_slices_pass_the_check`` (the 176 selfadjoint words of
+  weight <= 18);
 - ``maps.beta_omega`` (a non-unit plus-irreducible with its endpoints moved
   toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14).
 

@@ -23,7 +23,7 @@ from pisom.matrix import (
     partitions,
 )
 from pisom.maps import conj
-from pisom.order import hollow_choices
+from pisom.order import hollow_choices, leq
 from pisom.structure import is_irreducible, sa_canonical_d1
 from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
 
@@ -265,6 +265,59 @@ def test_matrix_leq_examples():
     )
     with pytest.raises(DomainError):
         matrix_leq(HMM_GRAM, gram((W("(-1)"),)))
+    # a D1 diagonal cell that is not selfadjoint belongs to no Gram matrix
+    skew = GramMatrix(((W("(-3,2,-4,5)"),),))
+    for lower, upper in ((skew, skew), (gram((W("(2)"),)), skew)):
+        with pytest.raises(DomainError, match="not selfadjoint"):
+            matrix_leq(lower, upper)
+
+
+def matrix_leq_by_search(g1, g2):
+    """Breadth-first search up the successors, pruned below the summed
+    diagonal weight of g2 (each basic step strictly lowers it)."""
+    bound = sum(g2.cells[i][i].weight for i in range(g2.k))
+    frontier, seen = {g1}, set()
+    while frontier:
+        if g2 in frontier:
+            return True
+        seen |= frontier
+        frontier = {
+            y
+            for x in frontier
+            for y in matrix_successors(x, require=None)
+            if y not in seen and sum(y.cells[i][i].weight for i in range(y.k)) >= bound
+        }
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def small_d1_grams():
+    """The D1 Gram matrices of rank <= 3 built from words of weight <= 3,
+    grouped by rank."""
+    pool = list(words_upto(3))
+    grams = ({gram(v) for v in itertools.product(pool, repeat=k)} for k in (1, 2, 3))
+    return tuple(sorted((g for g in gs if g.tagged("D1")), key=lambda g: g.cells) for gs in grams)
+
+
+def test_matrix_leq_matches_search():
+    by_rank = small_d1_grams()
+    assert [len(gs) for gs in by_rank] == [6, 16, 42]
+    pairs = [(a, b) for gs in by_rank for a in gs for b in gs]
+    verdicts = [matrix_leq(a, b) for a, b in pairs]
+    assert len(pairs) == 2056 and sum(verdicts) == 111
+    assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
+
+
+def test_matrix_steps_hollow_each_diagonal_cell():
+    # every basic step leaves each diagonal cell below it in the scalar
+    # order, which is what lets matrix_leq prune on the diagonal
+    steps = 0
+    for gs in small_d1_grams():
+        for x in gs:
+            for y in matrix_successors(x, require=None):
+                steps += 1
+                assert all(leq(x.cells[i][i], y.cells[i][i]) for i in range(x.k)), (x, y)
+    assert steps
 
 
 def test_k_cap():
@@ -605,7 +658,7 @@ def test_conj_delta_preserves_order():
         succ = matrix_successors(g)
         if not succ:
             continue
-        upper = sorted(succ, key=GramMatrix.sort_key)[0]
+        upper = sorted(succ, key=lambda x: x.cells)[0]
         x = tuple(rng.choice(pool) for _ in range(2))
         cg, cu = conj_delta(x, g), conj_delta(x, upper)
         if not (cg.tagged("D1") and cu.tagged("D1")):
@@ -638,7 +691,7 @@ def test_alpha_is_complete_order_map():
         if not succ:
             continue
         done += 1
-        upper = sorted(succ, key=GramMatrix.sort_key)[0]
+        upper = sorted(succ, key=lambda x: x.cells)[0]
         from pisom.maps import alpha
 
         ag = amplify(g, GEN)
@@ -666,7 +719,7 @@ def test_omega_is_complete_order_map_on_d0():
         if not succ:
             continue
         done += 1
-        upper = sorted(succ, key=GramMatrix.sort_key)[0]
+        upper = sorted(succ, key=lambda x: x.cells)[0]
         og = amplify(g, GEN_STAR)
         ou = gram(tuple(w * GEN_STAR for w in upper.witness))
         assert og.cells == tuple(tuple(omega(c) for c in row) for row in g.cells)

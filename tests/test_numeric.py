@@ -17,7 +17,6 @@ from pisom.numeric import (
     Report,
     displayed_block_relation,
     eval_word,
-    hollow_depth,
     load_assignment,
     matrix_from_json,
     matrix_relations,
@@ -29,13 +28,12 @@ from pisom.numeric import (
     sa_depth_fixture,
     sa_pool,
     scalar_relations,
-    square_hollow,
     verify_conjugation,
     verify_k_order,
     verify_order_rep,
     verify_schwarz,
 )
-from pisom.order import hollow_successors, leq
+from pisom.order import hollow_successors, leq, square_hollow
 from pisom.structure import enum_irr
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
 
@@ -183,7 +181,7 @@ def sequential_matrix_relations(count, seed, ks, entry_weight=4):
         if len(vec) < k:
             continue
         g = gram(vec)
-        succ = sorted(matrix_successors(g), key=GramMatrix.sort_key)
+        succ = sorted(matrix_successors(g), key=lambda x: x.cells)
         if succ:
             out.append((g, rng.choice(succ)))
     return out
@@ -339,31 +337,6 @@ def test_fixture_asset_loads(tmp_path):
     fx = load_assignment(asset)
     lower, upper = displayed_block_relation()
     assert not verify_k_order(fx, 2, [(lower, upper)]).ok
-
-
-def hollow_depth_by_walk(n):
-    """Hollowing steps from n until a word with no successor."""
-    steps = 0
-    while succ := hollow_successors(n):
-        (n,) = succ
-        steps += 1
-    return steps
-
-
-def test_hollow_depth_values():
-    assert hollow_depth(UNIT_PLUS) == 0
-    assert hollow_depth(UNIT_MINUS) == 0
-    assert hollow_depth(W("(2,-2)")) == 1
-    assert hollow_depth(W("(-4,4)")) == 3
-    assert hollow_depth(W("(-3,2,-2,3)")) == 3
-    assert hollow_depth(W("(-4,3,-3,4)")) == 5
-    # every selfadjoint word of weight <= 18 is u* u for some u of weight <= 9
-    sa_words = {u.star * u for u in iter_words(9)}
-    assert len(sa_words) == 176 and {UNIT_MINUS, W("(2,-2)")} <= sa_words
-    for n in sa_words:
-        assert hollow_depth(n) == hollow_depth_by_walk(n), n
-    with pytest.raises(DomainError, match="not selfadjoint"):
-        hollow_depth(W("(-2,3)"))
 
 
 # -- batched certification against the per-matrix check ---------------------------------

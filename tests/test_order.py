@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-import pisom.order as order
 from pisom.order import (
     hollow_choices,
+    hollow_depth,
     hollow_successors,
     leq,
     sa_factor_min,
@@ -11,9 +11,11 @@ from pisom.order import (
     unit_strip,
     upper_idempotent,
 )
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, reduce_word
+from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
 
 from conftest import passes_the_check, sa_words_upto, words_upto
+
+W = parse_word
 
 words_st = st.lists(
     st.integers(-4, 4).filter(lambda x: x != 0), min_size=1, max_size=6
@@ -129,10 +131,10 @@ def test_hollow_successors_match_definition():
 
 
 def test_leq_matches_search():
-    # all pairs of selfadjoint words up to weight 12 (the D1 words of weight
-    # <= 10 among them)
-    elems = sa_words_upto(12)
-    assert len(elems) == 40 and len([n for n in elems if n.weight <= 10 and member(n, "D1")]) == 15
+    # all 30,976 ordered pairs of selfadjoint words up to weight 18 (the D1
+    # words of weight <= 10 among them)
+    elems = sa_words_upto(18)
+    assert len(elems) == 176 and len([n for n in elems if n.weight <= 10 and member(n, "D1")]) == 15
     verdicts = [leq(a, b) for a in elems for b in elems]
     assert verdicts == [leq_by_search(a, b) for a in elems for b in elems]
     assert len(elems) < sum(verdicts) < len(verdicts)
@@ -156,13 +158,11 @@ def test_hollow_stays_in_tag():
                 assert member(m, tag)
 
 
-def test_trusted_slices_pass_the_check(monkeypatch):
-    # sa_factor_min, unit_strip and each step of the leq walk build their
-    # words unchecked; on every selfadjoint word of weight <= 18 each of
-    # them is a reduced Word
+def test_trusted_slices_pass_the_check():
+    # sa_factor_min and unit_strip build their words unchecked; on every
+    # selfadjoint word of weight <= 18 each of them is a reduced Word
     elems = sa_words_upto(18)
     assert len(elems) == 176
-    chains = []
     for n in elems:
         w = sa_factor_min(n)
         assert passes_the_check(w) and w.star * w == n, n
@@ -170,25 +170,31 @@ def test_trusted_slices_pass_the_check(monkeypatch):
         for u in sa_factorizations(n):
             c = unit_strip(u)
             assert passes_the_check(c) and u in (Word((-1,)) * c, Word((1,)) * c), u
-        chain = [n]
-        while chain[-1] not in (UNIT_PLUS, UNIT_MINUS):
-            (m,) = hollow_successors(chain[-1])
-            chain.append(m)
-        chains.append(chain)
-    # the walk inside leq, with every unchecked construction made checked:
-    # an unreduced slice raises, and every element of the chain below the
-    # top has its minimal factor taken
-    made = []
 
-    def checked(entries):
-        made.append(Word(tuple(entries)))
-        return made[-1]
 
-    monkeypatch.setattr(order, "_trusted", checked)
-    for chain in chains:
-        made.clear()
-        assert leq(chain[0], chain[-1]), chain[0]
-        assert {x[len(x) // 2 :] for x in chain[:-1]} <= set(made), chain[0]
+def hollow_depth_by_walk(n):
+    """Hollowing steps from n until a word with no successor."""
+    steps = 0
+    while succ := hollow_successors(n):
+        (n,) = succ
+        steps += 1
+    return steps
+
+
+def test_hollow_depth_values():
+    assert hollow_depth(UNIT_PLUS) == 0
+    assert hollow_depth(UNIT_MINUS) == 0
+    assert hollow_depth(W("(2,-2)")) == 1
+    assert hollow_depth(W("(-4,4)")) == 3
+    assert hollow_depth(W("(-3,2,-2,3)")) == 3
+    assert hollow_depth(W("(-4,3,-3,4)")) == 5
+    # every selfadjoint word of weight <= 18 is u* u for some u of weight <= 9
+    sa_words = {u.star * u for u in iter_words(9)}
+    assert len(sa_words) == 176 and {UNIT_MINUS, W("(2,-2)")} <= sa_words
+    for n in sa_words:
+        assert hollow_depth(n) == hollow_depth_by_walk(n), n
+    with pytest.raises(DomainError, match="not selfadjoint"):
+        hollow_depth(W("(-2,3)"))
 
 
 # -- reachability --------------------------------------------------------------------
@@ -199,6 +205,25 @@ def test_leq_examples():
     assert not leq(UNIT_PLUS, UNIT_MINUS)
     for a in sa_words_upto(8, "D1"):
         assert leq(a * a, a), a
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ("(-3,2,-2,3)", "(-3,2,-2,2,-2,3)"),  # minimal factors (-2,3) and (2,-2,3)
+        ("(-4,3,-2,2,-3,4)", "(-5,2,-2,5)"),  # (2,-3,4) and (-2,5)
+        ("(-3,3)", "(1,-1)"),  # (3) and (-1)
+        ("(-2,2)", "(-3,3)"),  # (2) and (3)
+    ],
+    ids=["length", "suffix", "sign", "magnitude"],
+)
+def test_leq_closed_form_conditions(lower, upper):
+    # with w, u the minimal factors of lower, upper and j = len(w) - len(u),
+    # lower <= upper needs j >= 0, u[1:] == w[j+1:], u[0] of the sign of
+    # w[j] and |u[0]| <= |w[j]|; each pair breaks the condition its id
+    # names and meets the others (read with Python's negative indexing)
+    n, m = W(lower), W(upper)
+    assert not leq(n, m) and not leq_by_search(n, m)
 
 
 def test_leq_reflexive_and_antisymmetric():
