@@ -9,6 +9,9 @@ under --json as a JSON string; a list of words prints space-joined, under
 enum-irr prints its words, or under --json the table as a JSON object.
 gram, factor-gram, matrix-succ, matrix-pred, classify, partitions,
 iota-tau, random-pi, verify-rep and verify-korder always print JSON.
+
+A call loads only the layers its command uses: the handlers reach them
+through the package's lazily resolved names, or import them when they run.
 """
 
 from __future__ import annotations
@@ -17,8 +20,13 @@ import argparse
 import json
 import sys
 
-from . import maps, matrix, order, structure
+import pisom
+
 from .words import DomainError, Word, WordError, format_word, member, parse_word
+
+#: sampled relations times choice vectors per draw (2^k at rank k) in one
+#: verify-korder call; 20 x 2^8 keeps the default --count at every --k
+KORDER_WORK_CAP = 20 * 2**8
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -26,6 +34,10 @@ def _partition_arg(text: str) -> tuple[int, ...]:
     if not isinstance(parts, list) or not all(type(t) is int for t in parts):
         raise DomainError("a partition must be a JSON list of integers")
     return tuple(parts)
+
+
+def _gram_arg(text: str):
+    return pisom.GramMatrix.from_json(text)
 
 
 def _grams_json(grams) -> str:
@@ -47,17 +59,23 @@ def _show(args, result) -> None:
 
 
 def _enum_irr(args):
-    table = structure.enum_irr(args.k)
+    table = pisom.enum_irr(args.k)
     return table.to_json() if args.json else table.elements
 
 
 def _classify(args):
     text = args.target.strip()
     if text.startswith("("):
-        g = matrix.gram((order.sa_factor_min(parse_word(text)),))
+        g = pisom.gram((pisom.sa_factor_min(parse_word(text)),))
     else:
-        g = matrix.GramMatrix.from_json(text)
-    return matrix.classify_matrix(g).to_json()
+        g = _gram_arg(text)
+    return pisom.classify_matrix(g).to_json()
+
+
+def _gram(args):
+    from . import matrix
+
+    return matrix.gram(matrix.vector_from_json(args.vector)).to_json()
 
 
 def _random_pi(args):
@@ -80,7 +98,7 @@ def _verify_rep(args):
 
 
 def _verify_korder(args):
-    from . import numeric
+    from . import matrix, numeric
 
     k, count = args.k, args.count
     # sampled matrix relations need a successor, which is enumerated up to
@@ -94,6 +112,11 @@ def _verify_korder(args):
     if args.fixture and k == 2 and count is not None:
         raise DomainError("--fixture at --k 2 certifies its one displayed relation; --count does not apply")
     count = 20 if count is None else count
+    if count * 2**k > KORDER_WORK_CAP:
+        raise DomainError(
+            "--count %d at --k %d draws %d choice vectors, above the cap of %d"
+            % (count, k, count * 2**k, KORDER_WORK_CAP)
+        )
     tol = numeric.PSD_TOL if args.tol is None else args.tol
     if args.fixture:
         assign = numeric.load_assignment(args.fixture)
@@ -128,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, type=kind, default=default)
         sp.set_defaults(fn=fn)
 
-    gram_arg = matrix.GramMatrix.from_json
     add("reduce", lambda a: parse_word(a.word), "word")
     add("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right")
     add("star", lambda a: parse_word(a.word).star, "word")
@@ -136,43 +158,43 @@ def build_parser() -> argparse.ArgumentParser:
     add("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", int))
     add("tau-plus", lambda a: parse_word(a.word).tau_plus(), "word")
     add("member", lambda a: member(parse_word(a.word), a.tag), "word", "tag")
-    add("irr", lambda a: structure.is_irreducible(parse_word(a.word)), "word")
+    add("irr", lambda a: pisom.is_irreducible(parse_word(a.word)), "word")
     add(
         "factor",
-        lambda a: (structure.factor_d0 if a.in_d0 else structure.factor_a0)(parse_word(a.word)),
+        lambda a: (pisom.factor_d0 if a.in_d0 else pisom.factor_a0)(parse_word(a.word)),
         "word",
         flags=["--in-d0"],
     )
     add("enum-irr", _enum_irr, ("k", int))
-    add("alpha", lambda a: maps.alpha(parse_word(a.word)), "word")
-    add("omega", lambda a: maps.omega(parse_word(a.word)), "word")
-    add("beta-omega", lambda a: maps.beta_omega(parse_word(a.word)), "word")
+    add("alpha", lambda a: pisom.alpha(parse_word(a.word)), "word")
+    add("omega", lambda a: pisom.omega(parse_word(a.word)), "word")
+    add("beta-omega", lambda a: pisom.beta_omega(parse_word(a.word)), "word")
     add(
         "sa-factor",
-        lambda a: (order.sa_factorizations if a.all else order.sa_factor_min)(parse_word(a.word)),
+        lambda a: (pisom.sa_factorizations if a.all else pisom.sa_factor_min)(parse_word(a.word)),
         "word",
         flags=["--all"],
     )
-    add("order-leq", lambda a: order.leq(parse_word(a.lower), parse_word(a.upper)), "lower", "upper")
-    add("order-succ", lambda a: sorted(order.hollow_successors(parse_word(a.word))), "word")
-    add("gram", lambda a: matrix.gram(matrix.vector_from_json(a.vector)).to_json(), "vector")
+    add("order-leq", lambda a: pisom.leq(parse_word(a.lower), parse_word(a.upper)), "lower", "upper")
+    add("order-succ", lambda a: sorted(pisom.hollow_successors(parse_word(a.word))), "word")
+    add("gram", _gram, "vector")
     add(
         "factor-gram",
-        lambda a: json.dumps([[format_word(w) for w in v] for v in matrix.factor_gram(gram_arg(a.gram))]),
+        lambda a: json.dumps([[format_word(w) for w in v] for v in pisom.factor_gram(_gram_arg(a.gram))]),
         "gram",
     )
-    add("matrix-leq", lambda a: matrix.matrix_leq(gram_arg(a.lower), gram_arg(a.upper)), "lower", "upper")
+    add("matrix-leq", lambda a: pisom.matrix_leq(_gram_arg(a.lower), _gram_arg(a.upper)), "lower", "upper")
     add(
         "matrix-succ",
-        lambda a: _grams_json(sorted(matrix.matrix_successors(gram_arg(a.gram)), key=lambda g: g.cells)),
+        lambda a: _grams_json(sorted(pisom.matrix_successors(_gram_arg(a.gram)), key=lambda g: g.cells)),
         "gram",
     )
-    add("matrix-pred", lambda a: _grams_json(matrix.immediate_predecessors(gram_arg(a.gram))), "gram")
+    add("matrix-pred", lambda a: _grams_json(pisom.immediate_predecessors(_gram_arg(a.gram))), "gram")
     add("classify", _classify, "target")
-    add("partitions", lambda a: json.dumps([list(p) for p in matrix.partitions(a.d, a.k)]), ("d", int), ("k", int))
+    add("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", int), ("k", int))
     add(
         "iota-tau",
-        lambda a: matrix.iota_tau(gram_arg(a.gram), _partition_arg(a.partition)).to_json(),
+        lambda a: pisom.iota_tau(_gram_arg(a.gram), _partition_arg(a.partition)).to_json(),
         "gram",
         "partition",
     )

@@ -15,12 +15,11 @@ from them by lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce as _fold
 from itertools import combinations
 from itertools import product as _cartesian
 
-from .order import hollow_choices, leq, sa_factorizations, unit_strip
+from .order import hollow_choices, hollow_depth, leq, sa_factorizations, unit_strip
 from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
@@ -37,9 +36,9 @@ from .words import (
 K_CAP = 8  # rank of the largest Gram matrix whose successors are enumerated
 PARTITION_CAP = 10**6  # integers in one partitions() result
 EXPANSION_CAP = 10**6  # cells in one iota_tau() result
+WALK_CAP = 10**4  # diagonals one matrix_leq() walk may pass: the product of (depth gap + 1)
 
 
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """k x k array of cells w_i* w_j, with an optional witness vector.
 
@@ -47,8 +46,11 @@ class GramMatrix:
     (:meth:`from_json` checks that its Gram matrix is the cells).
     """
 
-    cells: tuple[tuple[Word, ...], ...]
-    witness: tuple[Word, ...] | None = field(default=None)
+    __slots__ = ("cells", "witness")
+
+    def __init__(self, cells: tuple[tuple[Word, ...], ...], witness: tuple[Word, ...] | None = None):
+        self.cells = cells
+        self.witness = witness
 
     @property
     def k(self) -> int:
@@ -97,6 +99,8 @@ class GramMatrix:
             raise DomainError("ragged or mislabelled gram matrix")
         if witness and gram(witness).cells != cells:
             raise DomainError("the gram matrix of the witness differs from the cells")
+        if not witness and not g.is_selfadjoint():  # a witness's Gram matrix is selfadjoint
+            raise DomainError("gram matrix is not selfadjoint")
         return g
 
 
@@ -197,7 +201,10 @@ def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
     A basic step leaves each diagonal cell as it is or hollows it by one
     scalar step, so every matrix on a walk from g1 to g2 has each diagonal
     cell below that of g2; the walk keeps only those, and a pair that fails
-    this on g1 is decided without a walk.
+    this on g1 is decided without a walk.  Diagonal cell i then climbs
+    d_i = hollow_depth(g1_ii) - hollow_depth(g2_ii) steps, so the walk
+    passes at most prod(d_i + 1) diagonals; a pair with more than WALK_CAP
+    is refused before walking.
     """
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
@@ -209,8 +216,14 @@ def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
     def below(x):
         return all(leq(x.cells[i][i], g2.cells[i][i]) for i in range(g2.k))
 
-    frontier = {g1} if below(g1) else set()
-    seen: set[GramMatrix] = set()
+    if not below(g1):
+        return False
+    size = 1
+    for i in range(g1.k):
+        size *= hollow_depth(g1.cells[i][i]) - hollow_depth(g2.cells[i][i]) + 1
+    if size > WALK_CAP:
+        raise DomainError("a walk over %d diagonals exceeds the cap of %d" % (size, WALK_CAP))
+    frontier, seen = {g1}, set()
     while frontier:
         if g2 in frontier:
             return True
@@ -239,13 +252,27 @@ def immediate_predecessors(g: GramMatrix) -> tuple[GramMatrix, GramMatrix]:
 # -- case analysis -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MatrixClassification:
-    case: str  # "Case1" | "Case2" | "Case3"
-    maximal: bool
-    m: tuple[Word, ...] | None = None
-    a: tuple[Word, ...] | None = None
-    lam: tuple[Word, ...] | None = None
+    """A case tag, whether the matrix is maximal, and the decomposition
+    vectors of its case; equal when every field is."""
+
+    __slots__ = ("case", "maximal", "m", "a", "lam")
+
+    def __init__(self, case: str, maximal: bool, m=None, a=None, lam=None):
+        self.case = case  # "Case1" | "Case2" | "Case3"
+        self.maximal = maximal
+        self.m = m
+        self.a = a
+        self.lam = lam
+
+    def _fields(self):
+        return (self.case, self.maximal, self.m, self.a, self.lam)
+
+    def __eq__(self, other):
+        return isinstance(other, MatrixClassification) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def to_json(self) -> str:
         def vec(v):

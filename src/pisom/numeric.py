@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from functools import reduce as _fold
 
 import numpy as np
@@ -82,7 +81,6 @@ def opnorm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
-@dataclass(frozen=True)
 class PartialIsometryRep:
     """A matrix v meant to satisfy v v* v = v up to IDENTITY_TOL.
 
@@ -90,7 +88,10 @@ class PartialIsometryRep:
     use :meth:`checked` when validity is required.
     """
 
-    v: np.ndarray
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
 
     @property
     def n(self) -> int:
@@ -231,10 +232,17 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass
 class Report:
-    total: int = 0
-    failures: list = field(default_factory=list)
+    """Relations checked, and one record per relation that failed."""
+
+    __slots__ = ("total", "failures")
+
+    def __init__(self, total: int = 0, failures: list | None = None):
+        self.total = total
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        return isinstance(other, Report) and (self.total, self.failures) == (other.total, other.failures)
 
     @property
     def ok(self) -> bool:
@@ -313,7 +321,6 @@ def verify_conjugation(rep: PartialIsometryRep, samples, tol: float = CONJUGATIO
 # -- generator assignments ----------------------------------------------------
 
 
-@dataclass
 class GeneratorAssignment:
     """Images of the free generators of the prefix-sum-nonpositive words.
 
@@ -322,11 +329,12 @@ class GeneratorAssignment:
     always maps to the identity.
     """
 
-    n: int
-    images: dict = field(default_factory=dict)
-    rule: object = None
+    __slots__ = ("n", "images", "rule")
 
-    def __post_init__(self):
+    def __init__(self, n: int, images: dict | None = None, rule=None):
+        self.n = n
+        self.images = {} if images is None else images
+        self.rule = rule
         for g, m in self.images.items():
             m = np.asarray(m, dtype=complex)
             if m.shape != (self.n, self.n):

@@ -30,7 +30,6 @@ lower ones) is checked against it in the tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce as _fold
 from itertools import accumulate
 
@@ -86,12 +85,14 @@ def factor_d0(d: Word) -> list[Word]:
 IRR_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class IrrTable:
     """One grade of the plus-irreducibles, sorted by entries."""
 
-    k: int
-    elements: tuple[Word, ...]
+    __slots__ = ("k", "elements")
+
+    def __init__(self, k: int, elements: tuple[Word, ...]):
+        self.k = k
+        self.elements = elements
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "elements": [format_word(w) for w in self.elements]})

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pisom.cli import build_parser, run
+from pisom.cli import KORDER_WORK_CAP, build_parser, run
 from pisom.matrix import gram
 from pisom.words import DomainError, Word, parse_word
 
@@ -172,6 +172,29 @@ def test_verify_korder_refuses_arguments_it_cannot_honour(argv, flag):
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_verify_korder_work_cap_boundary(monkeypatch, k):
+    # count x 2^k choice vectors may reach the cap and not pass it; the
+    # sampler is stubbed, so the largest accepted call is not run here
+    import pisom.numeric as numeric
+
+    drawn = []
+
+    def sample(count, seed, ks):
+        drawn.append((count, ks))
+        return []
+
+    monkeypatch.setattr(numeric, "matrix_relations", sample)
+    most = KORDER_WORK_CAP // 2**k
+    assert most >= 20  # the default --count is accepted at every --k
+    code, out, err = invoke(["verify-korder", "--k", str(k), "--count", str(most)])
+    assert (code, json.loads(out), err) == (0, {"total": 0, "failures": []}, "")
+    assert drawn == [(most, (k,))]
+    code, out, err = invoke(["verify-korder", "--k", str(k), "--count", str(most + 1)])
+    assert code == 1 and out == "" and drawn == [(most, (k,))]
+    assert err.startswith("error: --count %d at --k %d" % (most + 1, k)) and "cap" in err and err.count("\n") == 1
+
+
 def test_verify_korder_honours_count():
     for argv, total in ((["--k", "1", "--count", "0"], 0), (["--k", "2", "--count", "3"], 3)):
         code, out, err = invoke(["verify-korder", *argv])
@@ -233,6 +256,47 @@ def test_numpy_is_imported_only_by_numeric_commands():
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_dataclasses():
+    modules = sorted(p.stem for p in (REPO / "src" / "pisom").glob("*.py") if p.stem != "__init__")
+    assert "numeric" in modules
+    script = (
+        "import importlib, sys\n"
+        "import pisom.cli\n"
+        "for name in %r:\n"
+        "    importlib.import_module('pisom.' + name)\n"
+        "assert 'dataclasses' not in sys.modules\n" % (modules,)
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_words_command_loads_only_words():
+    script = (
+        "import io, sys, contextlib\n"
+        "import pisom.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pisom.cli.run(['reduce', '(2,-1,2,-1)']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'pisom')\n"
+        "assert loaded == ['pisom', 'pisom.cli', 'pisom.words'], loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    import pisom
+
+    assert len(set(pisom.__all__)) == len(pisom.__all__)
+    for name in pisom.__all__:
+        obj = getattr(pisom, name)
+        assert getattr(obj, "__name__", name) == name, name
+    namespace = {}
+    exec("from pisom import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pisom.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'K_CAP'"):
+        pisom.K_CAP
 
 
 def test_numeric_errors_are_one_error_line(monkeypatch):
@@ -329,6 +393,9 @@ BAD_JSON = ["", "{", "[", "null", "1", '"x"', "[1,2]", '[["(-1,1)"]]', '{"k": 1}
             '{"k": 1, "cells": [["(0)"]]}', '{"k": 1, "cells": [["(-1,1)"]], "witness": ["(5)"]}',
             '{"k": 1, "cells": [["(-1,1)"]], "witness": ["(1)", "(1)"]}', '{"k": 1, "cells": [["(1,-2)"]]}']
 BAD_JSON += [argv[-1] for _, argv in MALFORMED_JSON_CASES]
+# valid, but with an entry of 10^30: its depth gap to any small cell is huge
+HUGE_GRAM_JSON = '{"k": 1, "cells": [["(-%d,%d)"]]}' % (10**30, 10**30)
+BAD_JSON.append(HUGE_GRAM_JSON)
 
 # literals of nonzero entries, reduced or not: the CLI accepts both
 valid_words = st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6).map(
@@ -438,6 +505,14 @@ def test_order_leq_reads_huge_exponents_at_once():
     big, small = "(-%d,%d)" % (10**30, 10**30), "(-3,3)"
     assert invoke_within(1.0, ["order-leq", big, small]) == (0, "true\n", "")
     assert invoke_within(1.0, ["order-leq", small, big]) == (0, "false\n", "")
+
+
+def test_matrix_leq_refuses_a_huge_walk_at_once():
+    small = '{"k": 1, "cells": [["(-2,2)"]]}'
+    code, out, err = invoke_within(1.0, ["matrix-leq", HUGE_GRAM_JSON, small])
+    assert code == 1 and out == "" and err.startswith("error: a walk over ") and "exceeds the cap" in err
+    assert invoke_within(1.0, ["matrix-leq", small, HUGE_GRAM_JSON]) == (0, "false\n", "")
+    assert invoke_within(1.0, ["matrix-leq", HUGE_GRAM_JSON, HUGE_GRAM_JSON]) == (0, "true\n", "")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,10 +1,14 @@
 import functools
+import io
 import itertools
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import pisom.matrix
+from pisom.cli import run
 from pisom.matrix import (
     K_CAP,
     GramMatrix,
@@ -270,6 +274,37 @@ def test_matrix_leq_examples():
     for lower, upper in ((skew, skew), (gram((W("(2)"),)), skew)):
         with pytest.raises(DomainError, match="not selfadjoint"):
             matrix_leq(lower, upper)
+    # nor does a matrix whose cell (1, 0) is not the star of cell (0, 1); as
+    # JSON it is refused wherever it appears
+    g = '{"k": 2, "cells": [["(-1,1)", "(-3,3)"], ["(-2,2)", "(-1,1)"]]}'
+    h = gram((UNIT_PLUS, UNIT_PLUS)).to_json()
+    with pytest.raises(DomainError, match="not selfadjoint"):
+        GramMatrix.from_json(g)
+    for lower, upper in ((g, g), (h, g), (g, h)):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["matrix-leq", lower, upper])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: gram matrix is not selfadjoint\n")
+
+
+def _stripped_pair(k, s):
+    """(g1, g2): the Gram matrices of (-n_i, n_i + 1) and of the same words
+    with s units stripped off each first entry, so every depth gap is s."""
+    return tuple(gram(tuple(W("(%d,%d)" % (-(s + 2 + i) + d, s + 3 + i)) for i in range(k))) for d in (0, s))
+
+
+def test_matrix_leq_refuses_walks_above_the_cap(monkeypatch):
+    # the walk passes at most prod(d_i + 1) diagonals, d_i the depth gap of
+    # cell i; at the cap the pair walks, one above it is refused unwalked
+    monkeypatch.setattr(pisom.matrix, "WALK_CAP", 9)
+    for k, s in ((1, 8), (2, 2)):
+        lower, upper = _stripped_pair(k, s)
+        assert matrix_leq(lower, upper) and not matrix_leq(upper, lower)
+    for k, s, size in ((1, 9, 10), (2, 3, 16)):
+        lower, upper = _stripped_pair(k, s)
+        with pytest.raises(DomainError, match="walk over %d diagonals exceeds the cap of 9" % size):
+            matrix_leq(lower, upper)
+        assert not matrix_leq(upper, lower)  # decided on the diagonal, unwalked
 
 
 def matrix_leq_by_search(g1, g2):
@@ -741,3 +776,13 @@ def test_gram_equality_ignores_witness():
     a = gram(HMM_VECTOR)
     b = GramMatrix(a.cells, None)
     assert a == b and hash(a) == hash(b)
+    assert a != GramMatrix(a.cells[::-1], a.witness)
+    assert repr(b) == repr(a) == "GramMatrix[(-3,2,-2,3),(-3,2,-3,4); (-4,3,-2,3),(-4,3,-3,4)]"
+
+
+def test_classification_equality_is_field_wise():
+    fields = dict(case="Case3", maximal=False, m=(UNIT_PLUS,), a=None, lam=(W("(-2,2)"),))
+    res = MatrixClassification(**fields)
+    assert res == MatrixClassification(**fields) and hash(res) == hash(MatrixClassification(**fields))
+    for name, other in (("case", "Case1"), ("maximal", True), ("m", None), ("a", (UNIT_PLUS,)), ("lam", None)):
+        assert res != MatrixClassification(**dict(fields, **{name: other})), name

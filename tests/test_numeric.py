@@ -252,6 +252,13 @@ def test_report_merge():
     assert json.loads(c.to_json())["total"] == 5
 
 
+def test_reports_share_no_failure_list():
+    a, b = Report(), Report()
+    a.failures.append({"relation": "x", "min_eig": -1.0})
+    assert b.failures == [] and b == Report(0, [])
+    assert a != b and a == Report(0, [{"relation": "x", "min_eig": -1.0}])
+
+
 def test_matrix_json_roundtrip():
     m = np.array([[1 + 2j, 0], [0.5, -1j]])
     again = matrix_from_json(matrix_to_json(m))
@@ -282,6 +289,13 @@ def test_assignment_requires_d0():
     ga = GeneratorAssignment(n=1)
     with pytest.raises(DomainError):
         ga(UNIT_MINUS)
+
+
+def test_assignments_share_no_image_table():
+    a, b = GeneratorAssignment(n=1), GeneratorAssignment(n=1)
+    g = W("(-3,2,-3,4)")
+    a.images[g] = np.array([[1.0]])
+    assert b.images == {} and b(g * g.star)[0, 0] == 0.0
 
 
 # -- the committed fixture ----------------------------------------------------------------
