@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import pisom
@@ -78,6 +79,18 @@ def _gram(args):
     return matrix.gram(matrix.vector_from_json(args.vector)).to_json()
 
 
+def _tol(args) -> float:
+    """--tol, by default the numeric layer's PSD tolerance.  A nan or negative
+    tolerance fails every relation and an infinite one certifies every one,
+    so only a finite tolerance >= 0 is accepted."""
+    from . import numeric
+
+    tol = numeric.PSD_TOL if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError("--tol must be finite and >= 0, got %s" % tol)
+    return tol
+
+
 def _random_pi(args):
     from . import numeric
 
@@ -88,7 +101,7 @@ def _random_pi(args):
 def _verify_rep(args):
     from . import numeric
 
-    tol = numeric.PSD_TOL if args.tol is None else args.tol
+    tol = _tol(args)
     rep = numeric.random_partial_isometry(args.dim, args.seed)
     pairs = numeric.scalar_relations(args.count, args.seed)
     rpt = numeric.verify_order_rep(rep, pairs, tol)
@@ -117,7 +130,7 @@ def _verify_korder(args):
             "--count %d at --k %d draws %d choice vectors, above the cap of %d"
             % (count, k, count * 2**k, KORDER_WORK_CAP)
         )
-    tol = numeric.PSD_TOL if args.tol is None else args.tol
+    tol = _tol(args)
     if args.fixture:
         assign = numeric.load_assignment(args.fixture)
         if k == 1:

@@ -10,6 +10,8 @@ two hollowing choices, and cell (i, j) of a successor depends on the
 choices at i and j only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are
 multiplied once, and each of the up to 2^k choice vectors is assembled
 from them by lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
+The order the steps generate needs no enumeration, at any rank: a chain
+of steps takes one word off the front of every entry (``matrix_leq``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import reduce as _fold
 from itertools import combinations
 from itertools import product as _cartesian
 
-from .order import hollow_choices, hollow_depth, leq, sa_factorizations, unit_strip
+from .order import hollow_choices, sa_factorizations, unit_strip
 from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
@@ -28,6 +30,7 @@ from .words import (
     UNIT_PLUS,
     DomainError,
     Word,
+    WordError,
     format_word,
     member,
     parse_word,
@@ -36,7 +39,6 @@ from .words import (
 K_CAP = 8  # rank of the largest Gram matrix whose successors are enumerated
 PARTITION_CAP = 10**6  # integers in one partitions() result
 EXPANSION_CAP = 10**6  # cells in one iota_tau() result
-WALK_CAP = 10**4  # diagonals one matrix_leq() walk may pass: the product of (depth gap + 1)
 
 
 class GramMatrix:
@@ -194,42 +196,38 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     return out
 
 
-def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
-    """Reachability of D1 Gram matrices along basic steps.  Ranks above
-    K_CAP are refused, even for g1 == g2.
+def _left_quotients(w: Word, c: Word):
+    """The words q with q * c == w.  A product settles only at its junction,
+    so q is a prefix of w cut near len(w) - len(c), then one entry (fixed by
+    tau, which is additive), perhaps a unit; each candidate is checked."""
+    p, unit = len(w) - len(c), (-1 if c[0] > 0 else 1)
+    for j, tail in ((p - 1, ()), (p, ()), (p, (unit,)), (p + 1, ())):
+        head = w[: max(j, 0)]
+        try:
+            q = Word(head + (w.tau - c.tau - sum(head) - sum(tail),) + tail)
+        except WordError:
+            continue
+        if q * c == w:
+            yield q
 
-    A basic step leaves each diagonal cell as it is or hollows it by one
-    scalar step, so every matrix on a walk from g1 to g2 has each diagonal
-    cell below that of g2; the walk keeps only those, and a pair that fails
-    this on g1 is decided without a walk.  Diagonal cell i then climbs
-    d_i = hollow_depth(g1_ii) - hollow_depth(g2_ii) steps, so the walk
-    passes at most prod(d_i + 1) diagonals; a pair with more than WALK_CAP
-    is refused before walking.
+
+def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
+    """Reachability of D1 Gram matrices along basic steps, in closed form.
+
+    A step goes from gram(w), w of uniform first sign with u the unit of that
+    sign, to gram(c) with u c_i == w_i: the hollowing choices of w_i are
+    exactly those c_i.  So g1 <= g2 exactly when g1 == g2 or a factorization
+    w of g1 is (E c_0, ..., E c_{k-1}) for a factorization c of g2 and a word
+    E, which is then a left quotient of w_0 by c_0.
     """
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
     _require_tag(g1, "D1")
     _require_tag(g2, "D1")
-    if g1.k > K_CAP:
-        raise DomainError("successor enumeration capped at k = %d" % K_CAP)
-
-    def below(x):
-        return all(leq(x.cells[i][i], g2.cells[i][i]) for i in range(g2.k))
-
-    if not below(g1):
-        return False
-    size = 1
-    for i in range(g1.k):
-        size *= hollow_depth(g1.cells[i][i]) - hollow_depth(g2.cells[i][i]) + 1
-    if size > WALK_CAP:
-        raise DomainError("a walk over %d diagonals exceeds the cap of %d" % (size, WALK_CAP))
-    frontier, seen = {g1}, set()
-    while frontier:
-        if g2 in frontier:
-            return True
-        seen |= frontier
-        frontier = {y for x in frontier for y in matrix_successors(x, require=None) if y not in seen and below(y)}
-    return False
+    lows, ups = factor_gram(g1), factor_gram(g2)
+    return g1 == g2 or any(
+        all(e * ci == wi for ci, wi in zip(c, w)) for w in lows for c in ups for e in _left_quotients(w[0], c[0])
+    )
 
 
 def immediate_predecessors(g: GramMatrix) -> tuple[GramMatrix, GramMatrix]:

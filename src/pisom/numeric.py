@@ -435,7 +435,13 @@ def load_assignment(path) -> GeneratorAssignment:
     images, n = obj.get("images"), obj.get("n")
     if not isinstance(images, dict) or type(n) is not int or n < 1:
         raise DomainError("a fixture needs an 'images' object and a positive integer 'n'")
-    return GeneratorAssignment(n=n, images={parse_word(lit): _image_from_json(lit, m) for lit, m in images.items()})
+    out = {}
+    for lit, m in images.items():
+        w = parse_word(lit)
+        if w in out:
+            raise DomainError("the fixture gives the image of %s twice" % format_word(w))
+        out[w] = _image_from_json(lit, m)
+    return GeneratorAssignment(n=n, images=out)
 
 
 def _image_from_json(lit: str, m):
@@ -503,12 +509,10 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
         attempts += 1
         k = rng.choice(ks)
         vec, cands = [], diagonal
-        while len(vec) < k and cands:
+        while len(vec) < k:  # each drawn word stays in cands: its own cell is in D1
             u = rng.choice(cands)
             vec.append(u)
             cands = [v for v in cands if in_d1[u, v]]
-        if len(vec) < k:
-            continue
         g = gram(vec)
         succ = sorted(matrix_successors(g), key=lambda x: x.cells)
         if not succ:

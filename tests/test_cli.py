@@ -324,6 +324,8 @@ FIXTURE_ERROR_CASES = {
     "not_an_object": "[1]",
     "rule_without_number": '{"kind": "sa_depth_rule", "c": "x"}',
     "non_numeric_image": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [["x"]], "im": [[0]]}}}',
+    "duplicate_image": '{"n": 1, "images": {"(-2,2)": {"re": [[1]], "im": [[0]]}, '
+    '"(-2,1,-1,2)": {"re": [[2]], "im": [[0]]}}}',
 }
 
 
@@ -361,19 +363,23 @@ def test_size_caps_refuse_before_allocating(argv):
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1"])
+@pytest.mark.parametrize("command", ["verify-rep", "verify-korder"])
+def test_tol_must_be_finite_and_nonnegative(command, tol):
+    # nan or a negative tolerance fails every relation, an infinite one
+    # (1e400 reads as inf) certifies every one; both are refused
+    code, out, err = invoke([command, "--tol", tol, "--count", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: --tol must be finite and >= 0, got ") and err.count("\n") == 1, err
+    code, out, err = invoke([command, "--tol", "0", "--count", "2"])
+    assert code == 0 and err == "" and json.loads(out)["total"] > 0
+
+
 def _k9_gram_json(word):
     return gram((Word(word),) * 9).to_json()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["matrix-succ", _k9_gram_json((-2, 2))],
-        ["matrix-leq", _k9_gram_json((-2, 2)), _k9_gram_json((-1, 1))],
-        ["matrix-leq", _k9_gram_json((-2, 2)), _k9_gram_json((-2, 2))],
-    ],
-    ids=["matrix-succ", "matrix-leq", "matrix-leq-equal"],
-)
+@pytest.mark.parametrize("argv", [["matrix-succ", _k9_gram_json((-2, 2))]], ids=["matrix-succ"])
 def test_matrix_enumeration_refuses_rank_nine(argv):
     # successor enumeration is capped at k = 8, and no option lifts the cap
     code, out, err = invoke(argv)
@@ -381,6 +387,17 @@ def test_matrix_enumeration_refuses_rank_nine(argv):
     assert err == "error: successor enumeration capped at k = 8\n"
     code, out, err = invoke(argv + ["--max-k", "64"])
     assert code == 2 and out == "" and "unrecognized arguments: --max-k" in err
+
+
+@pytest.mark.parametrize(
+    "lower, upper, answer",
+    [((-2, 2), (-1, 1), "true"), ((-2, 2), (-2, 2), "true"), ((-1, 1), (-2, 2), "false")],
+    ids=["matrix-leq", "matrix-leq-equal", "matrix-leq-reverse"],
+)
+def test_matrix_leq_answers_rank_nine(lower, upper, answer):
+    # the order is decided without enumerating successors, so no rank cap applies
+    argv = ["matrix-leq", _k9_gram_json(lower), _k9_gram_json(upper)]
+    assert invoke_within(1.0, argv) == (0, answer + "\n", "")
 
 
 # -- the CLI contract as a property -----------------------------------------------
@@ -507,12 +524,18 @@ def test_order_leq_reads_huge_exponents_at_once():
     assert invoke_within(1.0, ["order-leq", small, big]) == (0, "false\n", "")
 
 
-def test_matrix_leq_refuses_a_huge_walk_at_once():
+def test_matrix_leq_answers_a_huge_gap_at_once():
+    # pairs whose diagonal cells are many hollowing steps apart: 10^30 and
+    # 10^6 units at rank 1, and four units in each of six cells
     small = '{"k": 1, "cells": [["(-2,2)"]]}'
-    code, out, err = invoke_within(1.0, ["matrix-leq", HUGE_GRAM_JSON, small])
-    assert code == 1 and out == "" and err.startswith("error: a walk over ") and "exceeds the cap" in err
+    million = '{"k": 1, "cells": [["(-1000000,1000000)"]]}'
+    assert invoke_within(1.0, ["matrix-leq", HUGE_GRAM_JSON, small]) == (0, "true\n", "")
     assert invoke_within(1.0, ["matrix-leq", small, HUGE_GRAM_JSON]) == (0, "false\n", "")
     assert invoke_within(1.0, ["matrix-leq", HUGE_GRAM_JSON, HUGE_GRAM_JSON]) == (0, "true\n", "")
+    assert invoke_within(1.0, ["matrix-leq", million, small]) == (0, "true\n", "")
+    lower, upper = (gram(tuple(Word((-(6 + i) + d, 7 + i)) for i in range(6))).to_json() for d in (0, 4))
+    assert invoke_within(1.0, ["matrix-leq", lower, upper]) == (0, "true\n", "")
+    assert invoke_within(1.0, ["matrix-leq", upper, lower]) == (0, "false\n", "")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -624,6 +647,20 @@ def test_no_module_level_containers():
             names = [t.id for t in targets if isinstance(t, ast.Name)]
             if isinstance(node.value, containers) and names != ["__all__"]:
                 found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it (the __future__ import
+    # aside), so no import outlives the code that needed it
+    found = []
+    for path in sorted((REPO / "src" / "pisom").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found += ["%s:%d %s" % (path.name, node.lineno, name) for name in bound if name not in used]
     assert found == []
 
 

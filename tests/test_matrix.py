@@ -7,13 +7,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-import pisom.matrix
 from pisom.cli import run
 from pisom.matrix import (
     K_CAP,
     GramMatrix,
     MatrixClassification,
     PARTITION_CAP,
+    _left_quotients,
     classify_matrix,
     compose_partitions,
     conj_delta,
@@ -29,7 +29,7 @@ from pisom.matrix import (
 from pisom.maps import conj
 from pisom.order import hollow_choices, leq
 from pisom.structure import is_irreducible, sa_canonical_d1
-from pisom.words import GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
+from pisom.words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
 
 from conftest import words_upto
 
@@ -287,24 +287,15 @@ def test_matrix_leq_examples():
         assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: gram matrix is not selfadjoint\n")
 
 
-def _stripped_pair(k, s):
-    """(g1, g2): the Gram matrices of (-n_i, n_i + 1) and of the same words
-    with s units stripped off each first entry, so every depth gap is s."""
-    return tuple(gram(tuple(W("(%d,%d)" % (-(s + 2 + i) + d, s + 3 + i)) for i in range(k))) for d in (0, s))
-
-
-def test_matrix_leq_refuses_walks_above_the_cap(monkeypatch):
-    # the walk passes at most prod(d_i + 1) diagonals, d_i the depth gap of
-    # cell i; at the cap the pair walks, one above it is refused unwalked
-    monkeypatch.setattr(pisom.matrix, "WALK_CAP", 9)
-    for k, s in ((1, 8), (2, 2)):
-        lower, upper = _stripped_pair(k, s)
-        assert matrix_leq(lower, upper) and not matrix_leq(upper, lower)
-    for k, s, size in ((1, 9, 10), (2, 3, 16)):
-        lower, upper = _stripped_pair(k, s)
-        with pytest.raises(DomainError, match="walk over %d diagonals exceeds the cap of 9" % size):
+def test_matrix_leq_refuses_a_matrix_without_factorization():
+    # a selfadjoint D1 matrix that no word vector has as its Gram matrix is
+    # refused on either side, and against itself, as factor_gram refuses it
+    g = GramMatrix(tuple(tuple(W(c) for c in row) for row in (("(-2,2)", "(-2,2)"), ("(-2,2)", "(-3,3)"))))
+    h = gram((UNIT_PLUS, UNIT_PLUS))
+    assert g.is_selfadjoint() and g.tagged("D1")
+    for lower, upper in ((g, h), (h, g), (g, g)):
+        with pytest.raises(DomainError, match="no factorization"):
             matrix_leq(lower, upper)
-        assert not matrix_leq(upper, lower)  # decided on the diagonal, unwalked
 
 
 def matrix_leq_by_search(g1, g2):
@@ -343,9 +334,60 @@ def test_matrix_leq_matches_search():
     assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
 
 
+def test_left_quotients_exhaustive():
+    # every word x is a left quotient of x * c by c, and every quotient
+    # found multiplies back: all 30,276 pairs of words of weight <= 8
+    pool = list(words_upto(8))
+    for x in pool:
+        for c in pool:
+            w = x * c
+            found = list(_left_quotients(w, c))
+            assert x in found, (x, c)
+            assert all(q * c == w for q in found), (x, c)
+    assert len(pool) ** 2 == 30276
+
+
+def test_hollow_choices_are_the_unit_quotients():
+    # a basic step from gram(u c) goes to gram(c): the hollowing choices of
+    # w are exactly the words c with u c == w, u the unit of w's first sign
+    # (u c has weight at least that of c less one, so weight <= 9 covers w)
+    quotients = {}
+    for c in words_upto(9):
+        for u in (GEN_STAR, GEN):
+            quotients.setdefault((u, u * c), set()).add(c)
+    for w in words_upto(8):
+        u = GEN_STAR if w[0] < 0 else GEN
+        assert set(hollow_choices(w)) == quotients[u, w], w
+
+
+def up_set(g):
+    """g and every Gram matrix above it, by walking the successors."""
+    seen, frontier = {g}, {g}
+    while frontier:
+        frontier = {y for x in frontier for y in matrix_successors(x) if y not in seen}
+        seen |= frontier
+    return seen
+
+
+def test_matrix_leq_matches_search_wide():
+    # pairs drawn from the up-sets of uniform D1 matrices at ranks 4..8,
+    # where comparable pairs are common
+    pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
+    compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    rng = random.Random(13)
+    pairs = []
+    for k in range(4, K_CAP + 1):
+        for _ in range(4):
+            ups = sorted(up_set(gram(draw_d1_vector(rng, pool, compat, k, True))), key=lambda g: g.cells)
+            pairs += [(rng.choice(ups), rng.choice(ups)) for _ in range(40)]
+    verdicts = [matrix_leq(a, b) for a, b in pairs]
+    assert len(pairs) == 800 and sum(verdicts) == 126
+    assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
+
+
 def test_matrix_steps_hollow_each_diagonal_cell():
     # every basic step leaves each diagonal cell below it in the scalar
-    # order, which is what lets matrix_leq prune on the diagonal
+    # order, so g1 <= g2 needs each diagonal cell of g1 below that of g2
     steps = 0
     for gs in small_d1_grams():
         for x in gs:

@@ -353,6 +353,15 @@ def test_fixture_asset_loads(tmp_path):
     assert not verify_k_order(fx, 2, [(lower, upper)]).ok
 
 
+def test_fixture_refuses_two_images_of_one_word(tmp_path):
+    # (-2,1,-1,2) reduces to (-2,2): the second image would replace the first
+    one = {"re": [[1]], "im": [[0]]}
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps({"n": 1, "images": {"(-2,2)": one, "(-2,1,-1,2)": one}}))
+    with pytest.raises(DomainError, match=r"^the fixture gives the image of \(-2,2\) twice$"):
+        load_assignment(path)
+
+
 # -- batched certification against the per-matrix check ---------------------------------
 
 
