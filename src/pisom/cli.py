@@ -14,8 +14,6 @@ A call loads only the layers its command uses: the handlers reach them
 through the package's lazily resolved names, or import them when they run.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -28,6 +26,9 @@ from .words import DomainError, Word, WordError, format_word, member, parse_word
 #: sampled relations times choice vectors per draw (2^k at rank k) in one
 #: verify-korder call; 20 x 2^8 keeps the default --count at every --k
 KORDER_WORK_CAP = 20 * 2**8
+#: --count times --dim in one verify-rep call: a relation costs about 1 ms
+#: at --dim 64, so the largest accepted call runs for about 3 s
+REP_WORK_CAP = 2**17
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -103,6 +104,10 @@ def _verify_rep(args):
 
     tol = _tol(args)
     rep = numeric.random_partial_isometry(args.dim, args.seed)
+    if args.count * args.dim > REP_WORK_CAP:
+        raise DomainError(
+            "--count %d at --dim %d exceeds the cap of %d on --count times --dim" % (args.count, args.dim, REP_WORK_CAP)
+        )
     pairs = numeric.scalar_relations(args.count, args.seed)
     rpt = numeric.verify_order_rep(rep, pairs, tol)
     rpt = rpt.merge(numeric.verify_schwarz(rep, [p[0] for p in pairs[: args.count // 2]], tol))
@@ -146,77 +151,99 @@ def _verify_korder(args):
     return rpt.to_json()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="pisom", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+_SEED, _DIM, _TOL = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
 
-    def add(name, fn, *positional, flags=(), options=()):
-        """One subcommand; fn(args) returns the result that _show prints.  A positional
-        is a name or a (name, type) pair, an option a (flag, type, default) triple."""
-        sp = sub.add_parser(name)
-        sp.add_argument("--json", action="store_true")
-        for arg in positional:
-            arg, kind = (arg, None) if isinstance(arg, str) else arg
-            sp.add_argument(arg, type=kind)
-        for flag in flags:
-            sp.add_argument(flag, action="store_true")
-        for flag, kind, default in options:
-            sp.add_argument(flag, type=kind, default=default)
-        sp.set_defaults(fn=fn)
-
-    add("reduce", lambda a: parse_word(a.word), "word")
-    add("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right")
-    add("star", lambda a: parse_word(a.word).star, "word")
-    add("tau", lambda a: parse_word(a.word).tau, "word")
-    add("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", int))
-    add("tau-plus", lambda a: parse_word(a.word).tau_plus(), "word")
-    add("member", lambda a: member(parse_word(a.word), a.tag), "word", "tag")
-    add("irr", lambda a: pisom.is_irreducible(parse_word(a.word)), "word")
-    add(
+#: one row per subcommand, in the order the usage lists them: its name, the
+#: function that returns the result _show prints, and its arguments.  An
+#: argument is a positional name or (name, type) pair, a "--flag" switch, or
+#: a (flag, type, default) option.
+COMMANDS = (
+    ("reduce", lambda a: parse_word(a.word), "word"),
+    ("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right"),
+    ("star", lambda a: parse_word(a.word).star, "word"),
+    ("tau", lambda a: parse_word(a.word).tau, "word"),
+    ("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", int)),
+    ("tau-plus", lambda a: parse_word(a.word).tau_plus(), "word"),
+    ("member", lambda a: member(parse_word(a.word), a.tag), "word", "tag"),
+    ("irr", lambda a: pisom.is_irreducible(parse_word(a.word)), "word"),
+    (
         "factor",
         lambda a: (pisom.factor_d0 if a.in_d0 else pisom.factor_a0)(parse_word(a.word)),
         "word",
-        flags=["--in-d0"],
-    )
-    add("enum-irr", _enum_irr, ("k", int))
-    add("alpha", lambda a: pisom.alpha(parse_word(a.word)), "word")
-    add("omega", lambda a: pisom.omega(parse_word(a.word)), "word")
-    add("beta-omega", lambda a: pisom.beta_omega(parse_word(a.word)), "word")
-    add(
+        "--in-d0",
+    ),
+    ("enum-irr", _enum_irr, ("k", int)),
+    ("alpha", lambda a: pisom.alpha(parse_word(a.word)), "word"),
+    ("omega", lambda a: pisom.omega(parse_word(a.word)), "word"),
+    ("beta-omega", lambda a: pisom.beta_omega(parse_word(a.word)), "word"),
+    (
         "sa-factor",
         lambda a: (pisom.sa_factorizations if a.all else pisom.sa_factor_min)(parse_word(a.word)),
         "word",
-        flags=["--all"],
-    )
-    add("order-leq", lambda a: pisom.leq(parse_word(a.lower), parse_word(a.upper)), "lower", "upper")
-    add("order-succ", lambda a: sorted(pisom.hollow_successors(parse_word(a.word))), "word")
-    add("gram", _gram, "vector")
-    add(
+        "--all",
+    ),
+    ("order-leq", lambda a: pisom.leq(parse_word(a.lower), parse_word(a.upper)), "lower", "upper"),
+    ("order-succ", lambda a: sorted(pisom.hollow_successors(parse_word(a.word))), "word"),
+    ("gram", _gram, "vector"),
+    (
         "factor-gram",
         lambda a: json.dumps([[format_word(w) for w in v] for v in pisom.factor_gram(_gram_arg(a.gram))]),
         "gram",
-    )
-    add("matrix-leq", lambda a: pisom.matrix_leq(_gram_arg(a.lower), _gram_arg(a.upper)), "lower", "upper")
-    add(
+    ),
+    ("matrix-leq", lambda a: pisom.matrix_leq(_gram_arg(a.lower), _gram_arg(a.upper)), "lower", "upper"),
+    (
         "matrix-succ",
         lambda a: _grams_json(sorted(pisom.matrix_successors(_gram_arg(a.gram)), key=lambda g: g.cells)),
         "gram",
-    )
-    add("matrix-pred", lambda a: _grams_json(pisom.immediate_predecessors(_gram_arg(a.gram))), "gram")
-    add("classify", _classify, "target")
-    add("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", int), ("k", int))
-    add(
+    ),
+    ("matrix-pred", lambda a: _grams_json(pisom.immediate_predecessors(_gram_arg(a.gram))), "gram"),
+    ("classify", _classify, "target"),
+    ("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", int), ("k", int)),
+    (
         "iota-tau",
         lambda a: pisom.iota_tau(_gram_arg(a.gram), _partition_arg(a.partition)).to_json(),
         "gram",
         "partition",
-    )
-    seed, dim, tol = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
-    add("random-pi", _random_pi, ("n", int), options=[seed])
-    add("verify-rep", _verify_rep, options=[seed, dim, ("--count", int, 50), tol])
+    ),
+    ("random-pi", _random_pi, ("n", int), _SEED),
+    ("verify-rep", _verify_rep, _SEED, _DIM, ("--count", int, 50), _TOL),
     # --count defaults to 20, or to the one displayed relation at --fixture --k 2
-    korder = [("--k", int, 2), seed, dim, ("--count", int, None), tol, ("--fixture", None, None)]
-    add("verify-korder", _verify_korder, options=korder)
+    (
+        "verify-korder",
+        _verify_korder,
+        ("--k", int, 2),
+        _SEED,
+        _DIM,
+        ("--count", int, None),
+        _TOL,
+        ("--fixture", None, None),
+    ),
+)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The pisom parser.  It holds only the named command's subparser when
+    command names one, and every subparser otherwise; argparse matches
+    subcommand names exactly, so both parse a call to that command alike."""
+    rows = [row for row in COMMANDS if row[0] == command] or COMMANDS
+    p = argparse.ArgumentParser(prog="pisom", description=__doc__)
+    # the usage lists every command either way; given only when one is built,
+    # since argparse names the argument by its metavar in its errors
+    names = "{%s}" % ",".join(row[0] for row in COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=names if len(rows) == 1 else None)
+    for name, fn, *arguments in rows:
+        sp = sub.add_parser(name)
+        sp.add_argument("--json", action="store_true")
+        for arg in arguments:
+            if isinstance(arg, str) and arg.startswith("--"):
+                sp.add_argument(arg, action="store_true")
+            elif isinstance(arg, str):
+                sp.add_argument(arg)
+            elif len(arg) == 2:
+                sp.add_argument(arg[0], type=arg[1])
+            else:
+                sp.add_argument(arg[0], type=arg[1], default=arg[2])
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -228,7 +255,7 @@ def _numeric_errors() -> tuple:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,8 +7,6 @@ endpoint exponents of a non-unit plus-irreducible toward zero and is the
 left inverse of alpha on D0.
 """
 
-from __future__ import annotations
-
 from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word, _trusted
 
 

@@ -14,8 +14,6 @@ The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
 """
 
-from __future__ import annotations
-
 import json
 from functools import reduce as _fold
 from itertools import combinations
@@ -39,6 +37,9 @@ from .words import (
 K_CAP = 8  # rank of the largest Gram matrix whose successors are enumerated
 PARTITION_CAP = 10**6  # integers in one partitions() result
 EXPANSION_CAP = 10**6  # cells in one iota_tau() result
+#: words times entries in all of a vector read from JSON: its Gram matrix has
+#: k^2 cells holding at most 2 k n entries, so 500 one-entry words at most
+VECTOR_CAP = 500**2
 
 
 class GramMatrix:
@@ -113,8 +114,16 @@ def _word_list(obj, what: str) -> tuple[Word, ...]:
 
 
 def vector_from_json(text: str) -> tuple[Word, ...]:
-    """A word vector from a JSON list of word literals."""
-    return _word_list(json.loads(text), "a word vector")
+    """A word vector from a JSON list of word literals, refused when its
+    Gram matrix would exceed VECTOR_CAP."""
+    v = _word_list(json.loads(text), "a word vector")
+    entries = sum(map(len, v))
+    if len(v) * entries > VECTOR_CAP:
+        raise DomainError(
+            "a vector of %d words with %d entries in all exceeds the cap of %d on words times entries"
+            % (len(v), entries, VECTOR_CAP)
+        )
+    return v
 
 
 def gram(v) -> GramMatrix:

@@ -30,8 +30,6 @@ nonzero image of (-4,4) provably cannot exist; see
 scripts/find_order_fixture.py.
 """
 
-from __future__ import annotations
-
 import json
 import random
 from functools import reduce as _fold
@@ -416,13 +414,27 @@ def sa_depth_fixture(c: float = 0.5) -> GeneratorAssignment:
     return GeneratorAssignment(n=1, rule=rule)
 
 
+def _distinct_keys(pairs) -> dict:
+    """A fixture's JSON object.  A key given twice is refused: json.load
+    would keep only the last of its values."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            what = "the image of " + key if key.startswith("(") else repr(key)
+            raise DomainError("the fixture gives %s twice" % what)
+        obj[key] = value
+    return obj
+
+
 def load_assignment(path) -> GeneratorAssignment:
     """Read an assignment file; an unreadable or malformed one is a DomainError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_distinct_keys)
     except OSError as exc:
         raise DomainError("cannot read fixture %s: %s" % (path, exc.strerror or exc)) from None
+    except DomainError:
+        raise
     except ValueError as exc:
         raise DomainError("fixture %s is not JSON: %s" % (path, exc)) from None
     if not isinstance(obj, dict):

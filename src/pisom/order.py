@@ -18,8 +18,6 @@ a unit, ``hollow_depth``, is the sum of |e| - 1 over the entries e of w.
 Hollowing keeps D0 and D1, so no function here takes a tag to stay within.
 """
 
-from __future__ import annotations
-
 from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _trusted, member
 
 

@@ -27,8 +27,6 @@ The paper's generation theorem (each grade from conjugated products of
 lower ones) is checked against it in the tests.
 """
 
-from __future__ import annotations
-
 import json
 from functools import reduce as _fold
 from itertools import accumulate

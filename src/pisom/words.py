@@ -51,8 +51,6 @@ that re-validates every output on an exhaustive space:
 inside ``_trusted`` and ``_trusted`` to the callers above.
 """
 
-from __future__ import annotations
-
 import re
 from itertools import accumulate
 

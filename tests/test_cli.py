@@ -12,8 +12,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pisom.cli import KORDER_WORK_CAP, build_parser, run
-from pisom.matrix import gram
+import pisom.cli as cli
+from pisom.cli import KORDER_WORK_CAP, REP_WORK_CAP, build_parser, run
+from pisom.matrix import VECTOR_CAP, gram
 from pisom.words import DomainError, Word, parse_word
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -326,6 +327,8 @@ FIXTURE_ERROR_CASES = {
     "non_numeric_image": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [["x"]], "im": [[0]]}}}',
     "duplicate_image": '{"n": 1, "images": {"(-2,2)": {"re": [[1]], "im": [[0]]}, '
     '"(-2,1,-1,2)": {"re": [[2]], "im": [[0]]}}}',
+    "repeated_literal": '{"n": 1, "images": {"(-2,2)": {"re": [[1]], "im": [[0]]}, '
+    '"(-2,2)": {"re": [[2]], "im": [[0]]}}}',
 }
 
 
@@ -355,12 +358,61 @@ def test_verify_korder_fixture_errors(tmp_path, name):
         ["verify-rep", "--count", "-1"],
         ["verify-korder", "--count", "100001"],
         ["verify-korder", "--fixture", ORDER_FIXTURE, "--k", "1", "--count", "1000000000000"],
+        ["verify-rep", "--dim", "64", "--count", "100000"],
+        ["gram", json.dumps(["(1)"] * 1000)],
     ],
 )
 def test_size_caps_refuse_before_allocating(argv):
     code, out, err = invoke(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 16, 64])
+def test_verify_rep_work_cap_boundary(monkeypatch, dim):
+    # count x dim may reach the cap and not pass it; the sampler is stubbed,
+    # so the largest accepted call is not run here
+    import pisom.numeric as numeric
+
+    drawn = []
+
+    def sample(count, seed):
+        drawn.append(count)
+        return []
+
+    monkeypatch.setattr(numeric, "scalar_relations", sample)
+    most = REP_WORK_CAP // dim
+    assert most >= 50  # the default --count is accepted at every --dim
+    code, out, err = invoke(["verify-rep", "--dim", str(dim), "--count", str(most)])
+    assert (code, json.loads(out), err) == (0, {"total": 0, "failures": []}, "")
+    assert drawn == [most]
+    code, out, err = invoke(["verify-rep", "--dim", str(dim), "--count", str(most + 1)])
+    assert code == 1 and out == "" and drawn == [most]
+    assert err.startswith("error: --count %d at --dim %d" % (most + 1, dim)) and "cap" in err and err.count("\n") == 1
+
+
+def _rising(n):
+    """The reduced word (-1,2,-3,...) of n entries."""
+    return "(%s)" % ",".join(str((-1) ** (i + 1) * (i + 1)) for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "accepted,refused",
+    [(["(1)"] * 500, ["(1)"] * 501), ([_rising(100)] * 50, [_rising(89)] * 53)],
+    ids=["one-entry", "long"],
+)
+def test_gram_vector_cap_boundary(accepted, refused):
+    # words times entries in all may reach the cap and not pass it; the
+    # largest accepted vector, 500 one-entry words, is built in about 1 s
+    def size(v):
+        return len(v) * sum(len(parse_word(w)) for w in v)
+
+    assert size(accepted) == VECTOR_CAP < size(refused) <= VECTOR_CAP + 1001
+    code, out, err = invoke_within(10.0, ["gram", json.dumps(accepted)])
+    assert code == 0 and err == "" and json.loads(out)["k"] == len(accepted)
+    code, out, err = invoke_within(1.0, ["gram", json.dumps(refused)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: a vector of %d words" % len(refused)) and "cap" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1"])
@@ -482,6 +534,45 @@ COMMANDS = {
 def test_property_covers_every_subcommand():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     assert set(sub.choices) == set(COMMANDS)
+
+
+def _subparser_count(parser):
+    return len(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+#: argvs that end in argparse's usage, help or errors, for each command and
+#: at the top level, and the golden calls
+PARSER_BATTERY = [["-h"], [], ["bogus"], ["verify-rep", "--bogus"], ["--json", "reduce", "(1)"], ["--js"], ["--seed=3"]]
+PARSER_BATTERY += [[name, *tail] for name in COMMANDS for tail in (["-h"], [], ["--bogus"], ["--json"])]
+PARSER_BATTERY += [argv for _, argv in GOLDEN_CASES]
+
+
+def test_one_subparser_parses_as_the_full_parser(monkeypatch):
+    # a call builds only its command's subparser; with every subparser built
+    # it ends in the same exit code, stdout and stderr
+    lazy = [invoke(argv) for argv in PARSER_BATTERY]
+    assert "pisom: error: argument command: invalid choice: 'bogus'" in invoke(["bogus"])[2]
+    assert invoke([])[2].endswith("pisom: error: the following arguments are required: command\n")
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    for argv, expected in zip(PARSER_BATTERY, lazy):
+        assert invoke(argv) == expected, argv
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch):
+    built = []
+    full = build_parser
+
+    def recording(command=None):
+        parser = full(command)
+        built.append(_subparser_count(parser))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv in (["reduce", "(1)"], ["-h"], [], ["bogus"]):
+        invoke(argv)
+    assert built == [1] + [len(cli.COMMANDS)] * 3
+    assert len(cli.COMMANDS) == 27 and _subparser_count(build_parser()) == 27
 
 
 @st.composite
@@ -651,14 +742,14 @@ def test_no_module_level_containers():
 
 
 def test_no_unused_imports():
-    # every name a module imports is used in it (the __future__ import
-    # aside), so no import outlives the code that needed it
+    # every name a module imports is used in it, so no import outlives the
+    # code that needed it
     found = []
     for path in sorted((REPO / "src" / "pisom").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 found += ["%s:%d %s" % (path.name, node.lineno, name) for name in bound if name not in used]
     assert found == []

@@ -362,6 +362,19 @@ def test_fixture_refuses_two_images_of_one_word(tmp_path):
         load_assignment(path)
 
 
+def test_fixture_refuses_a_repeated_key(tmp_path):
+    # json.load alone keeps the last value given under a key, so a literal
+    # given twice would pass with its second image
+    one = '{"re": [[1]], "im": [[0]]}'
+    path = tmp_path / "repeated.json"
+    path.write_text('{"n": 1, "images": {"(-2,2)": %s, "(-2,2)": %s}}' % (one, one))
+    with pytest.raises(DomainError, match=r"^the fixture gives the image of \(-2,2\) twice$"):
+        load_assignment(path)
+    path.write_text('{"n": 1, "n": 2, "images": {}}')
+    with pytest.raises(DomainError, match=r"^the fixture gives 'n' twice$"):
+        load_assignment(path)
+
+
 # -- batched certification against the per-matrix check ---------------------------------
 
 
