@@ -2,14 +2,19 @@
 generate.
 
 A Gram matrix stores the cells w_i* w_j of a word vector.  Factorization
-recovery walks the two candidates per diagonal cell and aligns them with
-the first row; a matrix has two factorizations exactly when all first
-entries of some factorization share a sign, otherwise one.  Successor
-generation lifts the scalar hollowing coordinatewise: each word has one or
-two hollowing choices, and cell (i, j) of a successor depends on the
-choices at i and j only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are
-multiplied once, and each of the up to 2^k choice vectors is assembled
-from them by lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
+recovery reads each entry off tau: the two factorizations of a selfadjoint
+cell differ in tau by one, the negative-start one being lower, and
+tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
+other entry.  A vector whose entries all start with one sign stays a
+factorization when the unit of the other sign is prepended to each entry
+((-1,1) fixes negative-start words, (1,-1) positive-start ones).  So a
+matrix has one factorization, with mixed first signs, or two: the
+all-negative one and the all-positive one.  Successor generation lifts the
+scalar hollowing coordinatewise: each word has one or two hollowing
+choices, and cell (i, j) of a successor depends on the choices at i and j
+only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are multiplied once,
+and each of the up to 2^k choice vectors is assembled from them by
+lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
 The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
 """
@@ -144,38 +149,27 @@ def _require_tag(g: GramMatrix, tag: str) -> None:
 def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     """All word vectors whose Gram matrix equals g, negative-start first.
 
-    Cardinality is 2 exactly when some factorization has uniform
-    first-entry signs, else 1.  A branch matches the diagonal and row 0 by
-    construction, and column 0 by selfadjointness, so the check of a
-    complete branch compares only the cells (i, j) with 1 <= i < j.
+    For each factorization w_0 of cell (0, 0), entry i is the factorization
+    of cell (i, i) whose tau is tau(w_0) + tau(cell (0, i)); the other one
+    is off by one.  A vector matches the diagonal by construction and the
+    cells below it by selfadjointness, so it is kept when it matches the
+    cells above the diagonal.  So there is one vector, with mixed first
+    signs, or the all-negative one and then the all-positive one.
     """
-    k = g.k
     if not g.is_selfadjoint():
         raise DomainError("gram matrix is not selfadjoint")
-    diag_opts = [sa_factorizations(g.cells[i][i]) for i in range(k)]
-    found: set[tuple[Word, ...]] = set()
-    for first in diag_opts[0]:
-        first_star = first.star
-        branches = [[first]]
-        for i in range(1, k):
-            target = g.cells[0][i]
-            branches = [br + [cand] for br in branches for cand in diag_opts[i] if first_star * cand == target]
-        for br in branches:
-            for i in range(1, k - 1):
-                s, row = br[i].star, g.cells[i]
-                if any(s * br[j] != row[j] for j in range(i + 1, k)):
-                    break
-            else:
-                found.add(tuple(br))
-    if not found:
+    cells, k = g.cells, g.k
+    diag = [sa_factorizations(cells[i][i]) for i in range(k)]
+    out = []
+    for first in diag[0]:
+        t = first.tau
+        vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
+        stars = (w.star for w in vec[:-1])
+        if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
+            out.append(vec)
+    if not out:
         raise DomainError("inconsistent gram matrix: no factorization")
-    return tuple(sorted(found, key=lambda v: (v[0][0] > 0, v)))
-
-
-def _uniform_sign(vec) -> int:
-    """-1 or +1 when all first entries share that sign, else 0."""
-    signs = {1 if w[0] > 0 else -1 for w in vec}
-    return signs.pop() if len(signs) == 1 else 0
+    return tuple(out)
 
 
 def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatrix]:
@@ -189,10 +183,11 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
         _require_tag(g, require)
     if g.k > K_CAP:
         raise DomainError("successor enumeration capped at k = %d" % K_CAP)
+    facts = factor_gram(g)
     out: set[GramMatrix] = set()
-    for vec in factor_gram(g):
-        if not _uniform_sign(vec):
-            continue
+    if len(facts) == 1:  # mixed first signs: no unit comes off every entry
+        return out
+    for vec in facts:
         opts = [hollow_choices(w) for w in vec]
         # table[i][a][j][b] = (choice a of w_i)* (choice b of w_j): the cell
         # (i, j) of every choice vector that picks a at i and b at j
@@ -227,16 +222,17 @@ def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
     sign, to gram(c) with u c_i == w_i: the hollowing choices of w_i are
     exactly those c_i.  So g1 <= g2 exactly when g1 == g2 or a factorization
     w of g1 is (E c_0, ..., E c_{k-1}) for a factorization c of g2 and a word
-    E, which is then a left quotient of w_0 by c_0.
+    E, which is then a left quotient of w_0 by c_0.  Only the first
+    factorizations need trying: a second one is (1) times the first entry
+    by entry, and E (1) c_i = (E (1)) c_i, while (1) w_i = E c_i gives
+    w_i = (-1,1) w_i = ((-1) E) c_i, as every w_i starts negative.
     """
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
     _require_tag(g1, "D1")
     _require_tag(g2, "D1")
-    lows, ups = factor_gram(g1), factor_gram(g2)
-    return g1 == g2 or any(
-        all(e * ci == wi for ci, wi in zip(c, w)) for w in lows for c in ups for e in _left_quotients(w[0], c[0])
-    )
+    w, c = factor_gram(g1)[0], factor_gram(g2)[0]
+    return g1 == g2 or any(all(e * ci == wi for ci, wi in zip(c, w)) for e in _left_quotients(w[0], c[0]))
 
 
 def immediate_predecessors(g: GramMatrix) -> tuple[GramMatrix, GramMatrix]:
@@ -299,28 +295,29 @@ class MatrixClassification:
 def classify_matrix(g: GramMatrix) -> MatrixClassification:
     """Case analysis of a D1 Gram matrix by the middle exponent sum.
 
+    A matrix with one factorization has mixed first signs and is Case3
+    maximal.  Otherwise the first factorization w, the all-negative one,
+    has the larger tau of w*, and that picks the case:
     Case1: a hollowed idempotent threads the matrix (tau of w* is 1);
-    Case2: a D0 Gram core conjugated into D1 (max tau of w* is 0);
-    Case3: an irreducible D0 core, or no uniform factorization at all, in
-    which case the matrix is maximal.
+    Case2: a D0 Gram core conjugated into D1 (tau of w* is 0);
+    Case3: an irreducible D0 core.
 
-    Every case reads its decomposition off a factorization; the tests check
-    that it recomposes to g.  Case3 splits each diagonal cell as
+    Every case reads its decomposition off w or the diagonal; the tests
+    check that it recomposes to g.  Case3 splits each diagonal cell as
     m_i* center_i m_i (its minimal factor) and takes lam_i as the
     negative-start factor of the center.
     """
     _require_tag(g, "D1")
     facts = factor_gram(g)
-    if not any(_uniform_sign(v) for v in facts):
+    if len(facts) == 1:
         return MatrixClassification("Case3", True)
-    top = max(-vec[0].tau for vec in facts)  # tau of w* is -tau of w
+    vec = facts[0]
+    top = -vec[0].tau  # tau of w* is -tau of w
 
     if top == 1:
-        vec = next(v for v in facts if -v[0].tau == 1)
         return MatrixClassification("Case1", False, m=tuple(unit_strip(w) for w in vec))
 
     if top == 0:
-        vec = next(v for v in facts if -v[0].tau == 0)
         a, m = [], []
         for w in vec:
             factors = factor_a0(w)

@@ -209,13 +209,22 @@ def _batches(items, dim: int, diff):
 
 
 def _certified(items, dim: int, diff, describe, tol: float) -> "Report":
-    """Certify diff(item) >= 0 for every item, one eigensolve per batch."""
+    """Certify diff(item) >= 0 for every item, one eigensolve per batch.
+
+    Finite inputs make a value that is not finite only by an overflow,
+    which is a DomainError here rather than a numpy warning: a generator
+    assignment may have images large enough for it.
+    """
     items = list(items)
     rpt = Report(len(items))
-    for batch, diffs in _batches(items, dim, diff):
-        ok, eigs = _certify(diffs, tol)
-        for i in np.flatnonzero(~ok):
-            rpt.failures.append({"relation": describe(batch[i]), "min_eig": float(eigs[i])})
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for batch, diffs in _batches(items, dim, diff):
+                ok, eigs = _certify(diffs, tol)
+                for i in np.flatnonzero(~ok):
+                    rpt.failures.append({"relation": describe(batch[i]), "min_eig": float(eigs[i])})
+    except FloatingPointError as exc:
+        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
     return rpt
 
 
@@ -303,15 +312,16 @@ def verify_schwarz(rep: PartialIsometryRep, samples, tol: float = PSD_TOL) -> Re
     return _certified(samples, rep.n, diff, lambda a: "schwarz at %s" % format_word(a), tol)
 
 
-def verify_conjugation(rep: PartialIsometryRep, samples, tol: float = CONJUGATION_TOL) -> Report:
-    """Check v* eval(n) v agrees with eval of the conjugated word."""
+def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
+    """Check v* eval(n) v agrees with eval of the conjugated word, to
+    CONJUGATION_TOL in spectral norm."""
     ev = _evaluator(rep)
     v = np.asarray(rep.v, dtype=complex)
     vs = v.conj().T
     samples = list(samples)
     rpt = Report(len(samples))
     for batch, residuals in _batches(samples, rep.n, lambda n_word: vs @ ev(n_word) @ v - ev(alpha(n_word))):
-        for i, residual in _norms_over(residuals, tol):
+        for i, residual in _norms_over(residuals, CONJUGATION_TOL):
             rpt.failures.append({"relation": "conjugation at %s" % format_word(batch[i]), "residual": residual})
     return rpt
 
@@ -342,7 +352,11 @@ class GeneratorAssignment:
                 raise DomainError("%s is not a non-unit plus-irreducible" % format_word(g))
         for g, m in self.images.items():
             other = self.images.get(g.star)
-            if other is not None and opnorm(other - m.conj().T) > IDENTITY_TOL:
+            if other is None:
+                continue
+            with np.errstate(over="ignore"):  # an overflowed gap is not finite, so refused
+                gap = other - m.conj().T
+            if not (np.isfinite(gap).all() and opnorm(gap) <= IDENTITY_TOL):
                 raise DomainError("star-incompatible images at %s" % format_word(g))
 
     def image(self, g: Word):
@@ -460,9 +474,12 @@ def _image_from_json(lit: str, m):
     if not isinstance(m, dict) or "re" not in m or "im" not in m:
         raise DomainError("the image of %s needs 're' and 'im'" % lit)
     try:
-        return np.asarray(m["re"], dtype=float) + 1j * np.asarray(m["im"], dtype=float)
+        re, im = np.asarray(m["re"], dtype=float), np.asarray(m["im"], dtype=float)
     except (TypeError, ValueError):
         raise DomainError("the image of %s is not a numeric matrix" % lit) from None
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DomainError("the image of %s has an entry that is not finite" % lit)
+    return re + 1j * im
 
 
 def displayed_block_relation() -> tuple[GramMatrix, GramMatrix]:

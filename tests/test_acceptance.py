@@ -206,7 +206,7 @@ def test_criterion_9_numeric_soundness():
         for k in (1, 2, 3):
             if not verify_k_order(rep, k, rels[k], tol=1e-9).ok:
                 failures += 1
-        if not verify_conjugation(rep, conj_samples, tol=1e-10).ok:
+        if not verify_conjugation(rep, conj_samples).ok:
             failures += 1
         if not verify_schwarz(rep, conj_samples, tol=1e-9).ok:
             failures += 1

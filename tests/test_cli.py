@@ -329,17 +329,28 @@ FIXTURE_ERROR_CASES = {
     '"(-2,1,-1,2)": {"re": [[2]], "im": [[0]]}}}',
     "repeated_literal": '{"n": 1, "images": {"(-2,2)": {"re": [[1]], "im": [[0]]}, '
     '"(-2,2)": {"re": [[2]], "im": [[0]]}}}',
+    "nan_image": '{"n": 1, "images": {"(-2,2)": {"re": [[NaN]], "im": [[0]]}}}',
+    "infinite_image": '{"n": 1, "images": {"(-2,2)": {"re": [[Infinity]], "im": [[0]]}}}',
+    "infinite_imaginary_part": '{"n": 1, "images": {"(-2,2)": {"re": [[0]], "im": [[-Infinity]]}}}',
+    # finite, but its square overflows when a D0 relation is evaluated
+    "overflowing_image": '{"n": 1, "images": {"(-2,2)": {"re": [[1e200]], "im": [[0]]}}}',
+    # finite, but the gap between one image and the star of the other overflows
+    "overflowing_star_gap": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [[1e308]], "im": [[0]]}, '
+    '"(-4,3,-2,3)": {"re": [[-1e308]], "im": [[0]]}}}',
 }
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning on stderr breaks the one-line contract
 @pytest.mark.parametrize("name", FIXTURE_ERROR_CASES)
 def test_verify_korder_fixture_errors(tmp_path, name):
+    # --k 1 evaluates the images on sampled D0 relations, so an image that
+    # loads but overflows is refused too
     path, text = tmp_path / name, FIXTURE_ERROR_CASES[name]
     if text == "/":
         path.mkdir()
     elif text is not None:
         path.write_text(text)
-    code, out, err = invoke(["verify-korder", "--k", "2", "--fixture", str(path)])
+    code, out, err = invoke(["verify-korder", "--k", "1", "--fixture", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -450,6 +461,31 @@ def test_matrix_leq_answers_rank_nine(lower, upper, answer):
     # the order is decided without enumerating successors, so no rank cap applies
     argv = ["matrix-leq", _k9_gram_json(lower), _k9_gram_json(upper)]
     assert invoke_within(1.0, argv) == (0, answer + "\n", "")
+
+
+OUTSIDE_D1_GRAM_JSON = '{"k": 1, "cells": [["(2,-2)"]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix-succ", OUTSIDE_D1_GRAM_JSON],
+        ["matrix-pred", OUTSIDE_D1_GRAM_JSON],
+        ["classify", OUTSIDE_D1_GRAM_JSON],
+        ["matrix-leq", OUTSIDE_D1_GRAM_JSON, ONE_CELL_GRAM_JSON],
+        ["matrix-leq", ONE_CELL_GRAM_JSON, OUTSIDE_D1_GRAM_JSON],
+    ],
+    ids=["matrix-succ", "matrix-pred", "classify", "matrix-leq-lower", "matrix-leq-upper"],
+)
+def test_d1_commands_refuse_a_cell_outside_d1(argv):
+    # (2,-2) is selfadjoint, so the matrix has Gram factorizations, but its
+    # cell lies outside D1, where the matrix order lives
+    assert invoke(argv) == (1, "", "error: gram matrix has a cell outside D1\n")
+
+
+def test_factor_gram_answers_outside_d1():
+    # recovery works at the ambient level: both factorizations of (2,-2)
+    assert invoke(["factor-gram", OUTSIDE_D1_GRAM_JSON]) == (0, '[["(-2)"], ["(1,-2)"]]\n', "")
 
 
 # -- the CLI contract as a property -----------------------------------------------
@@ -649,9 +685,10 @@ def test_cli_contract(argv):
 
 def test_package_has_no_assert_statements():
     # python -O strips asserts: input checks raise, and the self-checks of
-    # the theorems the package relies on live in the tests
-    modules = sorted((REPO / "src" / "pisom").glob("*.py"))
-    assert modules
+    # the theorems the package relies on live in the tests; the scripts
+    # check what they verify explicitly too
+    modules = sorted((REPO / "src" / "pisom").glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    assert len(modules) > 2
     found = [
         "%s:%d" % (path.name, node.lineno)
         for path in modules
@@ -755,11 +792,16 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("print_irr_tables", REPO / "scripts" / "print_irr_tables.py")
+def load_script(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / (name + ".py"))
     script = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec.loader.exec_module(script)
+    return script
+
+
+def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
+    script = load_script(monkeypatch, "print_irr_tables")
     enum_irr = script.enum_irr
 
     def capped(k):
@@ -773,3 +815,45 @@ def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines() == ["grade  1 (  1 elements): (-1,1)", "grade  2 (  1 elements): (-2,2)"]
     assert err == "error: plus-irreducibles of grade 3 exceed the cap\n"
+
+
+@pytest.mark.parametrize(
+    "args,error",
+    [
+        (["--c", "2"], "fixture parameter must be in (0, 1)"),
+        (["--max-grade", "21"], "plus-irreducibles of grade 21 exceed the cap of 1000000 elements"),
+    ],
+)
+def test_find_order_fixture_refusal_is_one_error_line(monkeypatch, capsys, tmp_path, args, error):
+    # refused before any grade is enumerated and before anything is written
+    script = load_script(monkeypatch, "find_order_fixture")
+    grades, enum_irr = [], script.enum_irr
+    monkeypatch.setattr(script, "enum_irr", lambda k: grades.append(k) or enum_irr(k))
+    out = tmp_path / "fixture.json"
+    monkeypatch.setattr(sys, "argv", ["find_order_fixture.py", *args, "--out", str(out)])
+    assert script.main() == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % error)
+    assert grades == ([21] if "--max-grade" in args else [])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("constraint", ["(A)", "(B)"])
+def test_find_order_fixture_constraint_failure_is_one_error_line(monkeypatch, capsys, tmp_path, constraint):
+    # a rule that breaks a constraint family is reported, not asserted, so
+    # python -O does not skip the check: under (A) deeper words map higher,
+    # so a hollowing step lowers pi; under (B) pi(s*) pi(s) = 4 > pi(X(s)) = 2
+    from pisom.numeric import GeneratorAssignment
+    from pisom.order import hollow_depth
+
+    if constraint == "(A)":
+        rule = lambda g: [[2.0 ** hollow_depth(g) if g.is_selfadjoint() else 0.0]]
+    else:
+        rule = lambda g: [[2.0]]
+    script = load_script(monkeypatch, "find_order_fixture")
+    monkeypatch.setattr(script, "sa_depth_fixture", lambda c: GeneratorAssignment(n=1, rule=rule))
+    out = tmp_path / "fixture.json"
+    monkeypatch.setattr(sys, "argv", ["find_order_fixture.py", "--max-grade", "6", "--out", str(out)])
+    assert script.main() == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: %s fails: pi(" % constraint) and stderr.count("\n") == 1
+    assert not out.exists()

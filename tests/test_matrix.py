@@ -27,7 +27,7 @@ from pisom.matrix import (
     partitions,
 )
 from pisom.maps import conj
-from pisom.order import hollow_choices, leq
+from pisom.order import hollow_choices, leq, sa_factorizations
 from pisom.structure import is_irreducible, sa_canonical_d1
 from pisom.words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
 
@@ -96,8 +96,8 @@ def test_is_selfadjoint_checks_diagonal_and_upper_triangle():
 
 
 def test_factor_gram_rejects_inner_cell_mismatch():
-    # row 0 and the diagonal come from a real vector, so every candidate
-    # branch survives to the check of the inner cells (1, 2) and (2, 1)
+    # row 0 and the diagonal come from a real vector, so the vector read off
+    # tau matches them and only the inner cells (1, 2) and (2, 1) refuse it
     g = gram((W("(-2,3)"), W("(-3,4)"), W("(-1,2)")))
     odd = W("(-7,7)")
     cells = [list(row) for row in g.cells]
@@ -117,6 +117,64 @@ def test_factor_gram_exhaustive_small():
             assert len(recovered) == (2 if len(signs) == 1 else 1), vec
             for v in recovered:
                 assert gram(v) == g
+
+
+def factor_gram_by_search(g):
+    """factor_gram as first written: for each factorization of cell (0, 0),
+    every branch of candidates for the other diagonal cells that matches
+    row 0, kept when it also matches the inner cells."""
+    k = g.k
+    if not g.is_selfadjoint():
+        raise DomainError("gram matrix is not selfadjoint")
+    diag_opts = [sa_factorizations(g.cells[i][i]) for i in range(k)]
+    found = set()
+    for first in diag_opts[0]:
+        branches = [[first]]
+        for i in range(1, k):
+            branches = [br + [cand] for br in branches for cand in diag_opts[i] if first.star * cand == g.cells[0][i]]
+        for br in branches:
+            if all(br[i].star * br[j] == g.cells[i][j] for i in range(1, k - 1) for j in range(i + 1, k)):
+                found.add(tuple(br))
+    if not found:
+        raise DomainError("inconsistent gram matrix: no factorization")
+    return tuple(sorted(found, key=lambda v: (v[0][0] > 0, v)))
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_factor_gram_matches_search():
+    # every distinct Gram matrix of a vector with k <= 3 and entry weight
+    # <= 4, at the ambient level, and for each one of rank >= 2 a variant
+    # that conjugates one cell on or above the diagonal by the unit (1)
+    # (and its mirror below), the cell cycling through the positions: both
+    # recoveries agree, and the vectors found are one with mixed first
+    # signs, or the all-negative one and then the all-positive one
+    pool = list(words_upto(4))
+    grams = sorted({gram(v) for k in (1, 2, 3) for v in itertools.product(pool, repeat=k)}, key=lambda g: g.cells)
+    assert len(grams) == 10570
+    variants = []
+    for n, g in enumerate(g for g in grams if g.k > 1):
+        positions = list(itertools.combinations_with_replacement(range(g.k), 2))
+        i, j = positions[n % len(positions)]
+        odd = GEN_STAR * g.cells[i][j] * GEN
+        cells = [list(row) for row in g.cells]
+        cells[i][j], cells[j][i] = odd, odd.star
+        variants.append(GramMatrix(tuple(map(tuple, cells))))
+    outcomes = {}
+    for g in grams + variants:
+        got = _outcome(factor_gram, g)
+        assert got == _outcome(factor_gram_by_search, g), g
+        if not isinstance(got, str):
+            signs = [{w[0] > 0 for w in v} for v in got]
+            assert signs in ([{False, True}], [{False}, {True}]), g
+            got = len(got)
+        outcomes[got] = outcomes.get(got, 0) + 1
+    assert outcomes == {1: 8228, 2: 2624, "inconsistent gram matrix: no factorization": 10274}, outcomes
 
 
 # -- successors, reachability, predecessors ---------------------------------------
