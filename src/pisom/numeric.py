@@ -1,25 +1,88 @@
 """Numeric verification at concrete matrix partial isometries.
 
 Words evaluate to products of powers of a matrix v and its adjoint;
-order relations then turn into positive-semidefiniteness of differences,
-checked with a Hermitian eigensolver.  Default tolerances: 1e-9 for PSD
-acceptance, 1e-12 for algebraic identities (double precision eigensolves
-on matrices up to 64 x 64 resolve Hermitian spectra well below 1e-11 of
-the norm).
+order relations then turn into positive-semidefiniteness of differences.
+Default tolerances: 1e-9 for PSD acceptance, 1e-10 for the conjugation
+identity, and 1e-12 for the defect ||v v* v - v||_2 of a given v, which is
+a check on input, not a certificate.
 
-Each verify call certifies its whole batch at once.  Its words are
-evaluated from one set of power tables v^j, (v*)^j, grown by repeated
-multiplication and dropped when the call returns.  The differences are
-stacked, and one eigensolve on their Hermitian parts (m + m*)/2 gives
-every minimum eigenvalue.  A difference passes when its skew part has
-spectral norm ||m - m*||_2 <= tol and its minimum eigenvalue is >= -tol.
-The skew check first takes the Frobenius norm, which is never below the
+Rounding.  u = 2^-53 is the unit roundoff and d <= DIM_CAP = 64 the
+order of a certified matrix.  A complex inner product of length d is
+computed with an error of at most g(d) = sqrt(2) gamma_{d+2} times the
+sum of the absolute values of its terms, gamma_m = m u / (1 - m u)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+section 3.6); here g(d) <= 4 (d + 1) u.
+
+- ``eval_word``.  A computed product of d x d matrices has
+  |fl(AB) - AB| <= g(d) |A| |B| entrywise, so an error of at most
+  g(d) ||A||_F ||B||_F <= d g(d) in the Frobenius norm when A and B are
+  contractions.  The images of words at a partial isometry are
+  contractions, and a word whose exponents have absolute sum W takes at
+  most W - 1 products from the power tables, so to first order in u its
+  image is within (W - 1) d g(d) of the exact one: 6.6e-13 a product at
+  d = 64.  The Hermitian part of a k x k block difference of order
+  k n <= 64 is then within 2 k (W - 1) n g(n) <= (W - 1) 1.4e-12 of the
+  exact one in the spectral norm, so PSD_TOL absorbs W up to about 700.
+  At a truncated shift every product is one of 0/1 partial permutations,
+  and exact.  The defect check is two products, bounded by 2 d g(d),
+  which exceeds 1e-12 from d = 56 on; observed defects stay near 4e-15.
+- Cholesky.  If the Cholesky factorization of a Hermitian A of order d
+  runs to completion, the computed R satisfies R* R = A + E with
+  |E| <= g(d) |R*| |R| (Higham, chapter 10: the proof uses only that
+  the factorization completes, and holds for every order of the inner
+  products, so for LAPACK's blocked factorization).
+  Then ||E||_2 <= ||E||_F <= g ||R||_F^2, and the diagonal gives
+  ||R||_F^2 = tr(A + E) <= tr A + g ||R||_F^2, so
+  ||E||_2 <= g / (1 - g) tr A.  As R* R is PSD, lambda_min(A) >= -||E||_2.
+- Eigensolve.  ``np.linalg.eigvalsh`` (LAPACK's Hermitian divide and
+  conquer) is backward stable: its eigenvalues are those of H + F with
+  ||F||_2 <= p(d) u ||H||_2 (LAPACK Users' Guide, section 4.7), p a
+  modestly growing function.  Wilkinson's worst case for the Householder
+  reduction has p(d) of order d^2; the bound here takes
+  p(d) = 3 d (d + 1).  By Weyl's inequality no eigenvalue moves by more
+  than ||F||_2.
+
+Certification.  Each verify call certifies its whole batch at once.  Its
+words are evaluated from one set of power tables v^j, (v*)^j, grown by
+repeated multiplication and dropped when the call returns.  The
+differences m are stacked.  A difference passes when its skew part has
+spectral norm ||m - m*||_2 <= tol and the Hermitian part H = (m + m*)/2
+has minimum eigenvalue >= -tol, as the eigensolve reports it.
+
+The eigenvalue test first tries one Cholesky factorization of
+A = fl(H + (tol/2) I) over the whole stack; A differs from H + (tol/2) I
+by a diagonal D with ||D||_2 <= u max_i |a_ii|.  If the factorization
+completes, a_ii >= (1 - g) sum_k |r_ki|^2 >= 0, so ||D||_2 <= u tr A and,
+by the Cholesky bound, ||E||_2 <= g / (1 - g) tr A with g <= 4 (d + 1) u.
+Then lambda_min(H) >= -tol/2 - ||E||_2 - ||D||_2, and
+||H||_2 <= 1.0001 (tr A + tol), as lambda_max(H) is at most
+lambda_max(A + E) + ||E||_2 + ||D||_2 <= tr(A + E) + ||E||_2 + ||D||_2.
+So the eigensolve reports at least
+
+    -tol/2 - (4.0001 (d + 1) + 1 + 3.0003 d (d + 1)) u (tr A + tol)
+        >= -tol/2 - 8 d (d + 1) u (tr A + tol).
+
+When _CHOLESKY_GUARD d (d + 1) u (tr A + tol) < tol/2 for every matrix of
+the stack, with _CHOLESKY_GUARD = 8, a completed factorization therefore
+means that the eigensolve accepts every one of them, and no eigensolve
+runs.  The guard reads the trace, d additions a matrix, because for a
+matrix that factors it bounds the norm.  At d = 64 and tol = PSD_TOL it
+admits tr A up to about 135, while the diagonal entries of a difference
+of two contractions (or of two blocks of them) lie in [-2, 2], so
+tr A <= 2 d + d tol <= 129 at every partial isometry.  A stack that the
+guard or the factorization refuses goes to one eigensolve, which gives
+the verdicts and every minimum eigenvalue that a report prints; so does
+a matrix that fails only the skew test.  So, within the stated bounds,
+verdicts and reports are exactly those of the eigensolve alone.
+
+The skew test first takes the Frobenius norm, which is never below the
 spectral norm: a skew part whose Frobenius norm is within tol (less a
 relative 1e-12, far above the rounding of either norm, so that near-ties
 go to the SVD) has spectral norm within tol, and every other one gets the
-exact SVD norm.  So acceptance is exactly the per-matrix SVD-and-eigensolve
-check; the conjugation identity uses the same prefilter for its residuals.
-Batches are cut so that one stack holds at most 2^18 entries.
+exact SVD norm.  So acceptance is exactly the per-matrix
+SVD-and-eigensolve check; the conjugation identity uses the same
+prefilter for its residuals.  Batches are cut so that one stack holds at
+most 2^18 entries.
 
 Also houses generator assignments: multiplicative *-maps on the
 prefix-sum-nonpositive subsemigroup given by images of its free
@@ -65,14 +128,6 @@ class InvalidRepError(ValueError):
 def matrix_to_json(m) -> str:
     m = np.asarray(m, dtype=complex)
     return json.dumps({"n": m.shape[0], "re": m.real.tolist(), "im": m.imag.tolist()})
-
-
-def matrix_from_json(text: str):
-    obj = json.loads(text)
-    m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if m.shape != (obj["n"], obj["n"]):
-        raise DomainError("matrix JSON shape mismatch")
-    return m
 
 
 def opnorm(m) -> float:
@@ -165,6 +220,9 @@ def min_eig(m) -> float:
 
 # Relative slack on the Frobenius prefilter; see the module docstring.
 _FRO_SLACK = 1 - 1e-12
+# Constant of the rounding bound that lets a Cholesky factorization stand
+# for the eigensolve; see the module docstring.
+_CHOLESKY_GUARD = 8
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -181,18 +239,50 @@ def _norms_over(stack, tol: float):
     return out
 
 
+def _cholesky_certifies(herm, tol: float) -> bool:
+    """Whether every Hermitian matrix of the stack has minimum eigenvalue
+    >= -tol as the eigensolve would report it, shown by one factorization
+    of herm + (tol/2) I within the rounding bound.  The shift is made in
+    place, and undone exactly."""
+    d = herm.shape[1]
+    diagonal = np.arange(d)
+    with np.errstate(over="ignore"):  # a bound that overflows fails the guard
+        shifted = herm.real[:, diagonal, diagonal] + tol / 2
+        trace = shifted.sum(axis=1).max()
+        admitted = _CHOLESKY_GUARD * d * (d + 1) * 2.0**-53 * (trace + tol) < tol / 2
+    if not admitted:
+        return False
+    saved = herm[:, diagonal, diagonal]
+    herm[:, diagonal, diagonal] = shifted
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        herm[:, diagonal, diagonal] = saved
+    return True
+
+
 def _certify(diffs, tol: float):
-    """PSD verdicts and minimum eigenvalues of a stack of square differences
-    m: skew part m - m* within tol in spectral norm, and the minimum
-    eigenvalue of (m + m*)/2 at least -tol."""
+    """PSD verdicts of a stack of square differences m: skew part m - m*
+    within tol in spectral norm, and the minimum eigenvalue of
+    (m + m*)/2 at least -tol.  Also the minimum eigenvalues, computed for
+    every matrix that fails and nan where a Cholesky factorization stood
+    in for the eigensolve."""
     adj = np.conjugate(diffs.transpose(0, 2, 1))
     herm = diffs + adj
     herm *= 0.5
-    eigs = np.linalg.eigvalsh(herm)[:, 0]
-    ok = eigs >= -tol
     adj -= diffs  # the skew part, negated
-    for i, _ in _norms_over(adj, tol):
-        ok[i] = False
+    skewed = [i for i, _ in _norms_over(adj, tol)]
+    if _cholesky_certifies(herm, tol):
+        ok = np.ones(len(herm), dtype=bool)
+        eigs = np.full(len(herm), np.nan)
+        if skewed:
+            eigs[skewed] = np.linalg.eigvalsh(herm[skewed])[:, 0]
+    else:
+        eigs = np.linalg.eigvalsh(herm)[:, 0]
+        ok = eigs >= -tol
+    ok[skewed] = False
     return ok, eigs
 
 
@@ -209,7 +299,7 @@ def _batches(items, dim: int, diff):
 
 
 def _certified(items, dim: int, diff, describe, tol: float) -> "Report":
-    """Certify diff(item) >= 0 for every item, one eigensolve per batch.
+    """Certify diff(item) >= 0 for every item, one batch at a time.
 
     Finite inputs make a value that is not finite only by an overflow,
     which is a DomainError here rather than a numpy warning: a generator

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import pisom.numeric as numeric
 from pisom.maps import alpha
 from pisom.matrix import GramMatrix, gram, matrix_successors
 from pisom.numeric import (
@@ -18,7 +19,6 @@ from pisom.numeric import (
     displayed_block_relation,
     eval_word,
     load_assignment,
-    matrix_from_json,
     matrix_relations,
     matrix_to_json,
     min_eig,
@@ -261,8 +261,9 @@ def test_reports_share_no_failure_list():
 
 def test_matrix_json_roundtrip():
     m = np.array([[1 + 2j, 0], [0.5, -1j]])
-    again = matrix_from_json(matrix_to_json(m))
-    assert np.allclose(m, again)
+    obj = json.loads(matrix_to_json(m))
+    assert obj["n"] == 2
+    assert np.allclose(m, np.asarray(obj["re"]) + 1j * np.asarray(obj["im"]))
 
 
 # -- generator assignments ---------------------------------------------------------------
@@ -439,9 +440,9 @@ def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
     lower, upper = displayed_block_relation()
     pairs = scalar_relations(40, 3, within="D0")
     stack = np.stack([fixture_assignment(up) - fixture_assignment(lo) for lo, up in pairs])
-    ok, eigs = _certify(stack, PSD_TOL)
+    ok, _ = _certify(stack, PSD_TOL)
     assert ok.all()
-    assert np.abs(eigs - [min_eig(m) for m in stack]).max() <= 1e-12
+    assert [_per_matrix_verdict(m, PSD_TOL) for m in stack] == list(ok)
     (failure,) = verify_k_order(fixture_assignment, 2, [(lower, upper)]).failures
     blocks = [
         np.array([[fixture_assignment(c)[0, 0] for c in row] for row in g.cells]) for g in (upper, lower)
@@ -450,14 +451,134 @@ def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
 
 
 def test_certification_splits_large_batches(monkeypatch):
-    import pisom.numeric as numeric
-
     bad = PartialIsometryRep(np.array([[1.3]], dtype=complex))
     pairs = scalar_relations(40, 2)
     whole = verify_order_rep(bad, pairs)
     monkeypatch.setattr(numeric, "_BATCH_ENTRIES", 3)
     assert verify_order_rep(bad, pairs) == whole
     assert whole.total == 40 and whole.failures
+
+
+U = 2.0**-53  # the unit roundoff
+
+
+def _certify_by_eigensolve(diffs, tol):
+    """The certification without the Cholesky prefilter: one eigensolve
+    gives every minimum eigenvalue, and the skew test takes every SVD norm."""
+    adj = np.conjugate(diffs.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh((diffs + adj) * 0.5)[:, 0]
+    ok = (eigs >= -tol) & np.array([opnorm(m) <= tol for m in diffs - adj])
+    return ok, eigs
+
+
+def _reports(monkeypatch, verify, *args):
+    """verify(*args) as certified, and with the eigensolve-only reference."""
+    got = verify(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(numeric, "_certify", _certify_by_eigensolve)
+        return got, verify(*args)
+
+
+def _calls(monkeypatch, owner, attr):
+    """Count the calls made to owner.attr from here on."""
+    calls = []
+    inner = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def _with_spectrum(spectrum, seed):
+    """A Hermitian matrix with the given eigenvalues in a random basis."""
+    n = len(spectrum)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * np.asarray(spectrum)) @ q.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 3, 18])
+def test_cholesky_prefilter_near_ties(n):
+    """At lambda_min = -tol +- 1e-12 and -tol/2 +- 1e-12 the batched
+    verdict and a failure's min_eig are the per-matrix ones, alone or
+    stacked with matrices that pass."""
+    tol = PSD_TOL
+    psd = _with_spectrum(np.linspace(0.0, 1.0, n), n + 100)
+    for edge in (-tol, -tol / 2):
+        for delta in (-1e-12, 1e-12):
+            m = _with_spectrum(np.linspace(edge + delta, 1.0, n), n)
+            assert min_eig(m) == pytest.approx(edge + delta, abs=1e-14)
+            for stack in (m[None], np.stack([psd, m, psd])):
+                ok, eigs = _certify(stack, tol)
+                assert [bool(v) for v in ok] == [_per_matrix_verdict(x, tol) for x in stack]
+                for x, eig in zip(stack[~ok], eigs[~ok]):
+                    assert eig == min_eig(x)
+            assert psd_check(m, tol) == (edge + delta >= -tol)
+
+
+def test_cholesky_prefilter_leaves_skew_failures_their_min_eig(monkeypatch):
+    # Hermitian parts that factor, skew parts 2 tol and 0.5 tol in spectral norm
+    tol = PSD_TOL
+    psd = _with_spectrum(np.linspace(0.5, 1.0, 6), 1)
+    e = np.zeros((6, 6), dtype=complex)
+    e[0, 0] = 1.0
+    stack = np.stack([psd + 1j * s * (tol / 2) * e for s in (2.0, 0.5, 2.0)])
+    eigvalsh = _calls(monkeypatch, np.linalg, "eigvalsh")
+    ok, eigs = _certify(stack, tol)
+    assert len(eigvalsh) == 1  # the two skew failures, in one eigensolve
+    assert list(ok) == [False, True, False] == [_per_matrix_verdict(m, tol) for m in stack]
+    assert [eigs[0], eigs[2]] == [min_eig(stack[0]), min_eig(stack[2])]
+
+
+def test_norm_guard_skips_the_prefilter(monkeypatch, fixture_assignment):
+    """1 x 1 images scaled by 1e8 are beyond the rounding bound's reach:
+    no factorization is tried, and the reports are the eigensolve's."""
+    scaled = GeneratorAssignment(n=1, rule=lambda g: 1e8 * fixture_assignment.image(g))
+    pairs = scalar_relations(40, 3, within="D0")
+    cholesky = _calls(monkeypatch, np.linalg, "cholesky")
+    got, want = _reports(monkeypatch, verify_order_rep, scaled, pairs)
+    assert got == want
+    assert cholesky == []
+    assert psd_check(np.array([[1e8]])) and cholesky == []
+    # a small trace admits a large indefinite matrix, which then fails to factor
+    big = np.diag([1e8, -1e8]).astype(complex)
+    ok, eigs = _certify(big[None], PSD_TOL)
+    assert not ok[0] and eigs[0] == min_eig(big) == -1e8 and len(cholesky) == 1
+    # at d = 64 the guard admits a trace up to about 135
+    limit = PSD_TOL / (2 * numeric._CHOLESKY_GUARD * 64 * 65 * U) - PSD_TOL
+    for scale, tried in ((0.99, 1), (1.01, 0)):
+        cholesky.clear()
+        assert psd_check(np.eye(64) * scale * limit / 64)
+        assert len(cholesky) == tried
+
+
+def test_passing_batch_runs_no_eigensolve(monkeypatch):
+    rep21 = random_partial_isometry(21, 5)
+    rels = matrix_relations(12, 9, ks=(3,))
+    eigvalsh = _calls(monkeypatch, np.linalg, "eigvalsh")
+    cholesky = _calls(monkeypatch, np.linalg, "cholesky")
+    rpt = verify_k_order(rep21, 3, rels)
+    assert rpt.ok and rpt.total == 12
+    assert eigvalsh == [] and len(cholesky) == 1
+
+
+def test_prefilter_reports_match_the_eigensolve_at_a_random_partial_isometry(monkeypatch):
+    rep16 = random_partial_isometry(16, 3)
+    pairs = scalar_relations(80, 12)
+    rels = {k: matrix_relations(8, 60 + k, ks=(k,)) for k in (2, 3)}
+    calls = [(verify_order_rep, rep16, pairs), (verify_order_rep, rep16, [(b, a) for a, b in pairs])]
+    calls += [(verify_k_order, rep16, k, r) for k, r in rels.items()]
+    calls += [(verify_k_order, rep16, k, r + [(b, a) for a, b in r]) for k, r in rels.items()]
+    calls += [(verify_schwarz, rep16, [a for a, _ in pairs])]
+    failed = 0
+    for verify, *args in calls:
+        got, want = _reports(monkeypatch, verify, *args)
+        assert got == want
+        failed += len(got.failures)
+    assert failed
 
 
 # -- exact control at truncated shifts -----------------------------------------------------
@@ -544,3 +665,75 @@ def test_exact_control_at_truncated_shifts(n):
         else:
             rpt = verify_k_order(shift, len(lower_cells), [(GramMatrix(lower_cells), GramMatrix(upper_cells))])
         assert not rpt.ok
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_prefilter_reports_match_the_eigensolve_at_truncated_shifts(n, monkeypatch):
+    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    scalar = scalar_relations(60, 5)
+    blocks = {k: matrix_relations(10, 50 + k, ks=(k,)) for k in (2, 3) if k * n <= 64}
+    calls = [(verify_order_rep, shift, scalar), (verify_order_rep, shift, scalar + [(b, a) for a, b in scalar])]
+    calls += [(verify_k_order, shift, k, rels) for k, rels in blocks.items()]
+    calls += [(verify_k_order, shift, k, [(b, a) for a, b in rels]) for k, rels in blocks.items()]
+    failed = 0
+    for verify, *args in calls:
+        got, want = _reports(monkeypatch, verify, *args)
+        assert got == want
+        failed += len(got.failures)
+    assert failed
+
+
+# -- the stated rounding bounds ---------------------------------------------------------
+
+
+def _g(d):
+    """The complex inner-product constant sqrt(2) gamma_{d+2} of the module docstring."""
+    return np.sqrt(2) * (d + 2) * U / (1 - (d + 2) * U)
+
+
+def _eigensolve_bound(h):
+    d = len(h)
+    return 3 * d * (d + 1) * U * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_rounding_bounds_hold_at_truncated_shifts(n):
+    """Observed errors of eval_word, the eigensolve and the shifted Cholesky
+    factorization against the bounds of the module docstring, where the
+    exact images are 0/1 matrices and the exact spectra are those of small
+    integer blocks."""
+    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    cases = [(((lo,),), ((up,),)) for lo, up in scalar_relations(60, 5)]
+    cases += [
+        (lo.cells, up.cells) for k in (2, 3) if k * n <= 64 for lo, up in matrix_relations(10, 50 + k, ks=(k,))
+    ]
+    for lower_cells, upper_cells in cases:
+        k = len(lower_cells)
+        d = k * n
+        cells = [c for grid in (lower_cells, upper_cells) for row in grid for c in row]
+        products = max(sum(abs(e) for e in c) for c in cells) - 1
+        for c in cells:
+            error = np.linalg.norm(eval_word(shift, c) - _shift_matrix(c, n))
+            assert error <= products * n * _g(n)
+        block = lambda grid: np.block([[eval_word(shift, c) for c in row] for row in grid])
+        diff = block(upper_cells) - block(lower_cells)
+        h = (diff + diff.conj().T) / 2
+        # permuted, h is the direct sum of one k x k integer block per basis index
+        ints = [np.array(b, dtype=float) for b in _exact_difference(lower_cells, upper_cells, n)]
+        reference = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in ints]))
+        slack = _eigensolve_bound(h) + max(_eigensolve_bound(b) for b in ints)
+        assert np.abs(np.linalg.eigvalsh(h) - reference).max() <= slack
+        a = h + (PSD_TOL / 2) * np.eye(d)
+        r = np.linalg.cholesky(a)
+        g = _g(d)
+        assert opnorm(r @ r.conj().T - a) <= g / (1 - g) * np.trace(a).real
+        assert numeric._CHOLESKY_GUARD * d * (d + 1) * U * (np.trace(a).real + PSD_TOL) < PSD_TOL / 2
+
+
+def test_fixture_failure_is_far_outside_the_rounding_bound(fixture_assignment):
+    # the difference is [[1/8, 1/8], [1/8, 0]], with eigenvalues (1 +- sqrt 5) / 16
+    lower, upper = displayed_block_relation()
+    (failure,) = verify_k_order(fixture_assignment, 2, [(lower, upper)]).failures
+    exact = (1 - np.sqrt(5)) / 16
+    assert failure["min_eig"] == pytest.approx(exact, abs=_eigensolve_bound(np.full((2, 2), 1 / 8)) + 1e-16)
+    assert failure["min_eig"] < -0.077 < -1e7 * PSD_TOL
