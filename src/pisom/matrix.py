@@ -10,11 +10,13 @@ factorization when the unit of the other sign is prepended to each entry
 ((-1,1) fixes negative-start words, (1,-1) positive-start ones).  So a
 matrix has one factorization, with mixed first signs, or two: the
 all-negative one and the all-positive one.  Successor generation lifts the
-scalar hollowing coordinatewise: each word has one or two hollowing
-choices, and cell (i, j) of a successor depends on the choices at i and j
-only.  So the at most 4k^2 cells c_a(w_i)* c_b(w_j) are multiplied once,
-and each of the up to 2^k choice vectors is assembled from them by
-lookup; a fixed cap, k <= K_CAP, bounds that enumeration.
+scalar hollowing coordinatewise: each word w_i of a factorization w has
+one or two hollowing choices, its strip s_i and its shift, and cell (i, j)
+of a successor depends on the choices at i and j only.  Every cell that
+involves a shift is the cell of g (see ``matrix_successors``), so only the
+k(k+1)/2 products of gram(s) are made, and each of the up to 2^k choice
+vectors is assembled from that block and the rows of g by lookup; a fixed
+cap, k <= K_CAP, bounds that enumeration.
 The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
 """
@@ -24,7 +26,7 @@ from functools import reduce as _fold
 from itertools import combinations
 from itertools import product as _cartesian
 
-from .order import hollow_choices, sa_factorizations, unit_strip
+from .order import sa_factorizations, unit_strip
 from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
@@ -132,13 +134,23 @@ def vector_from_json(text: str) -> tuple[Word, ...]:
 
 
 def gram(v) -> GramMatrix:
-    """Gram matrix of a word vector."""
+    """Gram matrix of a word vector.
+
+    Only the cells with i <= j are multiplied; cell (j, i) is the star of
+    cell (i, j), since (v_i* v_j)* = v_j* v_i and normal forms are unique.
+    """
     v = tuple(v)
     if not v:
         raise DomainError("empty word vector")
-    stars = [w.star for w in v]
-    cells = tuple(tuple(stars[i] * v[j] for j in range(len(v))) for i in range(len(v)))
-    return GramMatrix(cells, v)
+    k = len(v)
+    rows = [[None] * k for _ in range(k)]
+    for i, w in enumerate(v):
+        s, row = w.star, rows[i]
+        row[i] = s * w
+        for j in range(i + 1, k):
+            row[j] = c = s * v[j]
+            rows[j][i] = c.star
+    return GramMatrix(tuple(map(tuple, rows)), v)
 
 
 def _require_tag(g: GramMatrix, tag: str) -> None:
@@ -155,6 +167,12 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     cells below it by selfadjointness, so it is kept when it matches the
     cells above the diagonal.  So there is one vector, with mixed first
     signs, or the all-negative one and then the all-positive one.
+
+    The all-positive one needs no check: when every w_i starts negative,
+    (1) w_i is the other factorization of cell (i, i), and
+    ((1) w_i)* (1) w_j = w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a
+    negative-start word.  So once the first vector matches and is all
+    negative, the second is read off the diagonal without a product.
     """
     if not g.is_selfadjoint():
         raise DomainError("gram matrix is not selfadjoint")
@@ -167,6 +185,9 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
         stars = (w.star for w in vec[:-1])
         if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
             out.append(vec)
+            if all(w[0] < 0 for w in vec):
+                out.append(tuple(b if w is a else a for (a, b), w in zip(diag, vec)))
+                break
     if not out:
         raise DomainError("inconsistent gram matrix: no factorization")
     return tuple(out)
@@ -178,6 +199,17 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     ``require`` pins the subsemigroup the cells must lie in; pass None to
     work at the ambient level (immediate predecessors of a D1 matrix may
     fall outside it).  Ranks above K_CAP are refused.
+
+    Take the all-negative factorization w (the all-positive one is the
+    mirror).  The choices of w_i are its strip s_i, with (-1) s_i = w_i,
+    and its shift (1) w_i, which is the entry i of the other factorization;
+    they coincide when w_i starts with -1.  A shift leaves its row and its
+    column as they are in g: ((1) w_i)* c_j = w_i* (-1) c_j is w_i* w_j for
+    c_j = s_j, and w_i* (-1,1) w_j = w_i* w_j for c_j = (1) w_j; and
+    s_i* (1) w_j = ((-1) s_i)* w_j = w_i* w_j.  So cell (i, j) of a choice
+    vector is cell (i, j) of gram(s) when both i and j strip, and that of g
+    otherwise.  The choice vectors run in cartesian order, strip first, so
+    a successor reached twice keeps its first witness.
     """
     if require:
         _require_tag(g, require)
@@ -187,16 +219,20 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     out: set[GramMatrix] = set()
     if len(facts) == 1:  # mixed first signs: no unit comes off every entry
         return out
-    for vec in facts:
-        opts = [hollow_choices(w) for w in vec]
-        # table[i][a][j][b] = (choice a of w_i)* (choice b of w_j): the cell
-        # (i, j) of every choice vector that picks a at i and b at j
-        stars = [[c.star for c in o] for o in opts]
-        table = [[[[s * c for c in o] for o in opts] for s in row] for row in stars]
-        for pick in _cartesian(*(range(len(o)) for o in opts)):
-            cells = tuple(tuple(row[b] for row, b in zip(table[i][a], pick)) for i, a in enumerate(pick))
-            if cells != g.cells:
-                out.add(GramMatrix(cells, tuple(o[a] for o, a in zip(opts, pick))))
+    rows = g.cells
+    for vec, other in (facts, facts[::-1]):  # the shifts of vec are the entries of other
+        strips = tuple(unit_strip(w) for w in vec)
+        block = gram(strips).cells
+        # (witness entry, shifts): a single choice is both strip and shift
+        opts = [((s, True),) if s == o else ((s, False), (o, True)) for s, o in zip(strips, other)]
+        for pick in _cartesian(*opts):
+            shifts = [f for _, f in pick]
+            cells = tuple(
+                row if f else tuple(g_ij if f_j else b_ij for b_ij, g_ij, f_j in zip(brow, row, shifts))
+                for row, brow, f in zip(rows, block, shifts)
+            )
+            if cells != rows:
+                out.add(GramMatrix(cells, tuple(c for c, _ in pick)))
     return out
 
 
@@ -236,20 +272,19 @@ def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
 
 
 def immediate_predecessors(g: GramMatrix) -> tuple[GramMatrix, GramMatrix]:
-    """The exactly-two elements immediately below g."""
+    """The exactly-two elements immediately below g.
+
+    They are the Gram matrices of (-1) times every entry of the first
+    factorization and of (1) times every entry of the last.  Neither is g.
+    The first entries of the factorizations have tau t, or t and t + 1 (the
+    last is then (1) times the first, entry by entry), and tau is additive,
+    so the two vectors start with tau t - 1 and one more than the last: no
+    factorization of g starts so.  With two factorizations w, (1) w the
+    second matrix is gram((2) w).
+    """
     _require_tag(g, "D1")
-    vec = factor_gram(g)[0]
-
-    def push(unit_word, double):
-        shifted = tuple(unit_word * w for w in vec)
-        cand = gram(shifted)
-        if cand != g:
-            return cand
-        return gram(tuple(double * w for w in vec))
-
-    lower_neg = push(GEN_STAR, Word((-2,)))
-    lower_pos = push(GEN, Word((2,)))
-    return lower_neg, lower_pos
+    facts = factor_gram(g)
+    return gram(tuple(GEN_STAR * w for w in facts[0])), gram(tuple(GEN * w for w in facts[-1]))
 
 
 # -- case analysis -----------------------------------------------------------

@@ -27,7 +27,7 @@ from pisom.matrix import (
     partitions,
 )
 from pisom.maps import conj
-from pisom.order import hollow_choices, leq, sa_factorizations
+from pisom.order import hollow_choices, leq, sa_factorizations, unit_shift
 from pisom.structure import is_irreducible, sa_canonical_d1
 from pisom.words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
 
@@ -62,6 +62,17 @@ def test_gram_examples():
     assert gram((w,)).cells == ((w.star * w,),)
     g = gram((Word((-1,)), Word((-1,))))
     assert all(c == UNIT_MINUS for row in g.cells for c in row)
+
+
+def test_gram_stars_the_upper_triangle():
+    # gram multiplies the cells with i <= j only and stars them below: the
+    # same cells as every product v_i* v_j, on all vectors of rank <= 3 and
+    # entry weight <= 3
+    for k in (1, 2, 3):
+        for vec in vectors(k, 3):
+            g = gram(vec)
+            assert g.cells == tuple(tuple(a.star * b for b in vec) for a in vec), vec
+            assert g.witness == vec
 
 
 def test_gram_selfadjoint_and_tagged():
@@ -258,10 +269,35 @@ def successors_by_gram(g, require="D1"):
     return out
 
 
+def matrix_successors_by_choices(g, require="D1"):
+    """matrix_successors with the 4k^2 table: every cell c_a(w_i)* c_b(w_j)
+    of the hollowing choices multiplied once, and each choice vector, in
+    cartesian order, assembled from the table by lookup."""
+    if require:
+        assert g.tagged(require)
+    assert g.k <= K_CAP
+    facts = factor_gram(g)
+    out = set()
+    if len(facts) == 1:
+        return out
+    for vec in facts:
+        opts = [hollow_choices(w) for w in vec]
+        stars = [[c.star for c in o] for o in opts]
+        table = [[[[s * c for c in o] for o in opts] for s in row] for row in stars]
+        for pick in itertools.product(*(range(len(o)) for o in opts)):
+            cells = tuple(tuple(row[b] for row, b in zip(table[i][a], pick)) for i, a in enumerate(pick))
+            if cells != g.cells:
+                out.add(GramMatrix(cells, tuple(o[a] for o, a in zip(opts, pick))))
+    return out
+
+
 def assert_same_successors(g, require="D1"):
-    got = {h.cells: h.witness for h in matrix_successors(g, require=require)}
+    # the successors, their witnesses and the set's iteration order are
+    # those of the table reference; cells and witnesses those of gram()
+    got = [(h.cells, h.witness) for h in matrix_successors(g, require=require)]
+    assert got == [(h.cells, h.witness) for h in matrix_successors_by_choices(g, require)], g
     want = {h.cells: h.witness for h in successors_by_gram(g, require)}
-    assert got == want, g
+    assert dict(got) == want, g
 
 
 def test_successor_table_matches_gram_reference():
@@ -271,6 +307,46 @@ def test_successor_table_matches_gram_reference():
         assert_same_successors(g)
         for lo in immediate_predecessors(g):
             assert_same_successors(lo, require=None)
+
+
+def immediate_predecessors_by_push(g):
+    """immediate_predecessors as first written: each side tries gram of its
+    unit times every entry of the first factorization, and the unit squared
+    when that gives g back."""
+    vec = factor_gram(g)[0]
+
+    def push(unit_word, double):
+        cand = gram(tuple(unit_word * w for w in vec))
+        return cand if cand != g else gram(tuple(double * w for w in vec))
+
+    return push(GEN_STAR, Word((-2,))), push(GEN, Word((2,)))
+
+
+def test_shifts_leave_the_cells_of_g():
+    # on every D1 matrix of the small space the predecessors are those of
+    # the reference that builds gram((1) w); on the 227 with two
+    # factorizations the second is (1) times the first entry by entry, and
+    # a shifted entry of a choice vector leaves its row and its column as
+    # they are in g
+    two = shifted = 0
+    for g in d1_grams_small():
+        got = immediate_predecessors(g)
+        want = immediate_predecessors_by_push(g)
+        assert [(h.cells, h.witness) for h in got] == [(h.cells, h.witness) for h in want], g
+        facts = factor_gram(g)
+        if len(facts) == 1:
+            continue
+        two += 1
+        assert facts[1] == tuple(GEN * w for w in facts[0]), g
+        for vec in facts:
+            for choice in itertools.product(*(hollow_choices(w) for w in vec)):
+                h = gram(choice).cells
+                for i, (w, c) in enumerate(zip(vec, choice)):
+                    if c == unit_shift(w):
+                        shifted += 1
+                        assert h[i] == g.cells[i], (g, choice)
+                        assert all(h[j][i] == g.cells[j][i] for j in range(g.k)), (g, choice)
+    assert (two, shifted) == (227, 2327)
 
 
 def draw_d1_vector(rng, pool, compat, k, uniform):
@@ -562,7 +638,7 @@ def test_classify_case3_nontrivial_flank():
     assert case3_recomposes(g, res.m, res.lam)
 
 
-def _left_quotients(w, m):
+def _case3_left_quotients(w, m):
     """All x with x * m == w.
 
     Products of reduced words lose at most two letters at the junction, so
@@ -609,7 +685,7 @@ def case3_by_search(g):
     for vec in factor_gram(g):
         if len({w[0] > 0 for w in vec}) != 1:
             continue
-        for lam in itertools.product(*(_left_quotients(vec[i], flanks[i]) for i in range(g.k))):
+        for lam in itertools.product(*(_case3_left_quotients(vec[i], flanks[i]) for i in range(g.k))):
             if case3_recomposes(g, flanks, lam):
                 return MatrixClassification("Case3", False, m=tuple(flanks), lam=lam)
     raise DomainError("no case-3 decomposition found")

@@ -145,6 +145,45 @@ def test_verify_order_rep_sabotage():
     assert rpt.failures and rpt.failures[0]["min_eig"] < -1e-9
 
 
+# -- separation and faithfulness ------------------------------------------------------
+
+
+def test_scalar_order_is_the_operator_order_at_partial_isometries():
+    # on the 82 selfadjoint D1 words of weight <= 18 (each is w* w for its
+    # minimal factor w, of weight <= 9), leq is exactly the operator order
+    # at seeded partial isometries of dimension 2..4: every pair below
+    # stays PSD at all 30 of them, and every other pair is refuted, its
+    # difference having an eigenvalue below -PSD_TOL at one of them.  A
+    # refuted pair is not evaluated again; eigensolves run one batch a rep.
+    sa = sorted(n for n in {w.star * w for w in iter_words(9)} if member(n, "D1"))
+    assert len(sa) == 82
+    lo, hi = np.nonzero(~np.eye(len(sa), dtype=bool))
+    below = np.array([leq(sa[i], sa[j]) for i, j in zip(lo, hi)])
+    assert (below.sum(), (~below).sum()) == (371, 6271)
+    worst = np.zeros(len(lo))
+    pending = np.ones(len(lo), dtype=bool)
+    for seed in range(30):
+        rep = random_partial_isometry(2 + seed % 3, seed)
+        ev = np.array([eval_word(rep, w) for w in sa])
+        idx = np.flatnonzero(pending)
+        worst[idx] = np.minimum(worst[idx], np.linalg.eigvalsh(ev[hi[idx]] - ev[lo[idx]])[:, 0])
+        pending &= below | (worst >= -PSD_TOL)
+    assert worst[below].min() >= -PSD_TOL
+    assert worst[~below].max() < -PSD_TOL
+
+
+def test_reduced_words_evaluate_apart():
+    # evaluation is faithful on the 462 reduced words of weight <= 10: one
+    # seeded partial isometry of dimension 6 tells every two apart, by an
+    # entry that differs by more than 0.009 (0.0099 at the closest pair)
+    words = list(iter_words(10))
+    assert len(words) == 462
+    rep = random_partial_isometry(6, 1)
+    x = np.array([eval_word(rep, w).ravel() for w in words])
+    gap = min(np.abs(x[i + 1 :] - x[i]).max(axis=1).min() for i in range(len(words) - 1))
+    assert gap > 0.009
+
+
 def test_verify_k_order_basic(rep):
     rels2 = [r for r in matrix_relations(12, 5, ks=(2,))]
     assert verify_k_order(rep, 2, rels2).ok
