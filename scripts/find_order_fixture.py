@@ -38,19 +38,17 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pisom.numeric import sa_depth_fixture  # noqa: E402
+from pisom.numeric import OVERRIDE_ROOT, sa_depth_fixture  # noqa: E402
 from pisom.order import hollow_successors, square_hollow  # noqa: E402
 from pisom.structure import enum_irr  # noqa: E402
 from pisom.words import UNIT_PLUS, DomainError, Word, format_word, parse_word  # noqa: E402
-
-ROOT = Word((-4, 3, -3, 4))
 
 
 def forced_orbit(steps):
     """The generators any order-preserving pi with pi((-4,4)) != 0 must
     send to nonzero values: positivity gives pi(s)^2 != 0 for nonzero
     PSD pi(s), and relation (B) pushes that up the orbit forever."""
-    out, t = [Word((-4, 4))], ROOT
+    out, t = [Word((-4, 4))], OVERRIDE_ROOT
     for _ in range(steps):
         out.append(t)
         t = square_hollow(t)

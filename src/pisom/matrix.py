@@ -168,29 +168,26 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     cells above the diagonal.  So there is one vector, with mixed first
     signs, or the all-negative one and then the all-positive one.
 
-    The all-positive one needs no check: when every w_i starts negative,
-    (1) w_i is the other factorization of cell (i, i), and
-    ((1) w_i)* (1) w_j = w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a
-    negative-start word.  So once the first vector matches and is all
-    negative, the second is read off the diagonal without a product.
+    The loop stops at the first vector that matches.  A mixed one is the
+    only factorization: the other candidate needs every entry one higher in
+    tau, and a positive-start w_j is already the higher factorization of
+    its cell.  An all-negative one comes with the all-positive one, (1) w_i
+    entry by entry, which needs no check: ((1) w_i)* (1) w_j =
+    w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a negative-start word.
     """
     if not g.is_selfadjoint():
         raise DomainError("gram matrix is not selfadjoint")
     cells, k = g.cells, g.k
     diag = [sa_factorizations(cells[i][i]) for i in range(k)]
-    out = []
     for first in diag[0]:
         t = first.tau
         vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
         stars = (w.star for w in vec[:-1])
         if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
-            out.append(vec)
             if all(w[0] < 0 for w in vec):
-                out.append(tuple(b if w is a else a for (a, b), w in zip(diag, vec)))
-                break
-    if not out:
-        raise DomainError("inconsistent gram matrix: no factorization")
-    return tuple(out)
+                return vec, tuple(b if w is a else a for (a, b), w in zip(diag, vec))
+            return (vec,)
+    raise DomainError("inconsistent gram matrix: no factorization")
 
 
 def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatrix]:
@@ -340,7 +337,11 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     Every case reads its decomposition off w or the diagonal; the tests
     check that it recomposes to g.  Case3 splits each diagonal cell as
     m_i* center_i m_i (its minimal factor) and takes lam_i as the
-    negative-start factor of the center.
+    negative-start factor of the center.  Every diagonal cell has a
+    center: each w_i has tau -top (the cells of D1 have tau 0), so the
+    minimal factor, w_i or (1) w_i, has tau -top or 1 - top, never 0.  The
+    prefix sum at the middle of g_ii is minus that tau, so the middle is
+    not a zero cut, and the star-palindromic factor sequence has odd length.
     """
     _require_tag(g, "D1")
     facts = factor_gram(g)
@@ -365,8 +366,6 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     m, lam = [], []
     for i in range(g.k):
         center, flank = sa_canonical_d1(g.cells[i][i])
-        if center is None:
-            raise DomainError("no case-3 decomposition found")
         m.append(flank if flank is not None else UNIT_PLUS)
         lam.append(sa_factorizations(center)[0])
     return MatrixClassification("Case3", False, m=tuple(m), lam=tuple(lam))
@@ -384,7 +383,7 @@ def partitions(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     """
     if d < 1 or k < 1:
         raise DomainError("partitions need d, k >= 1")
-    if d == 1:
+    if d == 1:  # not via combinations(), which copies range(k) into a tuple of k ints
         return ((k,),)
     count, r = 1, min(k, d - 1)
     for i in range(1, r + 1):

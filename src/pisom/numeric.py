@@ -167,7 +167,8 @@ class PartialIsometryRep:
 
 def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
     """Deterministic random partial isometry: unitary factors of a random
-    complex matrix glued across a random-rank cut."""
+    complex matrix glued across a random-rank cut (rank 0 gives the zero
+    matrix)."""
     if n < 1:
         raise DomainError("dimension must be positive")
     if n > DIM_CAP:
@@ -178,8 +179,7 @@ def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u, _, vh = np.linalg.svd(z)
     r = int(rng.integers(0, n + 1))
-    v = u[:, :r] @ vh[:r, :] if r else np.zeros((n, n), dtype=complex)
-    return PartialIsometryRep.checked(v)
+    return PartialIsometryRep.checked(u[:, :r] @ vh[:r, :])
 
 
 class _Powers:
@@ -424,7 +424,10 @@ class GeneratorAssignment:
 
     ``images`` is a finite table; ``rule`` (optional) computes images for
     generators outside it; anything else maps to zero.  The unit (-1,1)
-    always maps to the identity.
+    always maps to the identity.  For every g in the table the image of g*
+    (from the table, the rule or zero) must be the adjoint of g's, so a
+    table without a rule that gives a nonzero image but not its star's is
+    refused.
     """
 
     __slots__ = ("n", "images", "rule")
@@ -441,9 +444,7 @@ class GeneratorAssignment:
             if not is_irr_plus(g) or g == UNIT_PLUS:
                 raise DomainError("%s is not a non-unit plus-irreducible" % format_word(g))
         for g, m in self.images.items():
-            other = self.images.get(g.star)
-            if other is None:
-                continue
+            other = self.image(g.star)
             with np.errstate(over="ignore"):  # an overflowed gap is not finite, so refused
                 gap = other - m.conj().T
             if not (np.isfinite(gap).all() and opnorm(gap) <= IDENTITY_TOL):
@@ -613,9 +614,13 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     At every k the words are drawn one at a time, each uniformly among those
     whose cells with itself and with every word drawn so far lie in D1 (one
     cell of each pair suffices: v* u is the star of u* v, and D1 is closed
-    under star).  So each word, not the whole vector, is uniform.
+    under star).  So each word, not the whole vector, is uniform.  A vector
+    with no successor is drawn again, up to 100 draws a relation (and at
+    least 100,000 draws in all).
     """
     _check_count(count)
+    if not ks:
+        raise DomainError("matrix relations need at least one rank k")
     words = list(iter_words(entry_weight))
     # D1 membership of every Gram cell u* v, so that a draw is made by
     # lookups and only a complete vector builds its matrix
@@ -623,8 +628,8 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     diagonal = [w for w in words if in_d1[w, w]]
     rng = random.Random(seed)
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 100000:
+    attempts, draws = 0, max(100000, 100 * count)
+    while len(out) < count and attempts < draws:
         attempts += 1
         k = rng.choice(ks)
         vec, cands = [], diagonal

@@ -332,6 +332,8 @@ FIXTURE_ERROR_CASES = {
     "nan_image": '{"n": 1, "images": {"(-2,2)": {"re": [[NaN]], "im": [[0]]}}}',
     "infinite_image": '{"n": 1, "images": {"(-2,2)": {"re": [[Infinity]], "im": [[0]]}}}',
     "infinite_imaginary_part": '{"n": 1, "images": {"(-2,2)": {"re": [[0]], "im": [[-Infinity]]}}}',
+    # the star of (-3,2,-3,4) is not given, so it would map to zero: not a *-map
+    "half_given_star": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [[0.5]], "im": [[0]]}}}',
     # finite, but its square overflows when a D0 relation is evaluated
     "overflowing_image": '{"n": 1, "images": {"(-2,2)": {"re": [[1e200]], "im": [[0]]}}}',
     # finite, but the gap between one image and the star of the other overflows

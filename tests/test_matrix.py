@@ -5,6 +5,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from pisom.cli import run
@@ -25,11 +26,24 @@ from pisom.matrix import (
     matrix_leq,
     matrix_successors,
     partitions,
+    vector_from_json,
 )
 from pisom.maps import conj
-from pisom.order import hollow_choices, leq, sa_factorizations, unit_shift
-from pisom.structure import is_irreducible, sa_canonical_d1
-from pisom.words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, WordError, member, parse_word
+from pisom.numeric import PSD_TOL, eval_word, random_partial_isometry
+from pisom.order import hollow_choices, leq, sa_factor_min, sa_factorizations, unit_shift
+from pisom.structure import factor_a0, is_irreducible, sa_canonical_d1
+from pisom.words import (
+    GEN,
+    GEN_STAR,
+    UNIT_MINUS,
+    UNIT_PLUS,
+    DomainError,
+    Word,
+    WordError,
+    iter_words,
+    member,
+    parse_word,
+)
 
 from conftest import words_upto
 
@@ -519,6 +533,51 @@ def test_matrix_leq_matches_search_wide():
     assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
 
 
+def test_matrix_order_against_the_operator_order_at_partial_isometries():
+    # on the matrices of rank <= 2 of d1_grams_small, every pair below in
+    # matrix_leq stays PSD at 30 seeded partial isometries of dimension
+    # 2..4, and every other pair is refuted there (its block difference has
+    # an eigenvalue below -PSD_TOL at one of them) but for 6 at rank 2.
+    # Those are the cross-compressions gram(u c) below gram(c): c is the one
+    # factorization of a mixed-sign matrix, and u_i the idempotent that does
+    # not fix c_i, Q = v v* before a negative-start c_i, P = v* v before a
+    # positive-start one.  They hold at every partial isometry: for
+    # p = c_0 x_0 in ran P and q = c_1 x_1 in ran Q,
+    # Qp + Pq = (P + Q - I)(p + q), and P - (I - Q) lies between -I and I,
+    # so ||Qp + Pq|| <= ||p + q||.  Yet gram(c) is maximal, so matrix_leq
+    # answers false: the basic-step order is strictly finer than the
+    # operator order.  A refuted pair is not evaluated again.
+    grams = d1_grams_small()
+    for k, below_count, cross_count in ((1, 29, 0), (2, 147, 6)):
+        mats = [g for g in grams if g.k == k]
+        words = sorted({c for g in mats for row in g.cells for c in row})
+        at = {w: i for i, w in enumerate(words)}
+        cells = np.array([[[at[c] for c in row] for row in g.cells] for g in mats])
+        lo, hi = np.nonzero(~np.eye(len(mats), dtype=bool))
+        below = np.array([matrix_leq(mats[i], mats[j]) for i, j in zip(lo, hi)])
+        worst = np.zeros(len(lo))
+        pending = np.ones(len(lo), dtype=bool)
+        for seed in range(30):
+            n = 2 + seed % 3
+            rep = random_partial_isometry(n, seed)
+            ev = np.array([eval_word(rep, w) for w in words])
+            blocks = ev[cells].transpose(0, 1, 3, 2, 4).reshape(len(mats), k * n, k * n)
+            idx = np.flatnonzero(pending)
+            worst[idx] = np.minimum(worst[idx], np.linalg.eigvalsh(blocks[hi[idx]] - blocks[lo[idx]])[:, 0])
+            pending &= below | (worst >= -PSD_TOL)
+        assert below.sum() == below_count and worst[below].min() >= -PSD_TOL
+        unrefuted = {(mats[i], mats[j]) for i, j in zip(lo[pending & ~below], hi[pending & ~below])}
+        present = set(mats)
+        cross = set()
+        for g in mats:
+            facts = factor_gram(g)
+            if len(facts) == 1:
+                lower = gram(tuple((UNIT_MINUS if w[0] < 0 else UNIT_PLUS) * w for w in facts[0]))
+                if lower in present:
+                    cross.add((lower, g))
+        assert unrefuted == cross and len(cross) == cross_count
+
+
 def test_matrix_steps_hollow_each_diagonal_cell():
     # every basic step leaves each diagonal cell below it in the scalar
     # order, so g1 <= g2 needs each diagonal cell of g1 below that of g2
@@ -792,6 +851,22 @@ def test_classify_scalar_consistency():
             assert case == "Case3", n
 
 
+def test_odd_factor_count_iff_nonzero_tau():
+    # classify_matrix reads a center off every diagonal cell in Case3, where
+    # the minimal factor of each has tau -top or 1 - top, top not 0 or 1.
+    # That is enough: a selfadjoint D1 word has an odd number of minimal
+    # factors exactly when its minimal factor has nonzero tau, the middle of
+    # w* w being a zero cut exactly when tau(w) = 0.  Checked on the 194
+    # selfadjoint D1 words of weight <= 22, each w* w for its minimal factor
+    # w, of weight <= 11.
+    sa = sorted(n for n in {w.star * w for w in iter_words(11)} if member(n, "D1"))
+    assert len(sa) == 194
+    for n in sa:
+        odd = len(factor_a0(n)) % 2 == 1
+        assert odd == (sa_factor_min(n).tau != 0), n
+        assert odd == (sa_canonical_d1(n)[0] is not None), n
+
+
 # -- partitions and the block calculus ------------------------------------------------
 
 
@@ -935,6 +1010,36 @@ def test_omega_is_complete_order_map_on_d0():
         ou = gram(tuple(w * GEN_STAR for w in upper.witness))
         assert og.cells == tuple(tuple(omega(c) for c in row) for row in g.cells)
         assert matrix_leq(og, ou)
+
+
+MATRIX_REFUSALS = {
+    "float_k": (
+        lambda: GramMatrix.from_json('{"k": 1.0, "cells": [["(-1,1)"]]}'),
+        "a gram matrix needs an integer 'k'",
+    ),
+    "string_k": (
+        lambda: GramMatrix.from_json('{"k": "1", "cells": [["(-1,1)"]]}'),
+        "a gram matrix needs an integer 'k'",
+    ),
+    "mislabelled": (
+        lambda: GramMatrix.from_json('{"k": 2, "cells": [["(-1,1)"]]}'),
+        "ragged or mislabelled gram matrix",
+    ),
+    "empty_vector": (lambda: gram(vector_from_json("[]")), "empty word vector"),
+    "no_parts": (lambda: partitions(0, 3), "partitions need d, k >= 1"),
+    "nothing_to_part": (lambda: partitions(3, 0), "partitions need d, k >= 1"),
+    "composition_short": (lambda: compose_partitions((1, 2), (1,)), "partition composition mismatch"),
+    "composition_long": (lambda: compose_partitions((1,), (2,)), "partition composition mismatch"),
+    "empty_expansion": (lambda: iota_tau(HMM_GRAM, (0, 0)), "empty expansion"),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_REFUSALS)
+def test_matrix_refusals(name):
+    call, message = MATRIX_REFUSALS[name]
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # -- serialization -------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from itertools import combinations
@@ -256,6 +257,20 @@ def test_relation_samples_refuse_bad_counts(count):
             sample(count, 0)
 
 
+def test_matrix_relations_draw_in_proportion_to_the_count(monkeypatch):
+    # with three draws in four maximal, 30,000 relations take about 120,000
+    # draws: more than a fixed 100,000, within 100 a relation; with every
+    # draw maximal the sampler gives up after 100,000
+    calls = itertools.count()
+    monkeypatch.setattr(numeric, "matrix_successors", lambda g: set() if next(calls) % 4 else {g})
+    got = matrix_relations(30000, 0, ks=(1,))
+    assert len(got) == 30000 and all(lo == hi for lo, hi in got)
+    assert next(calls) == 4 * 30000 - 3
+    monkeypatch.setattr(numeric, "matrix_successors", lambda g: set())
+    with pytest.raises(DomainError, match="^could not sample enough matrix relations$"):
+        matrix_relations(1, 0, ks=(1,))
+
+
 def test_verify_k_order_dim_cap():
     # k n = 66 exceeds DIM_CAP = 64 although n alone is within it
     lower, upper = displayed_block_relation()
@@ -281,6 +296,17 @@ def test_verify_conjugation(rep):
     assert opnorm(
         eval_word(rep, reduce_word((1, -1, 1))) - eval_word(rep, Word((1,)))
     ) <= 1e-12
+
+
+def test_verify_conjugation_reports_the_residual():
+    # v = 1.5 is no partial isometry, so v* eval(n) v and eval(alpha(n))
+    # part, and the failure record carries the spectral norm of the gap
+    bad = PartialIsometryRep(np.array([[1.5]], dtype=complex))
+    gap = 1.5 * eval_word(bad, UNIT_MINUS)[0, 0] * 1.5 - eval_word(bad, alpha(UNIT_MINUS))[0, 0]
+    assert abs(gap) > 1e-3
+    rpt = verify_conjugation(bad, [UNIT_MINUS])
+    assert rpt.total == 1
+    assert rpt.failures == [{"relation": "conjugation at (1,-1)", "residual": pytest.approx(abs(gap))}]
 
 
 def test_report_merge():
@@ -316,6 +342,12 @@ def test_assignment_star_compat_enforced():
         )
     ga = GeneratorAssignment(n=1, images={g: np.array([[1.0]]), g.star: np.array([[1.0]])})
     assert ga(g * g.star)[0, 0] == 1.0
+    # an image given without its star's maps the star to zero, not to the
+    # adjoint, unless it is zero itself
+    with pytest.raises(DomainError, match=r"^star-incompatible images at \(-3,2,-3,4\)$"):
+        GeneratorAssignment(n=1, images={g: np.array([[0.5]])})
+    ga = GeneratorAssignment(n=1, images={g: np.zeros((1, 1))})
+    assert ga(g * g.star)[0, 0] == 0.0
 
 
 def test_assignment_rejects_non_generators():
@@ -336,6 +368,47 @@ def test_assignments_share_no_image_table():
     g = W("(-3,2,-3,4)")
     a.images[g] = np.array([[1.0]])
     assert b.images == {} and b(g * g.star)[0, 0] == 0.0
+
+
+def _fixture_file(tmp_path, text):
+    path = tmp_path / "fixture.json"
+    path.write_text(text)
+    return path
+
+
+_ONE_CELL = gram((W("(-1,2)"),))
+
+
+NUMERIC_REFUSALS = {
+    "negative_seed": (lambda tmp: random_partial_isometry(2, -1), "seed must be nonnegative, got -1"),
+    "psd_check_not_square": (lambda tmp: psd_check(np.zeros((2, 3))), "psd_check needs a square matrix"),
+    "psd_check_not_a_matrix": (lambda tmp: psd_check(np.zeros(3)), "psd_check needs a square matrix"),
+    "relation_rank": (
+        lambda tmp: verify_k_order(random_partial_isometry(2, 0), 2, [(_ONE_CELL, _ONE_CELL)]),
+        "relation rank differs from k = 2",
+    ),
+    "evaluator_type": (
+        lambda tmp: verify_order_rep(np.eye(2), []),
+        "expected a partial isometry rep or a generator assignment",
+    ),
+    "image_shape": (
+        lambda tmp: GeneratorAssignment(n=2, images={W("(-2,2)"): np.eye(1)}),
+        "image of (-2,2) has wrong shape",
+    ),
+    "image_without_im": (
+        lambda tmp: load_assignment(_fixture_file(tmp, '{"n": 1, "images": {"(-2,2)": {"re": [[1]]}}}')),
+        "the image of (-2,2) needs 're' and 'im'",
+    ),
+    "no_rank": (lambda tmp: matrix_relations(1, 0, ks=()), "matrix relations need at least one rank k"),
+}
+
+
+@pytest.mark.parametrize("name", NUMERIC_REFUSALS)
+def test_numeric_refusals(tmp_path, name):
+    call, message = NUMERIC_REFUSALS[name]
+    with pytest.raises(DomainError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message
 
 
 # -- the committed fixture ----------------------------------------------------------------

@@ -234,6 +234,9 @@ def test_enum_cap_refuses_before_enumerating(monkeypatch):
             enum_irr(k)
     with pytest.raises(AssertionError, match="enumerated grade 20"):
         enum_irr(20)
+    for k in (0, -3):
+        with pytest.raises(DomainError, match="^grades start at 1$"):
+            enum_irr(k)
 
 
 # -- selfadjoint canonical form ------------------------------------------------------

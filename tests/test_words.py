@@ -235,6 +235,9 @@ def test_sigma_examples():
     assert Word((-5, 5)).sigma(99) == 0
     for r in range(3):
         assert Word((-3, 2, -2, 3)).sigma(r) < 0
+    for r in (-1, -7):
+        with pytest.raises(WordError, match="^sigma index must be nonnegative$"):
+            Word((-2, 2)).sigma(r)
 
 
 def test_tau_plus_examples():
