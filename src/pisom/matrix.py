@@ -1,7 +1,10 @@
 """Matricial order: word vectors, their Gram matrices, and the order they
 generate.
 
-A Gram matrix stores the cells w_i* w_j of a word vector.  Factorization
+A Gram matrix stores the cells w_i* w_j of a word vector, and the vector
+itself as its witness when it has one.  The witness, when present, is a
+factorization of the cells (``GramMatrix.from_json`` checks that for
+outside input), and factorization recovery starts from it.  Without one,
 recovery reads each entry off tau: the two factorizations of a selfadjoint
 cell differ in tau by one, the negative-start one being lower, and
 tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
@@ -52,8 +55,12 @@ VECTOR_CAP = 500**2
 class GramMatrix:
     """k x k array of cells w_i* w_j, with an optional witness vector.
 
-    Equality and hashing use the cells only; the witness is bookkeeping
-    (:meth:`from_json` checks that its Gram matrix is the cells).
+    Equality and hashing use the cells only.  The witness, when present,
+    is a factorization of the cells: gram(witness).cells == cells, and
+    :func:`factor_gram` relies on it.  Every matrix the module builds keeps
+    that promise, and :meth:`from_json`, the way in for outside input,
+    checks it; a direct ``GramMatrix(cells, witness)`` is a promise, as
+    ``_trusted`` is for words.
     """
 
     __slots__ = ("cells", "witness")
@@ -161,20 +168,21 @@ def _require_tag(g: GramMatrix, tag: str) -> None:
 def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     """All word vectors whose Gram matrix equals g, negative-start first.
 
-    For each factorization w_0 of cell (0, 0), entry i is the factorization
-    of cell (i, i) whose tau is tau(w_0) + tau(cell (0, i)); the other one
-    is off by one.  A vector matches the diagonal by construction and the
-    cells below it by selfadjointness, so it is kept when it matches the
-    cells above the diagonal.  So there is one vector, with mixed first
-    signs, or the all-negative one and then the all-positive one.
+    A matrix with a witness has it as one factorization (see
+    :class:`GramMatrix`), so the answer is read off the witness with no
+    product checked.  Without one, for each factorization w_0 of cell
+    (0, 0), entry i is the factorization of cell (i, i) whose tau is
+    tau(w_0) + tau(cell (0, i)); the other one is off by one.  A vector
+    matches the diagonal by construction and the cells below it by
+    selfadjointness, so it is kept when it matches the cells above the
+    diagonal, and the loop stops at the first vector that matches.
 
-    The loop stops at the first vector that matches.  A mixed one is the
-    only factorization: the other candidate needs every entry one higher in
-    tau, and a positive-start w_j is already the higher factorization of
-    its cell.  An all-negative one comes with the all-positive one, (1) w_i
-    entry by entry, which needs no check: ((1) w_i)* (1) w_j =
-    w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a negative-start word.
+    Either way one factorization w is known, and :func:`_with_mirror`
+    completes it: a mixed w is the only factorization, and an all-negative
+    or all-positive one comes with its mirror.
     """
+    if g.witness:
+        return _with_mirror(g.witness)
     if not g.is_selfadjoint():
         raise DomainError("gram matrix is not selfadjoint")
     cells, k = g.cells, g.k
@@ -184,10 +192,27 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
         vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
         stars = (w.star for w in vec[:-1])
         if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
-            if all(w[0] < 0 for w in vec):
-                return vec, tuple(b if w is a else a for (a, b), w in zip(diag, vec))
-            return (vec,)
+            return _with_mirror(vec)
     raise DomainError("inconsistent gram matrix: no factorization")
+
+
+def _with_mirror(w: tuple[Word, ...]) -> tuple[tuple[Word, ...], ...]:
+    """Every factorization of gram(w), negative-start first.
+
+    A w with mixed first signs is the only one: the choice of entry 0 fixes
+    every other entry by tau, so any other factorization is one higher in
+    tau in every entry, or one lower in every entry, and the lower of the
+    two factorizations of a cell is the negative-start one; every entry of
+    w would start with one sign.  An all-negative w comes with (1) w, entry
+    by entry, and an all-positive one with (-1) w: ((1) w_i)* (1) w_j =
+    w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a negative-start word, and
+    (1,-1) a positive-start one.
+    """
+    if len({e[0] > 0 for e in w}) == 2:
+        return (w,)
+    if w[0][0] < 0:
+        return w, tuple(GEN * e for e in w)
+    return tuple(GEN_STAR * e for e in w), w
 
 
 def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatrix]:

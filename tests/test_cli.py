@@ -490,6 +490,21 @@ def test_factor_gram_answers_outside_d1():
     assert invoke(["factor-gram", OUTSIDE_D1_GRAM_JSON]) == (0, '[["(-2)"], ["(1,-2)"]]\n', "")
 
 
+MIXED_GRAM_JSON = gram((parse_word("(-1,3)"), parse_word("(1,-3,4)"))).to_json()
+
+
+@pytest.mark.parametrize("text", [HMM_GRAM_JSON, MIXED_GRAM_JSON], ids=["hmm", "mixed"])
+@pytest.mark.parametrize("command", ["factor-gram", "matrix-succ", "matrix-pred"])
+def test_gram_commands_answer_alike_with_and_without_the_witness(command, text):
+    # with a witness the factorizations are read off it, without one they
+    # are recovered from the cells: the output is byte-identical
+    obj = json.loads(text)
+    assert obj.pop("witness")
+    code, out, err = invoke([command, text])
+    assert (code, err) == (0, "") and out.startswith("[")
+    assert invoke([command, json.dumps(obj)]) == (code, out, err)
+
+
 # -- the CLI contract as a property -----------------------------------------------
 
 BAD_INTS = ["-1", "-%d" % 10**30, "%d" % 10**30, "x", "1.5", ""]

@@ -133,10 +133,12 @@ def test_factor_gram_rejects_inner_cell_mismatch():
 
 
 def test_factor_gram_exhaustive_small():
+    # each matrix twice: read off its witness, and recovered from its cells
     for k in (1, 2):
         for vec in vectors(k, 4):
             g = gram(vec)
             recovered = factor_gram(g)
+            assert recovered == factor_gram(GramMatrix(g.cells)) == factor_gram_by_search(g), vec
             assert vec in recovered
             signs = {w[0] > 0 for w in vec}
             assert len(recovered) == (2 if len(signs) == 1 else 1), vec
@@ -178,7 +180,9 @@ def test_factor_gram_matches_search():
     # that conjugates one cell on or above the diagonal by the unit (1)
     # (and its mirror below), the cell cycling through the positions: both
     # recoveries agree, and the vectors found are one with mixed first
-    # signs, or the all-negative one and then the all-positive one
+    # signs, or the all-negative one and then the all-positive one.  A
+    # matrix built by gram() is recovered twice, off its witness and, as
+    # GramMatrix(g.cells), off its cells alone; the variants have no witness
     pool = list(words_upto(4))
     grams = sorted({gram(v) for k in (1, 2, 3) for v in itertools.product(pool, repeat=k)}, key=lambda g: g.cells)
     assert len(grams) == 10570
@@ -194,6 +198,8 @@ def test_factor_gram_matches_search():
     for g in grams + variants:
         got = _outcome(factor_gram, g)
         assert got == _outcome(factor_gram_by_search, g), g
+        if g.witness:
+            assert _outcome(factor_gram, GramMatrix(g.cells)) == got, g
         if not isinstance(got, str):
             signs = [{w[0] > 0 for w in v} for v in got]
             assert signs in ([{False, True}], [{False}, {True}]), g
@@ -376,24 +382,77 @@ def draw_d1_vector(rng, pool, compat, k, uniform):
             return tuple(vec)
 
 
-def test_successor_table_matches_gram_reference_wide():
+@functools.cache
+def d1_pool():
+    """The words of weight <= 5 whose w* w lies in D1, and for each word a
+    the words b among them with a* b and b* a in D1."""
     pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
     compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    return pool, compat
+
+
+@functools.cache
+def d1_draws_wide():
+    """Seeded D1 vectors: four of uniform first sign and one mixed at each
+    rank 4..K_CAP."""
     rng = random.Random(4)
+    return tuple(
+        draw_d1_vector(rng, *d1_pool(), k, uniform) for k in range(4, K_CAP + 1) for uniform in (True,) * 4 + (False,)
+    )
+
+
+def test_successor_table_matches_gram_reference_wide():
     case3 = 0
-    for k in range(4, K_CAP + 1):
-        for uniform in (True,) * 4 + (False,):
-            g = gram(draw_d1_vector(rng, pool, compat, k, uniform))
-            assert g.tagged("D1")
-            assert_same_successors(g)
-            if uniform:
-                assert matrix_successors(g), g
-            res = classify_matrix(g)
-            if res.case == "Case3" and not res.maximal:
-                assert case3_recomposes(g, res.m, res.lam), g
-                case3 += 1
-            assert res == case3_by_search(g), g
+    for vec in d1_draws_wide():
+        g = gram(vec)
+        assert g.tagged("D1")
+        assert_same_successors(g)
+        if len({w[0] > 0 for w in vec}) == 1:
+            assert matrix_successors(g), g
+        res = classify_matrix(g)
+        if res.case == "Case3" and not res.maximal:
+            assert case3_recomposes(g, res.m, res.lam), g
+            case3 += 1
+        assert res == case3_by_search(g), g
     assert case3 == 9
+
+
+def test_every_witness_factors_its_cells():
+    # factor_gram reads its answer off the witness when a matrix has one, so
+    # every matrix the module hands out carries a witness whose Gram matrix
+    # is its cells, and each caller of factor_gram answers alike for g and
+    # for GramMatrix(g.cells), witnesses and set order included.  On the 649
+    # matrices of d1_grams_small and the 25 seeded draws at k = 4..8.
+    def holds(h):
+        assert h.witness is not None and gram(h.witness).cells == h.cells, h
+        assert factor_gram(h) == factor_gram(GramMatrix(h.cells)), h
+        return h
+
+    def listed(grams):
+        return [(h.cells, h.witness) for h in grams]
+
+    pool, _ = d1_pool()
+    grams = list(d1_grams_small()) + [gram(vec) for vec in d1_draws_wide()]
+    assert len(grams) == 674
+    for n, g in enumerate(grams):
+        bare = GramMatrix(g.cells)
+        holds(g)
+        holds(GramMatrix.from_json(g.to_json()))
+        holds(conj_delta(tuple(pool[(n + i) % len(pool)] for i in range(g.k)), g))
+        tau = tuple((n + i) % 3 for i in range(g.k))
+        if any(tau):
+            holds(iota_tau(g, tau))
+        above = []
+        for require in ("D1", None):
+            succ = [holds(h) for h in matrix_successors(g, require=require)]
+            assert listed(succ) == listed(matrix_successors(bare, require=require)), g
+            above += succ
+        below = [holds(h) for h in immediate_predecessors(g)]
+        assert listed(below) == listed(immediate_predecessors(bare)), g
+        assert classify_matrix(g) == classify_matrix(bare), g
+        for h in above + [h for h in below if h.tagged("D1")]:
+            for lo, hi in ((g, h), (h, g)):
+                assert matrix_leq(lo, hi) == matrix_leq(GramMatrix(lo.cells), GramMatrix(hi.cells)), (lo, hi)
 
 
 def test_matrix_relations_keep_their_witnesses(monkeypatch):
@@ -520,8 +579,7 @@ def up_set(g):
 def test_matrix_leq_matches_search_wide():
     # pairs drawn from the up-sets of uniform D1 matrices at ranks 4..8,
     # where comparable pairs are common
-    pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
-    compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    pool, compat = d1_pool()
     rng = random.Random(13)
     pairs = []
     for k in range(4, K_CAP + 1):
@@ -767,8 +825,7 @@ def case3_recomposes(g, m, lam):
 def d1_grams_small():
     """Every distinct D1 Gram matrix with k <= 3 and entries of weight <= 5,
     each with one vector that has it as its Gram matrix."""
-    pool = [w for w in words_upto(5) if member(w.star * w, "D1")]
-    compat = {a: {b for b in pool if member(a.star * b, "D1") and member(b.star * a, "D1")} for a in pool}
+    _, compat = d1_pool()
     seen = {}
     for k in (1, 2, 3):
         for vec in vectors(k, 5):
