@@ -1,21 +1,22 @@
 """Matricial order: word vectors, their Gram matrices, and the order they
 generate.
 
-A Gram matrix stores the cells w_i* w_j of a word vector, and the vector
-itself as its witness when it has one.  The witness, when present, is a
-factorization of the cells (``GramMatrix.from_json`` checks that for
-outside input), and factorization recovery starts from it.  Without one,
-recovery reads each entry off tau: the two factorizations of a selfadjoint
-cell differ in tau by one, the negative-start one being lower, and
-tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
+A Gram matrix stores the cells w_i* w_j of a word vector and the vector
+itself, its witness.  Every matrix has one: the builders make the cells
+from it, and a matrix that comes in as cells alone gets it at the way in
+(``GramMatrix.from_cells``, which ``from_json`` calls for JSON without a
+witness).  Recovery reads each entry off tau: the two factorizations of a
+selfadjoint cell differ in tau by one, the negative-start one being lower,
+and tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
 other entry.  A vector whose entries all start with one sign stays a
 factorization when the unit of the other sign is prepended to each entry
 ((-1,1) fixes negative-start words, (1,-1) positive-start ones).  So a
 matrix has one factorization, with mixed first signs, or two: the
-all-negative one and the all-positive one.  Successor generation lifts the
-scalar hollowing coordinatewise: each word w_i of a factorization w has
-one or two hollowing choices, its strip s_i and its shift, and cell (i, j)
-of a successor depends on the choices at i and j only.  Every cell that
+all-negative one and the all-positive one, and ``factor_gram`` reads them
+off the witness.  Successor generation lifts the scalar hollowing
+coordinatewise: each word w_i of a factorization w has one or two
+hollowing choices, its strip s_i and its shift, and cell (i, j) of a
+successor depends on the choices at i and j only.  Every cell that
 involves a shift is the cell of g (see ``matrix_successors``), so only the
 k(k+1)/2 products of gram(s) are made, and each of the up to 2^k choice
 vectors is assembled from that block and the rows of g by lookup; a fixed
@@ -53,19 +54,20 @@ VECTOR_CAP = 500**2
 
 
 class GramMatrix:
-    """k x k array of cells w_i* w_j, with an optional witness vector.
+    """k x k array of cells w_i* w_j and their witness vector w.
 
-    Equality and hashing use the cells only.  The witness, when present,
-    is a factorization of the cells: gram(witness).cells == cells, and
-    :func:`factor_gram` relies on it.  Every matrix the module builds keeps
-    that promise, and :meth:`from_json`, the way in for outside input,
-    checks it; a direct ``GramMatrix(cells, witness)`` is a promise, as
+    Equality and hashing use the cells only.  The witness is a
+    factorization of the cells, gram(witness).cells == cells, so every
+    matrix is selfadjoint and :func:`factor_gram` reads its answer off the
+    witness.  The builders of this module keep that promise,
+    :meth:`from_json` checks a given witness and :meth:`from_cells` recovers
+    one; a direct ``GramMatrix(cells, witness)`` is a promise, as
     ``_trusted`` is for words.
     """
 
     __slots__ = ("cells", "witness")
 
-    def __init__(self, cells: tuple[tuple[Word, ...], ...], witness: tuple[Word, ...] | None = None):
+    def __init__(self, cells: tuple[tuple[Word, ...], ...], witness: tuple[Word, ...]):
         self.cells = cells
         self.witness = witness
 
@@ -83,25 +85,51 @@ class GramMatrix:
         rows = "; ".join(",".join(format_word(c) for c in row) for row in self.cells)
         return "GramMatrix[%s]" % rows
 
-    def is_selfadjoint(self) -> bool:
-        cells, k = self.cells, self.k
-        return all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k))
-
     def tagged(self, tag: str) -> bool:
-        return all(member(c, tag) for row in self.cells for c in row)
+        """Every cell lies in the tag's subsemigroup.  Each tag is closed
+        under star and cell (j, i) is the star of cell (i, j), so the cells
+        with i <= j decide."""
+        return all(member(c, tag) for i, row in enumerate(self.cells) for c in row[i:])
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "k": self.k,
                 "cells": [[format_word(c) for c in row] for row in self.cells],
-                "witness": [format_word(w) for w in self.witness] if self.witness else None,
+                "witness": [format_word(w) for w in self.witness],
             }
         )
 
     @classmethod
+    def from_cells(cls, cells: tuple[tuple[Word, ...], ...]) -> "GramMatrix":
+        """The matrix of a square array of cells, its witness recovered from
+        them: the one factorization, or the all-negative one of two.
+
+        For each factorization w_0 of cell (0, 0), negative-start first,
+        entry i is the factorization of cell (i, i) whose tau is
+        tau(w_0) + tau(cell (0, i)); the other one is off by one.  A vector
+        matches the diagonal by construction and the cells below it by
+        selfadjointness, so it is kept when it matches the cells above the
+        diagonal.  The first vector kept is mixed or all negative: an
+        all-positive one has the all-negative mirror, which starts with the
+        negative-start w_0.
+        """
+        k = len(cells)
+        if not all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k)):
+            raise DomainError("gram matrix is not selfadjoint")
+        diag = [sa_factorizations(cells[i][i]) for i in range(k)]
+        for first in diag[0]:
+            t = first.tau
+            vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
+            stars = (w.star for w in vec[:-1])
+            if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
+                return cls(cells, vec)
+        raise DomainError("inconsistent gram matrix: no factorization")
+
+    @classmethod
     def from_json(cls, text: str) -> "GramMatrix":
-        """Parse the :meth:`to_json` shape; any other shape is a DomainError."""
+        """Parse the :meth:`to_json` shape; any other shape is a DomainError.
+        Without a witness the cells go to :meth:`from_cells`."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list) or not obj["cells"]:
             raise DomainError("a gram matrix must be a JSON object with a non-empty 'cells' list")
@@ -111,13 +139,13 @@ class GramMatrix:
         k = obj.get("k")
         if type(k) is not int:
             raise DomainError("a gram matrix needs an integer 'k'")
-        g = cls(cells, witness)
-        if g.k != k or any(len(row) != k for row in cells) or (witness and len(witness) != k):
+        if len(cells) != k or any(len(row) != k for row in cells) or (witness and len(witness) != k):
             raise DomainError("ragged or mislabelled gram matrix")
-        if witness and gram(witness).cells != cells:
+        if not witness:
+            return cls.from_cells(cells)
+        g = gram(witness)
+        if g.cells != cells:
             raise DomainError("the gram matrix of the witness differs from the cells")
-        if not witness and not g.is_selfadjoint():  # a witness's Gram matrix is selfadjoint
-            raise DomainError("gram matrix is not selfadjoint")
         return g
 
 
@@ -166,38 +194,8 @@ def _require_tag(g: GramMatrix, tag: str) -> None:
 
 
 def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
-    """All word vectors whose Gram matrix equals g, negative-start first.
-
-    A matrix with a witness has it as one factorization (see
-    :class:`GramMatrix`), so the answer is read off the witness with no
-    product checked.  Without one, for each factorization w_0 of cell
-    (0, 0), entry i is the factorization of cell (i, i) whose tau is
-    tau(w_0) + tau(cell (0, i)); the other one is off by one.  A vector
-    matches the diagonal by construction and the cells below it by
-    selfadjointness, so it is kept when it matches the cells above the
-    diagonal, and the loop stops at the first vector that matches.
-
-    Either way one factorization w is known, and :func:`_with_mirror`
-    completes it: a mixed w is the only factorization, and an all-negative
-    or all-positive one comes with its mirror.
-    """
-    if g.witness:
-        return _with_mirror(g.witness)
-    if not g.is_selfadjoint():
-        raise DomainError("gram matrix is not selfadjoint")
-    cells, k = g.cells, g.k
-    diag = [sa_factorizations(cells[i][i]) for i in range(k)]
-    for first in diag[0]:
-        t = first.tau
-        vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
-        stars = (w.star for w in vec[:-1])
-        if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
-            return _with_mirror(vec)
-    raise DomainError("inconsistent gram matrix: no factorization")
-
-
-def _with_mirror(w: tuple[Word, ...]) -> tuple[tuple[Word, ...], ...]:
-    """Every factorization of gram(w), negative-start first.
+    """All word vectors whose Gram matrix equals g, negative-start first,
+    read off the witness w with no product checked.
 
     A w with mixed first signs is the only one: the choice of entry 0 fixes
     every other entry by tau, so any other factorization is one higher in
@@ -208,6 +206,7 @@ def _with_mirror(w: tuple[Word, ...]) -> tuple[tuple[Word, ...], ...]:
     w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a negative-start word, and
     (1,-1) a positive-start one.
     """
+    w = g.witness
     if len({e[0] > 0 for e in w}) == 2:
         return (w,)
     if w[0][0] < 0:
@@ -453,8 +452,7 @@ def iota_tau(g: GramMatrix, tau) -> GramMatrix:
         raise DomainError("expansion to rank %d exceeds the cap of %d cells" % (rank, EXPANSION_CAP))
     idx = [j for j, t in enumerate(tau) for _ in range(t)]
     cells = tuple(tuple(g.cells[idx[i]][idx[j]] for j in range(len(idx))) for i in range(len(idx)))
-    witness = tuple(g.witness[j] for j in idx) if g.witness else None
-    return GramMatrix(cells, witness)
+    return GramMatrix(cells, tuple(g.witness[j] for j in idx))
 
 
 def conj_delta(v, g: GramMatrix) -> GramMatrix:
@@ -466,5 +464,4 @@ def conj_delta(v, g: GramMatrix) -> GramMatrix:
     cells = tuple(
         tuple(stars[i] * g.cells[i][j] * v[j] for j in range(g.k)) for i in range(g.k)
     )
-    witness = tuple(g.witness[i] * v[i] for i in range(g.k)) if g.witness else None
-    return GramMatrix(cells, witness)
+    return GramMatrix(cells, tuple(g.witness[i] * v[i] for i in range(g.k)))

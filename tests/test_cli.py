@@ -466,23 +466,53 @@ def test_matrix_leq_answers_rank_nine(lower, upper, answer):
 
 
 OUTSIDE_D1_GRAM_JSON = '{"k": 1, "cells": [["(2,-2)"]]}'
+#: selfadjoint cells that no word vector has, in D1 and outside it
+NO_FACTOR_D1_GRAM_JSON = '{"k":2,"cells":[["(-2,2)","(-2,2)"],["(-2,2)","(-3,3)"]]}'
+NO_FACTOR_OUTSIDE_D1_GRAM_JSON = '{"k":2,"cells":[["(2,-2)","(2,-2)"],["(2,-2)","(3,-3)"]]}'
+RANK_TWO_GRAM_JSON = gram((parse_word("(-1)"), parse_word("(-1)"))).to_json()
+NO_FACTORIZATION = "error: inconsistent gram matrix: no factorization\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["matrix-succ", OUTSIDE_D1_GRAM_JSON],
-        ["matrix-pred", OUTSIDE_D1_GRAM_JSON],
-        ["classify", OUTSIDE_D1_GRAM_JSON],
-        ["matrix-leq", OUTSIDE_D1_GRAM_JSON, ONE_CELL_GRAM_JSON],
-        ["matrix-leq", ONE_CELL_GRAM_JSON, OUTSIDE_D1_GRAM_JSON],
-    ],
-    ids=["matrix-succ", "matrix-pred", "classify", "matrix-leq-lower", "matrix-leq-upper"],
+def _gram_command_argvs(text, partner):
+    """(id, argv) for every command that takes a Gram matrix, on text, the
+    five that need its cells in D1 first; partner is the other side of
+    matrix-leq."""
+    return [
+        ("matrix-succ", ["matrix-succ", text]),
+        ("matrix-pred", ["matrix-pred", text]),
+        ("classify", ["classify", text]),
+        ("matrix-leq-lower", ["matrix-leq", text, partner]),
+        ("matrix-leq-upper", ["matrix-leq", partner, text]),
+        ("factor-gram", ["factor-gram", text]),
+        ("iota-tau", ["iota-tau", text, "[1,1]"]),
+    ]
+
+
+D1_REFUSAL_CASES = [
+    (name, argv, "error: gram matrix has a cell outside D1\n")
+    for name, argv in _gram_command_argvs(OUTSIDE_D1_GRAM_JSON, ONE_CELL_GRAM_JSON)[:5]
+]
+D1_REFUSAL_CASES += [
+    ("%s-%s" % (name, where), argv, NO_FACTORIZATION)
+    for where, text in (
+        ("no-factorization", NO_FACTOR_D1_GRAM_JSON),
+        ("no-factorization-outside-d1", NO_FACTOR_OUTSIDE_D1_GRAM_JSON),
+    )
+    for name, argv in _gram_command_argvs(text, RANK_TWO_GRAM_JSON)
+]
+D1_REFUSAL_CASES.append(
+    ("matrix-leq-rank-mismatch", ["matrix-leq", NO_FACTOR_D1_GRAM_JSON, ONE_CELL_GRAM_JSON], NO_FACTORIZATION)
 )
-def test_d1_commands_refuse_a_cell_outside_d1(argv):
-    # (2,-2) is selfadjoint, so the matrix has Gram factorizations, but its
-    # cell lies outside D1, where the matrix order lives
-    assert invoke(argv) == (1, "", "error: gram matrix has a cell outside D1\n")
+
+
+@pytest.mark.parametrize("argv, error", [c[1:] for c in D1_REFUSAL_CASES], ids=[c[0] for c in D1_REFUSAL_CASES])
+def test_d1_commands_refuse_a_cell_outside_d1(argv, error):
+    # (2,-2) is selfadjoint, so OUTSIDE_D1_GRAM_JSON has Gram
+    # factorizations, but its cell lies outside D1, where the matrix order
+    # lives.  Cells that no word vector has are refused when they are read,
+    # by every command that takes a Gram matrix, before any cell is checked
+    # against D1 and before matrix-leq compares the ranks
+    assert invoke(argv) == (1, "", error)
 
 
 def test_factor_gram_answers_outside_d1():
@@ -494,15 +524,17 @@ MIXED_GRAM_JSON = gram((parse_word("(-1,3)"), parse_word("(1,-3,4)"))).to_json()
 
 
 @pytest.mark.parametrize("text", [HMM_GRAM_JSON, MIXED_GRAM_JSON], ids=["hmm", "mixed"])
-@pytest.mark.parametrize("command", ["factor-gram", "matrix-succ", "matrix-pred"])
+@pytest.mark.parametrize("command", ["factor-gram", "matrix-succ", "matrix-pred", "iota-tau"])
 def test_gram_commands_answer_alike_with_and_without_the_witness(command, text):
-    # with a witness the factorizations are read off it, without one they
-    # are recovered from the cells: the output is byte-identical
+    # without a witness one is recovered from the cells, the one
+    # factorization or the all-negative one, as both witnesses here are: the
+    # output is byte-identical, and iota-tau prints the recovered witness
     obj = json.loads(text)
     assert obj.pop("witness")
-    code, out, err = invoke([command, text])
-    assert (code, err) == (0, "") and out.startswith("[")
-    assert invoke([command, json.dumps(obj)]) == (code, out, err)
+    rest = ["[2,1]"] if command == "iota-tau" else []
+    code, out, err = invoke([command, text, *rest])
+    assert (code, err) == (0, "") and out.startswith("[" if rest == [] else "{")
+    assert invoke([command, json.dumps(obj), *rest]) == (code, out, err)
 
 
 # -- the CLI contract as a property -----------------------------------------------
@@ -774,6 +806,38 @@ def test_trusted_word_construction_stays_in_words():
     for held_by in TRUSTED_CALLERS.values():
         module, test = held_by.split("::")
         assert "\ndef %s(" % test in (REPO / "tests" / module).read_text(), held_by
+
+
+#: the functions of matrix.py that make a GramMatrix; each promises that
+#: the witness is a factorization of the cells
+GRAM_BUILDERS = ("gram", "from_cells", "matrix_successors", "iota_tau", "conj_delta")
+GRAM_PROMISE_TEST = "test_matrix.py::test_every_witness_factors_its_cells"
+
+
+def test_gram_matrix_construction_stays_in_its_builders():
+    # a GramMatrix is made, as GramMatrix(...) or as cls(...) in its class
+    # methods, only by the GRAM_BUILDERS of matrix.py, and the promise test
+    # calls every one of them (from_json reaches from_cells and gram)
+    sites = []
+    for path in sorted((REPO / "src" / "pisom").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = _enclosing_functions(tree)
+        makers = {"GramMatrix", "cls"} if path.name == "matrix.py" else {"GramMatrix"}
+        sites += [
+            (path.name, owner[node])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in makers
+        ]
+    assert sorted(set(sites)) == sorted(("matrix.py", fn) for fn in GRAM_BUILDERS), sites
+    module, test = GRAM_PROMISE_TEST.split("::")
+    tree = ast.parse((REPO / "tests" / module).read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == test)
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert set(GRAM_BUILDERS) | {"from_json"} <= called, called
 
 
 def test_no_module_level_containers():

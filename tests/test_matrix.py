@@ -35,6 +35,7 @@ from pisom.structure import factor_a0, is_irreducible, sa_canonical_d1
 from pisom.words import (
     GEN,
     GEN_STAR,
+    TAGS,
     UNIT_MINUS,
     UNIT_PLUS,
     DomainError,
@@ -90,8 +91,18 @@ def test_gram_stars_the_upper_triangle():
 
 
 def test_gram_selfadjoint_and_tagged():
-    assert HMM_GRAM.is_selfadjoint()
+    assert all(HMM_GRAM.cells[j][i] == c.star for i, row in enumerate(HMM_GRAM.cells) for j, c in enumerate(row))
     assert HMM_GRAM.tagged("D1") and HMM_GRAM.tagged("D0")
+
+
+def test_every_tag_is_closed_under_star():
+    # GramMatrix.tagged reads only the cells with i <= j: each cell below
+    # the diagonal is the star of one above it, and every tag holds a word
+    # exactly when it holds its star: on all 174 words of weight <= 8
+    pool = list(iter_words(8))
+    assert len(pool) == 174
+    for tag in TAGS:
+        assert all(member(w, tag) == member(w.star, tag) for w in pool), tag
 
 
 def test_factor_gram_examples():
@@ -108,16 +119,19 @@ def test_factor_gram_examples():
 
 
 def test_factor_gram_inconsistent():
-    bad = GramMatrix(((W("(-2,2)"), W("(-2,2)")), (W("(-2,2)"), W("(-3,3)"))))
-    with pytest.raises(DomainError):
-        factor_gram(bad)
+    # selfadjoint cells that no word vector has are refused at the way in
+    with pytest.raises(DomainError, match="^inconsistent gram matrix: no factorization$"):
+        GramMatrix.from_cells(((W("(-2,2)"), W("(-2,2)")), (W("(-2,2)"), W("(-3,3)"))))
 
 
-def test_is_selfadjoint_checks_diagonal_and_upper_triangle():
-    assert not GramMatrix(((W("(-2,3)"),),)).is_selfadjoint()
-    a, b = W("(-3,2,-3,4)"), W("(-2,2)")
-    assert GramMatrix(((b, a), (a.star, b))).is_selfadjoint()
-    assert not GramMatrix(((b, a), (a, b))).is_selfadjoint()
+def test_from_cells_checks_diagonal_and_upper_triangle():
+    # the recovered witness is the one factorization or the all-negative one
+    a, b = HMM_GRAM.cells[0]
+    assert GramMatrix.from_cells(HMM_GRAM.cells).witness == HMM_VECTOR
+    assert GramMatrix.from_cells(gram(factor_gram(HMM_GRAM)[1]).cells).witness == HMM_VECTOR
+    for cells in (((W("(-2,3)"),),), ((a, b), (b, HMM_GRAM.cells[1][1]))):
+        with pytest.raises(DomainError, match="^gram matrix is not selfadjoint$"):
+            GramMatrix.from_cells(cells)
 
 
 def test_factor_gram_rejects_inner_cell_mismatch():
@@ -129,16 +143,17 @@ def test_factor_gram_rejects_inner_cell_mismatch():
     cells[1][2], cells[2][1] = odd, odd.star
     assert odd != g.cells[1][2]
     with pytest.raises(DomainError, match="no factorization"):
-        factor_gram(GramMatrix(tuple(map(tuple, cells))))
+        GramMatrix.from_cells(tuple(map(tuple, cells)))
 
 
 def test_factor_gram_exhaustive_small():
-    # each matrix twice: read off its witness, and recovered from its cells
+    # each matrix twice: read off its witness, and off the witness that
+    # from_cells recovers from its cells
     for k in (1, 2):
         for vec in vectors(k, 4):
             g = gram(vec)
             recovered = factor_gram(g)
-            assert recovered == factor_gram(GramMatrix(g.cells)) == factor_gram_by_search(g), vec
+            assert recovered == factor_gram(GramMatrix.from_cells(g.cells)) == factor_gram_by_search(g.cells), vec
             assert vec in recovered
             signs = {w[0] > 0 for w in vec}
             assert len(recovered) == (2 if len(signs) == 1 else 1), vec
@@ -146,21 +161,22 @@ def test_factor_gram_exhaustive_small():
                 assert gram(v) == g
 
 
-def factor_gram_by_search(g):
-    """factor_gram as first written: for each factorization of cell (0, 0),
-    every branch of candidates for the other diagonal cells that matches
-    row 0, kept when it also matches the inner cells."""
-    k = g.k
-    if not g.is_selfadjoint():
+def factor_gram_by_search(cells):
+    """factor_gram as first written, on a square array of cells: for each
+    factorization of cell (0, 0), every branch of candidates for the other
+    diagonal cells that matches row 0, kept when it also matches the inner
+    cells."""
+    k = len(cells)
+    if any(cells[j][i] != cells[i][j].star for i in range(k) for j in range(i, k)):
         raise DomainError("gram matrix is not selfadjoint")
-    diag_opts = [sa_factorizations(g.cells[i][i]) for i in range(k)]
+    diag_opts = [sa_factorizations(cells[i][i]) for i in range(k)]
     found = set()
     for first in diag_opts[0]:
         branches = [[first]]
         for i in range(1, k):
-            branches = [br + [cand] for br in branches for cand in diag_opts[i] if first.star * cand == g.cells[0][i]]
+            branches = [br + [cand] for br in branches for cand in diag_opts[i] if first.star * cand == cells[0][i]]
         for br in branches:
-            if all(br[i].star * br[j] == g.cells[i][j] for i in range(1, k - 1) for j in range(i + 1, k)):
+            if all(br[i].star * br[j] == cells[i][j] for i in range(1, k - 1) for j in range(i + 1, k)):
                 found.add(tuple(br))
     if not found:
         raise DomainError("inconsistent gram matrix: no factorization")
@@ -180,9 +196,9 @@ def test_factor_gram_matches_search():
     # that conjugates one cell on or above the diagonal by the unit (1)
     # (and its mirror below), the cell cycling through the positions: both
     # recoveries agree, and the vectors found are one with mixed first
-    # signs, or the all-negative one and then the all-positive one.  A
-    # matrix built by gram() is recovered twice, off its witness and, as
-    # GramMatrix(g.cells), off its cells alone; the variants have no witness
+    # signs, or the all-negative one and then the all-positive one.  Each
+    # array of cells goes through GramMatrix.from_cells; a matrix built by
+    # gram() is also read off its own witness, with the same answer
     pool = list(words_upto(4))
     grams = sorted({gram(v) for k in (1, 2, 3) for v in itertools.product(pool, repeat=k)}, key=lambda g: g.cells)
     assert len(grams) == 10570
@@ -193,16 +209,16 @@ def test_factor_gram_matches_search():
         odd = GEN_STAR * g.cells[i][j] * GEN
         cells = [list(row) for row in g.cells]
         cells[i][j], cells[j][i] = odd, odd.star
-        variants.append(GramMatrix(tuple(map(tuple, cells))))
+        variants.append(tuple(map(tuple, cells)))
     outcomes = {}
-    for g in grams + variants:
-        got = _outcome(factor_gram, g)
-        assert got == _outcome(factor_gram_by_search, g), g
-        if g.witness:
-            assert _outcome(factor_gram, GramMatrix(g.cells)) == got, g
+    for cells, g in [(g.cells, g) for g in grams] + [(cells, None) for cells in variants]:
+        got = _outcome(lambda c: factor_gram(GramMatrix.from_cells(c)), cells)
+        assert got == _outcome(factor_gram_by_search, cells), cells
+        if g:
+            assert factor_gram(g) == got, g
         if not isinstance(got, str):
             signs = [{w[0] > 0 for w in v} for v in got]
-            assert signs in ([{False, True}], [{False}, {True}]), g
+            assert signs in ([{False, True}], [{False}, {True}]), cells
             got = len(got)
         outcomes[got] = outcomes.get(got, 0) + 1
     assert outcomes == {1: 8228, 2: 2624, "inconsistent gram matrix: no factorization": 10274}, outcomes
@@ -418,41 +434,35 @@ def test_successor_table_matches_gram_reference_wide():
 
 
 def test_every_witness_factors_its_cells():
-    # factor_gram reads its answer off the witness when a matrix has one, so
-    # every matrix the module hands out carries a witness whose Gram matrix
-    # is its cells, and each caller of factor_gram answers alike for g and
-    # for GramMatrix(g.cells), witnesses and set order included.  On the 649
-    # matrices of d1_grams_small and the 25 seeded draws at k = 4..8.
+    # factor_gram reads its answer off the witness, so every matrix that
+    # matrix.py builds carries a witness whose Gram matrix is its cells, and
+    # the witness that from_cells recovers gives the same factorizations.
+    # Every builder is checked: gram, from_json (with a witness, and without
+    # one through from_cells), matrix_successors, iota_tau, conj_delta and,
+    # through gram, immediate_predecessors.  On the 649 matrices of
+    # d1_grams_small and the 25 seeded draws at k = 4..8.
     def holds(h):
-        assert h.witness is not None and gram(h.witness).cells == h.cells, h
-        assert factor_gram(h) == factor_gram(GramMatrix(h.cells)), h
-        return h
-
-    def listed(grams):
-        return [(h.cells, h.witness) for h in grams]
+        assert gram(h.witness).cells == h.cells, h
+        assert factor_gram(GramMatrix.from_cells(h.cells)) == factor_gram(h), h
 
     pool, _ = d1_pool()
     grams = list(d1_grams_small()) + [gram(vec) for vec in d1_draws_wide()]
     assert len(grams) == 674
     for n, g in enumerate(grams):
-        bare = GramMatrix(g.cells)
         holds(g)
         holds(GramMatrix.from_json(g.to_json()))
+        bare = json.loads(g.to_json())
+        del bare["witness"]
+        holds(GramMatrix.from_json(json.dumps(bare)))
         holds(conj_delta(tuple(pool[(n + i) % len(pool)] for i in range(g.k)), g))
         tau = tuple((n + i) % 3 for i in range(g.k))
         if any(tau):
             holds(iota_tau(g, tau))
-        above = []
         for require in ("D1", None):
-            succ = [holds(h) for h in matrix_successors(g, require=require)]
-            assert listed(succ) == listed(matrix_successors(bare, require=require)), g
-            above += succ
-        below = [holds(h) for h in immediate_predecessors(g)]
-        assert listed(below) == listed(immediate_predecessors(bare)), g
-        assert classify_matrix(g) == classify_matrix(bare), g
-        for h in above + [h for h in below if h.tagged("D1")]:
-            for lo, hi in ((g, h), (h, g)):
-                assert matrix_leq(lo, hi) == matrix_leq(GramMatrix(lo.cells), GramMatrix(hi.cells)), (lo, hi)
+            for h in matrix_successors(g, require=require):
+                holds(h)
+        for h in immediate_predecessors(g):
+            holds(h)
 
 
 def test_matrix_relations_keep_their_witnesses(monkeypatch):
@@ -476,18 +486,16 @@ def test_matrix_leq_examples():
     )
     with pytest.raises(DomainError):
         matrix_leq(HMM_GRAM, gram((W("(-1)"),)))
-    # a D1 diagonal cell that is not selfadjoint belongs to no Gram matrix
-    skew = GramMatrix(((W("(-3,2,-4,5)"),),))
-    for lower, upper in ((skew, skew), (gram((W("(2)"),)), skew)):
-        with pytest.raises(DomainError, match="not selfadjoint"):
-            matrix_leq(lower, upper)
+    # a D1 diagonal cell that is not selfadjoint belongs to no Gram matrix,
     # nor does a matrix whose cell (1, 0) is not the star of cell (0, 1); as
-    # JSON it is refused wherever it appears
+    # JSON either is refused wherever it appears
+    skew = '{"k": 1, "cells": [["(-3,2,-4,5)"]]}'
     g = '{"k": 2, "cells": [["(-1,1)", "(-3,3)"], ["(-2,2)", "(-1,1)"]]}'
     h = gram((UNIT_PLUS, UNIT_PLUS)).to_json()
-    with pytest.raises(DomainError, match="not selfadjoint"):
-        GramMatrix.from_json(g)
-    for lower, upper in ((g, g), (h, g), (g, h)):
+    for text in (skew, g):
+        with pytest.raises(DomainError, match="not selfadjoint"):
+            GramMatrix.from_json(text)
+    for lower, upper in ((skew, skew), (gram((W("(2)"),)).to_json(), skew), (g, g), (h, g), (g, h)):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = run(["matrix-leq", lower, upper])
@@ -496,13 +504,15 @@ def test_matrix_leq_examples():
 
 def test_matrix_leq_refuses_a_matrix_without_factorization():
     # a selfadjoint D1 matrix that no word vector has as its Gram matrix is
-    # refused on either side, and against itself, as factor_gram refuses it
-    g = GramMatrix(tuple(tuple(W(c) for c in row) for row in (("(-2,2)", "(-2,2)"), ("(-2,2)", "(-3,3)"))))
-    h = gram((UNIT_PLUS, UNIT_PLUS))
-    assert g.is_selfadjoint() and g.tagged("D1")
+    # refused on either side, and against itself, as from_cells refuses it
+    g = '{"k": 2, "cells": [["(-2,2)", "(-2,2)"], ["(-2,2)", "(-3,3)"]]}'
+    h = gram((UNIT_PLUS, UNIT_PLUS)).to_json()
+    assert all(member(W(c), "D1") for row in json.loads(g)["cells"] for c in row)
     for lower, upper in ((g, h), (h, g), (g, g)):
-        with pytest.raises(DomainError, match="no factorization"):
-            matrix_leq(lower, upper)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["matrix-leq", lower, upper])
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", "error: inconsistent gram matrix: no factorization\n")
 
 
 def matrix_leq_by_search(g1, g2):
@@ -592,10 +602,10 @@ def test_matrix_leq_matches_search_wide():
 
 
 def test_matrix_order_against_the_operator_order_at_partial_isometries():
-    # on the matrices of rank <= 2 of d1_grams_small, every pair below in
-    # matrix_leq stays PSD at 30 seeded partial isometries of dimension
-    # 2..4, and every other pair is refuted there (its block difference has
-    # an eigenvalue below -PSD_TOL at one of them) but for 6 at rank 2.
+    # on the matrices of d1_grams_small, every pair below in matrix_leq
+    # stays PSD at 30 seeded partial isometries of dimension 2..4, and every
+    # other pair is refuted there (its block difference has an eigenvalue
+    # below -PSD_TOL at one of them) but for 6 at rank 2 and 24 at rank 3.
     # Those are the cross-compressions gram(u c) below gram(c): c is the one
     # factorization of a mixed-sign matrix, and u_i the idempotent that does
     # not fix c_i, Q = v v* before a negative-start c_i, P = v* v before a
@@ -604,35 +614,42 @@ def test_matrix_order_against_the_operator_order_at_partial_isometries():
     # Qp + Pq = (P + Q - I)(p + q), and P - (I - Q) lies between -I and I,
     # so ||Qp + Pq|| <= ||p + q||.  Yet gram(c) is maximal, so matrix_leq
     # answers false: the basic-step order is strictly finer than the
-    # operator order.  A refuted pair is not evaluated again.
+    # operator order.  Ranks 1 and 2 take every ordered pair; rank 3, with
+    # 294,306 of them, a seeded sample of 10,000 and every cross-compression
+    # pair.  A refuted pair is not evaluated again.
     grams = d1_grams_small()
-    for k, below_count, cross_count in ((1, 29, 0), (2, 147, 6)):
+    rng = random.Random(7)
+    for k, below_count, cross_count in ((1, 29, 0), (2, 147, 6), (3, 21, 24)):
         mats = [g for g in grams if g.k == k]
+        at_mat = {g: i for i, g in enumerate(mats)}
+        cross = set()
+        for j, g in enumerate(mats):
+            facts = factor_gram(g)
+            if len(facts) == 1:
+                lower = gram(tuple((UNIT_MINUS if w[0] < 0 else UNIT_PLUS) * w for w in facts[0]))
+                if lower in at_mat:
+                    cross.add((at_mat[lower], j))
+        m = len(mats)
+        picks = range(m * (m - 1)) if k < 3 else rng.sample(range(m * (m - 1)), 10000)
+        # pick p is the pair (i, j), i != j, at position p of the row-major order
+        pairs = sorted({(i, r + (r >= i)) for i, r in (divmod(p, m - 1) for p in picks)} | cross)
+        lo, hi = np.array(pairs).T
         words = sorted({c for g in mats for row in g.cells for c in row})
         at = {w: i for i, w in enumerate(words)}
         cells = np.array([[[at[c] for c in row] for row in g.cells] for g in mats])
-        lo, hi = np.nonzero(~np.eye(len(mats), dtype=bool))
-        below = np.array([matrix_leq(mats[i], mats[j]) for i, j in zip(lo, hi)])
+        below = np.array([matrix_leq(mats[i], mats[j]) for i, j in pairs])
         worst = np.zeros(len(lo))
         pending = np.ones(len(lo), dtype=bool)
         for seed in range(30):
             n = 2 + seed % 3
             rep = random_partial_isometry(n, seed)
             ev = np.array([eval_word(rep, w) for w in words])
-            blocks = ev[cells].transpose(0, 1, 3, 2, 4).reshape(len(mats), k * n, k * n)
+            blocks = ev[cells].transpose(0, 1, 3, 2, 4).reshape(m, k * n, k * n)
             idx = np.flatnonzero(pending)
             worst[idx] = np.minimum(worst[idx], np.linalg.eigvalsh(blocks[hi[idx]] - blocks[lo[idx]])[:, 0])
             pending &= below | (worst >= -PSD_TOL)
         assert below.sum() == below_count and worst[below].min() >= -PSD_TOL
-        unrefuted = {(mats[i], mats[j]) for i, j in zip(lo[pending & ~below], hi[pending & ~below])}
-        present = set(mats)
-        cross = set()
-        for g in mats:
-            facts = factor_gram(g)
-            if len(facts) == 1:
-                lower = gram(tuple((UNIT_MINUS if w[0] < 0 else UNIT_PLUS) * w for w in facts[0]))
-                if lower in present:
-                    cross.add((lower, g))
+        unrefuted = set(zip(lo[pending & ~below].tolist(), hi[pending & ~below].tolist()))
         assert unrefuted == cross and len(cross) == cross_count
 
 
@@ -875,13 +892,15 @@ def test_classify_exhaustive_d1_small():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="known defect: [(1,-1)]^kxk (Case1) and [(-1,1)]^kxk (Case2) have no successors but "
     "report maximal false; perfbench/wl_matrix.py check_classification still requires maximal => Case3",
 )
 def test_classify_constant_idempotents_maximal():
     for k in (1, 2, 3):
-        for idem, case in ((UNIT_MINUS, "Case1"), (UNIT_PLUS, "Case2")):
-            g = GramMatrix(((idem,) * k,) * k)
+        for entry, idem, case in ((GEN_STAR, UNIT_MINUS, "Case1"), (GEN, UNIT_PLUS, "Case2")):
+            g = gram((entry,) * k)
+            assert g.cells == ((idem,) * k,) * k
             assert matrix_successors(g) == set()
             res = classify_matrix(g)
             assert (res.case, res.maximal) == (case, True)
@@ -1112,7 +1131,8 @@ def test_gram_json_roundtrip():
 
 def test_gram_equality_ignores_witness():
     a = gram(HMM_VECTOR)
-    b = GramMatrix(a.cells, None)
+    b = GramMatrix(a.cells, factor_gram(a)[1])
+    assert b.witness != a.witness
     assert a == b and hash(a) == hash(b)
     assert a != GramMatrix(a.cells[::-1], a.witness)
     assert repr(b) == repr(a) == "GramMatrix[(-3,2,-2,3),(-3,2,-3,4); (-4,3,-2,3),(-4,3,-3,4)]"

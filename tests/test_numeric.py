@@ -775,7 +775,9 @@ def test_exact_control_at_truncated_shifts(n):
         if len(lower_cells) == 1:
             rpt = verify_order_rep(shift, [(lower_cells[0][0], upper_cells[0][0])])
         else:
-            rpt = verify_k_order(shift, len(lower_cells), [(GramMatrix(lower_cells), GramMatrix(upper_cells))])
+            rpt = verify_k_order(
+                shift, len(lower_cells), [(GramMatrix.from_cells(lower_cells), GramMatrix.from_cells(upper_cells))]
+            )
         assert not rpt.ok
 
 
