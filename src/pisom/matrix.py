@@ -129,19 +129,19 @@ class GramMatrix:
     @classmethod
     def from_json(cls, text: str) -> "GramMatrix":
         """Parse the :meth:`to_json` shape; any other shape is a DomainError.
-        Without a witness the cells go to :meth:`from_cells`."""
+        Without a witness (no key, or null) the cells go to :meth:`from_cells`."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list) or not obj["cells"]:
             raise DomainError("a gram matrix must be a JSON object with a non-empty 'cells' list")
         cells = tuple(_word_list(row, "a gram matrix row") for row in obj["cells"])
         wit = obj.get("witness")
-        witness = _word_list(wit, "a gram matrix witness") if wit else None
+        witness = None if wit is None else _word_list(wit, "a gram matrix witness")
         k = obj.get("k")
         if type(k) is not int:
             raise DomainError("a gram matrix needs an integer 'k'")
-        if len(cells) != k or any(len(row) != k for row in cells) or (witness and len(witness) != k):
+        if len(cells) != k or any(len(row) != k for row in cells) or (witness is not None and len(witness) != k):
             raise DomainError("ragged or mislabelled gram matrix")
-        if not witness:
+        if witness is None:
             return cls.from_cells(cells)
         g = gram(witness)
         if g.cells != cells:
@@ -419,10 +419,6 @@ def partitions(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     # lexicographic order of the tuples
     n = k + d - 1
     return tuple(tuple(b - a - 1 for a, b in zip((-1,) + c, c + (n,))) for c in combinations(range(n), d - 1))
-
-
-def identity_partition(k: int) -> tuple[int, ...]:
-    return (1,) * k
 
 
 def compose_partitions(sigma, tau):

@@ -212,12 +212,6 @@ def eval_word(rep, w: Word):
     return out
 
 
-def min_eig(m) -> float:
-    h = np.asarray(m, dtype=complex)
-    h = (h + h.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 # Relative slack on the Frobenius prefilter; see the module docstring.
 _FRO_SLACK = 1 - 1e-12
 # Constant of the rounding bound that lets a Cholesky factorization stand

@@ -57,12 +57,6 @@ def unit_shift(u: Word) -> Word:
     return (GEN if u[0] < 0 else GEN_STAR) * u
 
 
-def hollow_choices(u: Word) -> tuple[Word, ...]:
-    """Distinct candidates c with u = (unit) c; one or two of them."""
-    a, b = unit_strip(u), unit_shift(u)
-    return (a,) if a == b else (a, b)
-
-
 def _check_sa_d1(n: Word) -> None:
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))

@@ -1,10 +1,21 @@
 """Shared enumerators and independent oracles.
 
-The rewrite oracle here deliberately re-derives normal forms from the raw
-congruence by exploring every rewrite order; it must stay independent of
-the package's reduction strategy.
+The independent references the tests check against live in
+``perfbench/reference.py``: the fixpoint reducer, minimal factor sequences,
+the grade tables and their Stein-Waterman counts, the hollowing choices,
+truncated-shift evaluation, exact integer PSD and the minimum eigenvalue.
+The benchmark's output checks share that module, and it imports nothing
+from pisom.  It is loaded here once, by file path, as ``ref``, so no other
+perfbench module lands on ``sys.path``.
+
+The all-rewrite-orders oracle stays here: it re-derives normal forms from
+the raw congruence by exploring every rewrite order, which checks
+confluence, where the fixpoint reducer follows one order only.  It must
+stay independent of the package's reduction strategy.
 """
 
+import importlib.util
+import pathlib
 import random
 from functools import reduce as fold
 
@@ -12,6 +23,17 @@ import pytest
 
 from pisom.structure import enum_irr
 from pisom.words import Word, iter_words as words_upto  # noqa: F401  (words_upto is shared)
+
+
+def _load_reference():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ref = _load_reference()
 
 
 # -- independent rewrite oracle -----------------------------------------------
@@ -81,6 +103,11 @@ def product(ws):
     return fold(lambda a, b: a * b, ws)
 
 
+def hollow_choices(u):
+    """The distinct hollowing choices of u: the reference's, as Words."""
+    return tuple(dict.fromkeys(map(Word, ref.hollow_choices(u))))
+
+
 def passes_the_check(w):
     """A word the package built without the checked constructor is a Word
     that the checked constructor accepts and leaves unchanged."""
@@ -105,25 +132,11 @@ def irr_pool():
     return sorted(pool)
 
 
-def is_minimal_sequence(factors):
-    """Minimality per the unique-decomposition theorem."""
-    idems = (Word((-1, 1)), Word((1, -1)))
-    for i, f in enumerate(factors):
-        if f in idems:
-            if i > 0 and (factors[i - 1] == f or factors[i - 1] * f == factors[i - 1]):
-                return False
-            if i + 1 < len(factors) and (
-                factors[i + 1] == f or f * factors[i + 1] == factors[i + 1]
-            ):
-                return False
-    return True
-
-
 def random_minimal_sequences(pool, count, seed, max_len=5):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         seq = [rng.choice(pool) for _ in range(rng.randint(1, max_len))]
-        if is_minimal_sequence(seq):
+        if ref.is_minimal_sequence(seq):
             out.append(seq)
     return out

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import itertools
 import random
 import time
 
@@ -125,17 +126,8 @@ def test_criterion_6_factor_gram_exactness():
 
     pool = list(words_upto(5))
     failures = cases = 0
-
-    def vectors(k):
-        if k == 0:
-            yield ()
-            return
-        for w in pool:
-            for rest in vectors(k - 1):
-                yield (w,) + rest
-
     for k in (1, 2, 3):
-        for vec in vectors(k):
+        for vec in itertools.product(pool, repeat=k):
             cases += 1
             recovered = factor_gram(gram(vec))
             uniform = len({w[0] > 0 for w in vec}) == 1

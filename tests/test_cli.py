@@ -74,6 +74,11 @@ MALFORMED_JSON_CASES = [
     ("partition_float_part", ["iota-tau", HMM_GRAM_JSON, "[1.5,1]"]),
     ("partition_bool_part", ["iota-tau", ONE_CELL_GRAM_JSON, "[true]"]),
     ("gram_with_foreign_witness", ["iota-tau", '{"k":1,"cells":[["(-1,1)"]],"witness":["(5)"]}', "[2]"]),
+] + [
+    # only a missing or null witness is absent; any other falsy one is refused
+    ("gram_witness_" + name, ["factor-gram", '{"k":1,"cells":[["(-3,2,-2,3)"]],"witness":%s}' % text])
+    for name, text in (("zero", "0"), ("empty_string", '""'), ("empty_list", "[]"), ("empty_object", "{}"),
+                       ("false", "false"))
 ]
 
 
@@ -871,6 +876,44 @@ def test_no_unused_imports():
                 bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
                 found += ["%s:%d %s" % (path.name, node.lineno, name) for name in bound if name not in used]
     assert found == []
+
+
+def test_no_library_code_only_the_tests_call():
+    # every module-level function and class of the package is exported or
+    # named somewhere in the package, so no code lives on for the tests alone
+    import pisom
+
+    paths = sorted((REPO / "src" / "pisom").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    named = set(pisom.__all__) | {"__getattr__"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    unused = [
+        "%s:%s" % (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert unused == []
+
+
+def test_the_reference_imports_nothing_from_pisom():
+    # the tests and the benchmark check the package against
+    # perfbench/reference.py, which must stay independent of it
+    path = REPO / "perfbench" / "reference.py"
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert modules and not [m for m in modules if m.split(".")[0] == "pisom"], modules
 
 
 def load_script(monkeypatch, name):

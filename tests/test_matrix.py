@@ -20,7 +20,6 @@ from pisom.matrix import (
     conj_delta,
     factor_gram,
     gram,
-    identity_partition,
     immediate_predecessors,
     iota_tau,
     matrix_leq,
@@ -30,7 +29,7 @@ from pisom.matrix import (
 )
 from pisom.maps import conj
 from pisom.numeric import PSD_TOL, eval_word, random_partial_isometry
-from pisom.order import hollow_choices, leq, sa_factor_min, sa_factorizations, unit_shift
+from pisom.order import leq, sa_factor_min, sa_factorizations, unit_shift
 from pisom.structure import factor_a0, is_irreducible, sa_canonical_d1
 from pisom.words import (
     GEN,
@@ -46,26 +45,12 @@ from pisom.words import (
     parse_word,
 )
 
-from conftest import words_upto
+from conftest import hollow_choices, words_upto
 
 W = parse_word
 
 HMM_VECTOR = (W("(-2,3)"), W("(-3,4)"))
 HMM_GRAM = gram(HMM_VECTOR)
-
-
-def vectors(k, max_weight):
-    pool = list(words_upto(max_weight))
-
-    def rec(depth):
-        if depth == 0:
-            yield ()
-            return
-        for w in pool:
-            for rest in rec(depth - 1):
-                yield (w,) + rest
-
-    return rec(k)
 
 
 # -- gram and recovery ---------------------------------------------------------
@@ -84,7 +69,7 @@ def test_gram_stars_the_upper_triangle():
     # same cells as every product v_i* v_j, on all vectors of rank <= 3 and
     # entry weight <= 3
     for k in (1, 2, 3):
-        for vec in vectors(k, 3):
+        for vec in itertools.product(words_upto(3), repeat=k):
             g = gram(vec)
             assert g.cells == tuple(tuple(a.star * b for b in vec) for a in vec), vec
             assert g.witness == vec
@@ -150,7 +135,7 @@ def test_factor_gram_exhaustive_small():
     # each matrix twice: read off its witness, and off the witness that
     # from_cells recovers from its cells
     for k in (1, 2):
-        for vec in vectors(k, 4):
+        for vec in itertools.product(words_upto(4), repeat=k):
             g = gram(vec)
             recovered = factor_gram(g)
             assert recovered == factor_gram(GramMatrix.from_cells(g.cells)) == factor_gram_by_search(g.cells), vec
@@ -845,7 +830,7 @@ def d1_grams_small():
     _, compat = d1_pool()
     seen = {}
     for k in (1, 2, 3):
-        for vec in vectors(k, 5):
+        for vec in itertools.product(words_upto(5), repeat=k):
             if all(vec[j] in compat.get(vec[i], ()) for i in range(k) for j in range(i, k)):
                 seen.setdefault(gram(vec), vec)
     assert len(seen) == 649
@@ -948,7 +933,7 @@ def test_odd_factor_count_iff_nonzero_tau():
 
 def test_partitions_examples():
     assert partitions(1, 5) == ((5,),)
-    assert identity_partition(4) in partitions(4, 4)
+    assert (1,) * 4 in partitions(4, 4)
     assert partitions(2, 3) == ((0, 3), (1, 2), (2, 1), (3, 0))
 
 
@@ -972,7 +957,7 @@ def test_partitions_cap_refuses_before_enumerating(d, k):
 
 
 def test_iota_tau_examples():
-    assert iota_tau(HMM_GRAM, identity_partition(2)) == HMM_GRAM
+    assert iota_tau(HMM_GRAM, (1,) * 2) == HMM_GRAM
     w = W("(-2,3)")
     assert iota_tau(gram((w,)), (2,)) == gram((w, w))
     with pytest.raises(DomainError):

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from pisom.numeric import (
     load_assignment,
     matrix_relations,
     matrix_to_json,
-    min_eig,
     opnorm,
     psd_check,
     random_partial_isometry,
@@ -37,6 +35,8 @@ from pisom.numeric import (
 from pisom.order import hollow_successors, leq, square_hollow
 from pisom.structure import enum_irr
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
+
+from conftest import ref
 
 W = parse_word
 
@@ -494,7 +494,7 @@ def test_fixture_refuses_a_repeated_key(tmp_path):
 def _per_matrix_verdict(m, tol):
     """The certification as a single-matrix definition: SVD norm of the skew
     part within tol and min eigenvalue of the Hermitian part >= -tol."""
-    return opnorm(m - m.conj().T) <= tol and min_eig(m) >= -tol
+    return opnorm(m - m.conj().T) <= tol and ref.min_eig(m) >= -tol
 
 
 def _mixed_stack(n, seed, tol=PSD_TOL):
@@ -524,7 +524,7 @@ def test_batched_certify_matches_per_matrix(n):
         ok, eigs = _certify(stack, tol)
         for m, verdict, eig in zip(stack, ok, eigs):
             assert bool(verdict) == _per_matrix_verdict(m, tol) == psd_check(m, tol)
-            assert abs(eig - min_eig(m)) <= 1e-12
+            assert abs(eig - ref.min_eig(m)) <= 1e-12
 
 
 def test_frobenius_prefilter_leaves_near_ties_to_the_svd():
@@ -547,7 +547,7 @@ def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
     expected = [(lo, up) for lo, up in pairs if not psd_check(eval_word(bad, up) - eval_word(bad, lo))]
     assert len(rpt.failures) == len(expected) >= 1
     for failure, (lo, up) in zip(rpt.failures, expected):
-        assert failure["min_eig"] == pytest.approx(min_eig(eval_word(bad, up) - eval_word(bad, lo)), abs=1e-12)
+        assert failure["min_eig"] == pytest.approx(ref.min_eig(eval_word(bad, up) - eval_word(bad, lo)), abs=1e-12)
     # the fixture's 1 x 1 images, as one stack and one at a time
     lower, upper = displayed_block_relation()
     pairs = scalar_relations(40, 3, within="D0")
@@ -559,7 +559,7 @@ def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
     blocks = [
         np.array([[fixture_assignment(c)[0, 0] for c in row] for row in g.cells]) for g in (upper, lower)
     ]
-    assert failure["min_eig"] == pytest.approx(min_eig(blocks[0] - blocks[1]), abs=1e-12)
+    assert failure["min_eig"] == pytest.approx(ref.min_eig(blocks[0] - blocks[1]), abs=1e-12)
 
 
 def test_certification_splits_large_batches(monkeypatch):
@@ -622,12 +622,12 @@ def test_cholesky_prefilter_near_ties(n):
     for edge in (-tol, -tol / 2):
         for delta in (-1e-12, 1e-12):
             m = _with_spectrum(np.linspace(edge + delta, 1.0, n), n)
-            assert min_eig(m) == pytest.approx(edge + delta, abs=1e-14)
+            assert ref.min_eig(m) == pytest.approx(edge + delta, abs=1e-14)
             for stack in (m[None], np.stack([psd, m, psd])):
                 ok, eigs = _certify(stack, tol)
                 assert [bool(v) for v in ok] == [_per_matrix_verdict(x, tol) for x in stack]
                 for x, eig in zip(stack[~ok], eigs[~ok]):
-                    assert eig == min_eig(x)
+                    assert eig == ref.min_eig(x)
             assert psd_check(m, tol) == (edge + delta >= -tol)
 
 
@@ -642,7 +642,7 @@ def test_cholesky_prefilter_leaves_skew_failures_their_min_eig(monkeypatch):
     ok, eigs = _certify(stack, tol)
     assert len(eigvalsh) == 1  # the two skew failures, in one eigensolve
     assert list(ok) == [False, True, False] == [_per_matrix_verdict(m, tol) for m in stack]
-    assert [eigs[0], eigs[2]] == [min_eig(stack[0]), min_eig(stack[2])]
+    assert [eigs[0], eigs[2]] == [ref.min_eig(stack[0]), ref.min_eig(stack[2])]
 
 
 def test_norm_guard_skips_the_prefilter(monkeypatch, fixture_assignment):
@@ -658,7 +658,7 @@ def test_norm_guard_skips_the_prefilter(monkeypatch, fixture_assignment):
     # a small trace admits a large indefinite matrix, which then fails to factor
     big = np.diag([1e8, -1e8]).astype(complex)
     ok, eigs = _certify(big[None], PSD_TOL)
-    assert not ok[0] and eigs[0] == min_eig(big) == -1e8 and len(cholesky) == 1
+    assert not ok[0] and eigs[0] == ref.min_eig(big) == -1e8 and len(cholesky) == 1
     # at d = 64 the guard admits a trace up to about 135
     limit = PSD_TOL / (2 * numeric._CHOLESKY_GUARD * 64 * 65 * U) - PSD_TOL
     for scale, tried in ((0.99, 1), (1.01, 0)):
@@ -696,70 +696,26 @@ def test_prefilter_reports_match_the_eigensolve_at_a_random_partial_isometry(mon
 # -- exact control at truncated shifts -----------------------------------------------------
 
 
-def _shift_image(w, n):
-    """Image index of each basis vector under w at the n x n truncated shift
-    (v e_i = e_{i+1}, v e_{n-1} = 0), None where the vector is killed."""
-    out = []
-    for j in range(n):
-        i = j
-        for e in reversed(w):
-            i += e
-            if not 0 <= i < n:
-                i = None
-                break
-        out.append(i)
-    return out
-
-
-def _shift_matrix(w, n):
-    m = np.zeros((n, n))
-    for j, i in enumerate(_shift_image(w, n)):
-        if i is not None:
-            m[i, j] = 1.0
-    return m
-
-
-def _int_det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]]) for j in range(len(m)))
-
-
-def _int_psd(m):
-    """A symmetric integer matrix is PSD iff all its principal minors are >= 0."""
-    idx = range(len(m))
-    return all(
-        _int_det([[m[i][j] for j in sub] for i in sub]) >= 0
-        for size in range(1, len(m) + 1)
-        for sub in combinations(idx, size)
-    )
-
-
 def _exact_difference(lower_cells, upper_cells, n):
     """eval(upper) - eval(lower) at the shift, one k x k integer matrix per
     basis index: tau-zero cells evaluate to 0/1 diagonals."""
     k = len(lower_cells)
-    fixed = lambda w: [i is not None for i in _shift_image(w, n)]
-    lo = [[fixed(c) for c in row] for row in lower_cells]
-    up = [[fixed(c) for c in row] for row in upper_cells]
-    return [[[int(up[i][j][t]) - int(lo[i][j][t]) for j in range(k)] for i in range(k)] for t in range(n)]
-
-
-def _exact_verdict(lower_cells, upper_cells, n):
-    return all(_int_psd(d) for d in _exact_difference(lower_cells, upper_cells, n))
+    lo = [[ref.shift_support(c, n) for c in row] for row in lower_cells]
+    up = [[ref.shift_support(c, n) for c in row] for row in upper_cells]
+    return [[[int(t in up[i][j]) - int(t in lo[i][j]) for j in range(k)] for i in range(k)] for t in range(n)]
 
 
 @pytest.mark.parametrize("n", [4, 7, 20])
 def test_exact_control_at_truncated_shifts(n):
-    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    shift = PartialIsometryRep.checked(ref.shift_matrix((1,), n))
     scalar = scalar_relations(60, 5)
     blocks = {k: matrix_relations(10, 50 + k, ks=(k,)) for k in (2, 3) if k * n <= 64}
     cases = [(((lo,),), ((up,),)) for lo, up in scalar]
     cases += [(lo.cells, up.cells) for rels in blocks.values() for lo, up in rels]
     for lower_cells, upper_cells in cases:
         for c in (c for cells in (lower_cells, upper_cells) for row in cells for c in row):
-            assert np.array_equal(eval_word(shift, c), _shift_matrix(c, n))
-        assert _exact_verdict(lower_cells, upper_cells, n)
+            assert np.array_equal(eval_word(shift, c), ref.shift_matrix(c, n))
+        assert ref.shift_relation_psd(lower_cells, upper_cells, n)
     assert verify_order_rep(shift, scalar).ok
     for k, rels in blocks.items():
         assert verify_k_order(shift, k, rels).ok
@@ -771,7 +727,7 @@ def test_exact_control_at_truncated_shifts(n):
     ]
     assert reversed_cases
     for lower_cells, upper_cells in reversed_cases:
-        assert not _exact_verdict(lower_cells, upper_cells, n)
+        assert not ref.shift_relation_psd(lower_cells, upper_cells, n)
         if len(lower_cells) == 1:
             rpt = verify_order_rep(shift, [(lower_cells[0][0], upper_cells[0][0])])
         else:
@@ -783,7 +739,7 @@ def test_exact_control_at_truncated_shifts(n):
 
 @pytest.mark.parametrize("n", [4, 7, 20])
 def test_prefilter_reports_match_the_eigensolve_at_truncated_shifts(n, monkeypatch):
-    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    shift = PartialIsometryRep.checked(ref.shift_matrix((1,), n))
     scalar = scalar_relations(60, 5)
     blocks = {k: matrix_relations(10, 50 + k, ks=(k,)) for k in (2, 3) if k * n <= 64}
     calls = [(verify_order_rep, shift, scalar), (verify_order_rep, shift, scalar + [(b, a) for a, b in scalar])]
@@ -816,7 +772,7 @@ def test_rounding_bounds_hold_at_truncated_shifts(n):
     factorization against the bounds of the module docstring, where the
     exact images are 0/1 matrices and the exact spectra are those of small
     integer blocks."""
-    shift = PartialIsometryRep.checked(_shift_matrix((1,), n))
+    shift = PartialIsometryRep.checked(ref.shift_matrix((1,), n))
     cases = [(((lo,),), ((up,),)) for lo, up in scalar_relations(60, 5)]
     cases += [
         (lo.cells, up.cells) for k in (2, 3) if k * n <= 64 for lo, up in matrix_relations(10, 50 + k, ks=(k,))
@@ -827,7 +783,7 @@ def test_rounding_bounds_hold_at_truncated_shifts(n):
         cells = [c for grid in (lower_cells, upper_cells) for row in grid for c in row]
         products = max(sum(abs(e) for e in c) for c in cells) - 1
         for c in cells:
-            error = np.linalg.norm(eval_word(shift, c) - _shift_matrix(c, n))
+            error = np.linalg.norm(eval_word(shift, c) - ref.shift_matrix(c, n))
             assert error <= products * n * _g(n)
         block = lambda grid: np.block([[eval_word(shift, c) for c in row] for row in grid])
         diff = block(upper_cells) - block(lower_cells)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pisom.order import (
-    hollow_choices,
     hollow_depth,
     hollow_successors,
     leq,
@@ -13,7 +12,7 @@ from pisom.order import (
 )
 from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
 
-from conftest import passes_the_check, sa_words_upto, words_upto
+from conftest import hollow_choices, passes_the_check, sa_words_upto, words_upto
 
 W = parse_word
 
