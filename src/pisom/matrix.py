@@ -17,18 +17,22 @@ off the witness.  Successor generation lifts the scalar hollowing
 coordinatewise: each word w_i of a factorization w has one or two
 hollowing choices, its strip s_i and its shift, and cell (i, j) of a
 successor depends on the choices at i and j only.  Every cell that
-involves a shift is the cell of g (see ``matrix_successors``), so only the
-k(k+1)/2 products of gram(s) are made, and each of the up to 2^k choice
-vectors is assembled from that block and the rows of g by lookup; a fixed
-cap, k <= K_CAP, bounds that enumeration.
+involves a shift is the cell of g (see ``matrix_successors``), and an entry
+whose strip is its shift has one choice, so only the m entries with two
+choices are multiplied: the m(m+1)/2 products of their strips' Gram
+matrix, and each of the 2^m choice vectors is assembled from that block
+and the rows of g by lookup; a fixed cap, k <= K_CAP, bounds that
+enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
+witness's prefix sums (``GramMatrix.tagged``).
 The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
 """
 
 import json
 from functools import reduce as _fold
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from itertools import product as _cartesian
+from operator import getitem
 
 from .order import sa_factorizations, unit_strip
 from .structure import factor_a0, sa_canonical_d1
@@ -86,9 +90,28 @@ class GramMatrix:
         return "GramMatrix[%s]" % rows
 
     def tagged(self, tag: str) -> bool:
-        """Every cell lies in the tag's subsemigroup.  Each tag is closed
-        under star and cell (j, i) is the star of cell (i, j), so the cells
-        with i <= j decide."""
+        """Every cell lies in the tag's subsemigroup.
+
+        D0 and D1, the words D_T (T = 0 or 1) of tau 0 with every prefix sum
+        at most T, are read off the witness w in time linear in its length:
+        gram(w) lies in D_T iff every tau(w_i) equals t = tau(w_0) and 0 and
+        every prefix sum of every w_i are at most T + t.  Cell (i, j) has tau
+        tau(w_j) - tau(w_i).  Before reduction, w_i* w_j has the prefix sums
+        sigma_m(w_i) - t for m < len(w_i) - 1, then -t, then sigma_r(w_j) - t
+        for every r; sigma of the last entry of w_i is t, at most T + t.  A
+        rule (a) merge drops a prefix sum that lies between its neighbours,
+        and a rule (b) step drops two that are at most a kept one or at most
+        0 (the empty prefix), so the maximum of 0 and the prefix sums
+        survives reduction, and as T >= 0 it is at most T exactly when every
+        prefix sum is.
+
+        The other tags scan the cells with i <= j: each tag is closed under
+        star and cell (j, i) is the star of cell (i, j).
+        """
+        if tag == "D0" or tag == "D1":
+            w = self.witness
+            bound = sum(w[0]) + (tag == "D1")
+            return bound >= 0 and len(set(map(sum, w))) == 1 and max(map(max, map(accumulate, w))) <= bound
         return all(member(c, tag) for i, row in enumerate(self.cells) for c in row[i:])
 
     def to_json(self) -> str:
@@ -229,8 +252,17 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     c_j = s_j, and w_i* (-1,1) w_j = w_i* w_j for c_j = (1) w_j; and
     s_i* (1) w_j = ((-1) s_i)* w_j = w_i* w_j.  So cell (i, j) of a choice
     vector is cell (i, j) of gram(s) when both i and j strip, and that of g
-    otherwise.  The choice vectors run in cartesian order, strip first, so
-    a successor reached twice keeps its first witness.
+    otherwise.  An entry whose strip is its shift has one choice and takes
+    g's cells, so only the m entries with two choices are multiplied: the
+    block gram of their strips, m(m+1)/2 products, and none when m = 0, as
+    the one choice vector is then the other factorization.  Each choice
+    vector is a flag per entry, 0 to strip and 1 to shift, and each of its
+    cells is looked up in a (block cell, g cell) pair.  The choice vectors
+    run in cartesian order, strip first, so a successor reached twice keeps
+    its first witness.  The last one shifts every entry and is g; it is the
+    only one that is: an entry with two choices starts with e, |e| >= 2, so
+    w_i* w_i is a plain concatenation of weight 2 weight(w_i), while
+    s_i* s_i weighs at most 2 weight(w_i) - 2.
     """
     if require:
         _require_tag(g, require)
@@ -242,18 +274,22 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
         return out
     rows = g.cells
     for vec, other in (facts, facts[::-1]):  # the shifts of vec are the entries of other
-        strips = tuple(unit_strip(w) for w in vec)
-        block = gram(strips).cells
-        # (witness entry, shifts): a single choice is both strip and shift
-        opts = [((s, True),) if s == o else ((s, False), (o, True)) for s, o in zip(strips, other)]
-        for pick in _cartesian(*opts):
-            shifts = [f for _, f in pick]
-            cells = tuple(
-                row if f else tuple(g_ij if f_j else b_ij for b_ij, g_ij, f_j in zip(brow, row, shifts))
-                for row, brow, f in zip(rows, block, shifts)
-            )
-            if cells != rows:
-                out.add(GramMatrix(cells, tuple(c for c, _ in pick)))
+        choices = tuple((unit_strip(w), o) for w, o in zip(vec, other))
+        two = [i for i, (s, o) in enumerate(choices) if s != o]
+        if not two:
+            continue
+        block = gram(tuple(choices[i][0] for i in two)).cells
+        opts = [(1,)] * g.k
+        pairs = [None] * g.k  # pairs[i][j][f]: cell (i, j) when entry i strips and entry j takes flag f
+        for i, brow in zip(two, block):
+            opts[i] = (0, 1)
+            row = rows[i]
+            p = pairs[i] = list(zip(row, row))
+            for j, b in zip(two, brow):
+                p[j] = (b, row[j])
+        for flags in islice(_cartesian(*opts), (1 << len(two)) - 1):
+            cells = tuple(row if f else tuple(map(getitem, p, flags)) for row, p, f in zip(rows, pairs, flags))
+            out.add(GramMatrix(cells, tuple(map(getitem, choices, flags))))
     return out
 
 

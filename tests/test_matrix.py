@@ -45,7 +45,7 @@ from pisom.words import (
     parse_word,
 )
 
-from conftest import hollow_choices, words_upto
+from conftest import hollow_choices, ref, words_upto
 
 W = parse_word
 
@@ -81,13 +81,63 @@ def test_gram_selfadjoint_and_tagged():
 
 
 def test_every_tag_is_closed_under_star():
-    # GramMatrix.tagged reads only the cells with i <= j: each cell below
+    # GramMatrix.tagged reads only the cells with i <= j for the tags other
+    # than D0 and D1, which it reads off the witness: each cell below
     # the diagonal is the star of one above it, and every tag holds a word
     # exactly when it holds its star: on all 174 words of weight <= 8
     pool = list(iter_words(8))
     assert len(pool) == 174
     for tag in TAGS:
         assert all(member(w, tag) == member(w.star, tag) for w in pool), tag
+
+
+def cells_in(cells, tag):
+    """The cell scan of the reference: every cell in D0 or D1."""
+    test = ref.in_d0 if tag == "D0" else ref.in_d1
+    return all(test(c) for row in cells for c in row)
+
+
+def test_d_tags_are_read_off_the_witness():
+    # tagged("D0") and tagged("D1") read the witness's taus and prefix sums,
+    # not the cells: the same verdict as the reference's scan of every cell,
+    # on all 56,354 vectors of rank <= 3 and entry weight <= 5 and on the
+    # seeded draws at k = 4..8
+    pool = list(words_upto(5))
+    vecs = [vec for k in (1, 2, 3) for vec in itertools.product(pool, repeat=k)]
+    assert len(vecs) == 56354
+    counts = {"D0": 0, "D1": 0}
+    for vec in vecs + list(d1_draws_wide()):
+        g, cells = gram(vec), ref.gram_cells(vec)
+        for tag in counts:
+            got = g.tagged(tag)
+            assert got == cells_in(cells, tag), (vec, tag)
+            counts[tag] += got
+    assert counts["D1"] > counts["D0"] > 0
+
+
+@pytest.mark.parametrize(
+    "vec, tag, want",
+    [
+        # unequal taus, every prefix sum within the bound
+        (("(-2,2)", "(-3,2)"), "D0", False),
+        (("(-2,2)", "(-3,2)"), "D1", False),
+        # in cell (0, 1) the prefix sum over the bound lies left of the
+        # junction (from w_0*), then right of it (from w_1)
+        (("(-1,2,-1)", "(-1,1)"), "D0", False),
+        (("(-1,1)", "(-1,2,-1)"), "D0", False),
+        (("(-1,3,-2)", "(-1,1)"), "D1", False),
+        (("(-1,1)", "(-1,3,-2)"), "D1", False),
+        # the bound is T + tau(w_0): 2 at tau 1, 0 at tau -1
+        (("(-1,3,-1)",), "D1", True),
+        (("(-1,3,-1)",), "D0", False),
+        (("(-1,2,-2)", "(-2,1)"), "D1", False),
+        (("(-2,1)", "(-3,2)"), "D1", True),
+    ],
+)
+def test_d_tags_by_hand(vec, tag, want):
+    vec = tuple(W(t) for t in vec)
+    assert gram(vec).tagged(tag) is want
+    assert cells_in(ref.gram_cells(vec), tag) is want
 
 
 def test_factor_gram_examples():
@@ -997,7 +1047,7 @@ def test_conj_delta_preserves_order():
     rng = random.Random(17)
     pool = [w for w in words_upto(3)]
     done = 0
-    while done < 40:
+    for _ in range(8000):  # 3,893 draws make 40 checks; a draw without successors makes none
         vec = tuple(rng.choice(pool) for _ in range(2))
         g = gram(vec)
         if not g.tagged("D1"):
@@ -1012,6 +1062,9 @@ def test_conj_delta_preserves_order():
             continue
         done += 1
         assert matrix_leq(cg, cu)
+        if done == 40:
+            break
+    assert done == 40
 
 
 # -- amplified maps ---------------------------------------------------------------------
@@ -1028,7 +1081,7 @@ def test_alpha_is_complete_order_map():
     rng = random.Random(23)
     pool = list(words_upto(3))
     done = 0
-    while done < 40:
+    for _ in range(1000):  # 266 draws make 40 checks
         k = rng.randint(1, 3)
         vec = tuple(rng.choice(pool) for _ in range(k))
         g = gram(vec)
@@ -1047,6 +1100,9 @@ def test_alpha_is_complete_order_map():
             tuple(alpha(c) for c in row) for row in g.cells
         )
         assert matrix_leq(ag, au)
+        if done == 40:
+            break
+    assert done == 40
 
 
 def test_omega_is_complete_order_map_on_d0():
@@ -1056,7 +1112,7 @@ def test_omega_is_complete_order_map_on_d0():
     rng = random.Random(29)
     pool = list(words_upto(3))
     done = 0
-    while done < 30:
+    for _ in range(1000):  # 311 draws make 30 checks
         k = rng.randint(1, 3)
         vec = tuple(rng.choice(pool) for _ in range(k))
         g = gram(vec)
@@ -1071,6 +1127,9 @@ def test_omega_is_complete_order_map_on_d0():
         ou = gram(tuple(w * GEN_STAR for w in upper.witness))
         assert og.cells == tuple(tuple(omega(c) for c in row) for row in g.cells)
         assert matrix_leq(og, ou)
+        if done == 30:
+            break
+    assert done == 30
 
 
 MATRIX_REFUSALS = {
