@@ -42,12 +42,29 @@ section 3.6); here g(d) <= 4 (d + 1) u.
   p(d) = 3 d (d + 1).  By Weyl's inequality no eigenvalue moves by more
   than ||F||_2.
 
-Certification.  Each verify call certifies its whole batch at once.  Its
-words are evaluated from one set of power tables v^j, (v*)^j, grown by
-repeated multiplication and dropped when the call returns.  The
-differences m are stacked.  A difference passes when its skew part has
+Certification.  Each verify call certifies its whole batch at once, in
+one stack per matrix order that occurs in it.  Its words are evaluated
+from one set of power tables v^j, (v*)^j, grown by repeated
+multiplication and dropped when the call returns, and each word is
+evaluated once a call.  A difference m passes when its skew part has
 spectral norm ||m - m*||_2 <= tol and the Hermitian part H = (m + m*)/2
 has minimum eigenvalue >= -tol, as the eigensolve reports it.
+
+Support.  A k-order relation G <= G' is certified on its support S, the
+block rows i where the cells of G and G' differ as words.  Both matrices
+are selfadjoint, so row i differs exactly when column i does, and every
+n x n block of the difference outside S x S is ev(w) - ev(w) for one
+memoized array w: exactly 0.0, not a difference that rounding made
+small.  Up to a permutation of the block rows and columns, the
+difference is then the direct sum of m_S, its S x S principal block
+submatrix, and a zero matrix.  So H has the spectrum of the Hermitian
+part of m_S plus (k - |S|) n zeros, and the skew part has the spectral
+norm of that of m_S.  As tol >= 0, the zeros pass both tests, and the
+verdict is that of m_S, a matrix of order |S| n.  A failure reports the
+minimum eigenvalue of the whole difference: that of m_S, or 0 when that
+is larger and S is not every row (which only a failure of the skew test
+alone can show).  An empty support means G = G', which passes with no
+work.  Cells outside S x S are not evaluated at all.
 
 The eigenvalue test first tries one Cholesky factorization of
 A = fl(H + (tol/2) I) over the whole stack; A differs from H + (tol/2) I
@@ -65,15 +82,20 @@ So the eigensolve reports at least
 When _CHOLESKY_GUARD d (d + 1) u (tr A + tol) < tol/2 for every matrix of
 the stack, with _CHOLESKY_GUARD = 8, a completed factorization therefore
 means that the eigensolve accepts every one of them, and no eigensolve
-runs.  The guard reads the trace, d additions a matrix, because for a
-matrix that factors it bounds the norm.  At d = 64 and tol = PSD_TOL it
-admits tr A up to about 135, while the diagonal entries of a difference
-of two contractions (or of two blocks of them) lie in [-2, 2], so
-tr A <= 2 d + d tol <= 129 at every partial isometry.  A stack that the
+runs.  Here d is the order of the stacked matrices: n for a scalar
+relation, |S| n for a k-order relation.  The guard reads the trace, d
+additions a matrix, because for a matrix that factors it bounds the
+norm.  At d = 64 and tol = PSD_TOL it admits tr A up to about 135, while
+the diagonal entries of a difference of two contractions (or of two
+blocks of them) lie in [-2, 2], so tr A <= 2 d + d tol <= 129 at every
+partial isometry.  A stack that the
 guard or the factorization refuses goes to one eigensolve, which gives
 the verdicts and every minimum eigenvalue that a report prints; so does
 a matrix that fails only the skew test.  So, within the stated bounds,
-verdicts and reports are exactly those of the eigensolve alone.
+verdicts and reports are exactly those of the eigensolve alone on the
+certified matrices; on the whole k n x k n difference, whose eigensolve
+has its own rounding, a reported minimum eigenvalue agrees to within
+the two eigensolve bounds.
 
 The skew test first takes the Frobenius norm, which is never below the
 spectral norm: a skew part whose Frobenius norm is within tol (less a
@@ -223,8 +245,8 @@ _BATCH_ENTRIES = 1 << 18
 def _norms_over(stack, tol: float):
     """(i, ||stack[i]||_2) for every i whose spectral norm exceeds tol; the
     SVD runs only where the Frobenius norm does not already settle it."""
-    re, im = stack.real, stack.imag
-    fro = np.sqrt(np.einsum("kij,kij->k", re, re) + np.einsum("kij,kij->k", im, im))
+    parts = stack.reshape(len(stack), -1).view(float)
+    fro = np.sqrt(np.einsum("ki,ki->k", parts, parts))
     out = []
     for i in np.flatnonzero(~(fro <= tol * _FRO_SLACK)):
         norm = opnorm(stack[i])
@@ -239,21 +261,19 @@ def _cholesky_certifies(herm, tol: float) -> bool:
     of herm + (tol/2) I within the rounding bound.  The shift is made in
     place, and undone exactly."""
     d = herm.shape[1]
-    diagonal = np.arange(d)
-    with np.errstate(over="ignore"):  # a bound that overflows fails the guard
-        shifted = herm.real[:, diagonal, diagonal] + tol / 2
-        trace = shifted.sum(axis=1).max()
-        admitted = _CHOLESKY_GUARD * d * (d + 1) * 2.0**-53 * (trace + tol) < tol / 2
-    if not admitted:
-        return False
-    saved = herm[:, diagonal, diagonal]
-    herm[:, diagonal, diagonal] = shifted
+    diagonal = np.einsum("kii->ki", herm)  # a view: writing it writes herm
+    saved = diagonal.copy()
+    diagonal += tol / 2
     try:
+        with np.errstate(over="ignore"):  # a bound that overflows fails the guard
+            trace = diagonal.real.sum(axis=1).max()
+            if not _CHOLESKY_GUARD * d * (d + 1) * 2.0**-53 * (trace + tol) < tol / 2:
+                return False
         np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         return False
     finally:
-        herm[:, diagonal, diagonal] = saved
+        diagonal[...] = saved
     return True
 
 
@@ -263,7 +283,7 @@ def _certify(diffs, tol: float):
     (m + m*)/2 at least -tol.  Also the minimum eigenvalues, computed for
     every matrix that fails and nan where a Cholesky factorization stood
     in for the eigensolve."""
-    adj = np.conjugate(diffs.transpose(0, 2, 1))
+    adj = np.conjugate(diffs.transpose(0, 2, 1), order="C")
     herm = diffs + adj
     herm *= 0.5
     adj -= diffs  # the skew part, negated
@@ -281,35 +301,57 @@ def _certify(diffs, tol: float):
 
 
 def _batches(items, dim: int, diff):
-    """(batch, stack of diff(item) over the batch), the items in order, cut
-    so that a stack of dim x dim matrices stays within _BATCH_ENTRIES."""
+    """(start, stack) over items[start : start + size], in order, where
+    diff(item, out) writes the dim x dim matrix of item into its slot of
+    the stack; cut so that a stack stays within _BATCH_ENTRIES."""
     size = max(1, _BATCH_ENTRIES // (dim * dim))
     for start in range(0, len(items), size):
         batch = items[start : start + size]
         stack = np.empty((len(batch), dim, dim), dtype=complex)
         for r, item in enumerate(batch):
-            stack[r] = diff(item)
-        yield batch, stack
+            diff(item, stack[r])
+        yield start, stack
 
 
-def _certified(items, dim: int, diff, describe, tol: float) -> "Report":
-    """Certify diff(item) >= 0 for every item, one batch at a time.
+def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Report":
+    """Certify that the dim x dim difference of every item is PSD, one
+    stack per order and batch; failures are reported in input order.
+
+    Without ``orders``, diff(item, out) writes that difference.  With them,
+    it writes an orders[i] x orders[i] principal submatrix outside of which
+    the difference of items[i] is 0.  The verdict is then the submatrix's,
+    a failure's min_eig is at most 0 (the eigenvalue of the zeros) when the
+    submatrix is smaller than dim, and an order 0 submatrix passes.
 
     Finite inputs make a value that is not finite only by an overflow,
     which is a DomainError here rather than a numpy warning: a generator
     assignment may have images large enough for it.
     """
     items = list(items)
-    rpt = Report(len(items))
+    if orders is None:
+        groups = {dim: (items, None)}
+    else:
+        groups = {}
+        for where, (item, order) in enumerate(zip(items, orders)):
+            group = groups.setdefault(order, ([], []))
+            group[0].append(item)
+            group[1].append(where)
+    failed = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for batch, diffs in _batches(items, dim, diff):
-                ok, eigs = _certify(diffs, tol)
-                for i in np.flatnonzero(~ok):
-                    rpt.failures.append({"relation": describe(batch[i]), "min_eig": float(eigs[i])})
+            for order, (group, wheres) in groups.items():
+                if not order:
+                    continue
+                for start, diffs in _batches(group, order, diff):
+                    ok, eigs = _certify(diffs, tol)
+                    for i in np.flatnonzero(~ok):
+                        j = start + i
+                        eig = float(eigs[i]) if order == dim else min(float(eigs[i]), 0.0)
+                        failed.append((j if wheres is None else wheres[j], group[j], eig))
     except FloatingPointError as exc:
         raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
-    return rpt
+    failed.sort(key=lambda f: f[0])
+    return Report(len(items), [{"relation": describe(item), "min_eig": eig} for _, item, eig in failed])
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
@@ -317,6 +359,8 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("psd_check needs a square matrix")
+    if not np.isfinite(m).all():
+        raise DomainError("psd_check needs a finite matrix")
     return bool(_certify(m[None], tol)[0][0])
 
 
@@ -352,36 +396,48 @@ def verify_order_rep(rep_or_assign, pairs, tol: float = PSD_TOL) -> Report:
     return _certified(
         pairs,
         rep_or_assign.n,
-        lambda p: ev(p[1]) - ev(p[0]),
+        lambda p, out: np.subtract(ev(p[1]), ev(p[0]), out=out),
         lambda p: "%s <= %s" % (format_word(p[0]), format_word(p[1])),
         tol,
     )
 
 
-def _block_eval(ev, g: GramMatrix, n: int):
-    out = np.empty((g.k * n, g.k * n), dtype=complex)
-    for i, row in enumerate(g.cells):
-        for j, w in enumerate(row):
-            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = ev(w)
-    return out
+def _block_diff(ev, lower: GramMatrix, upper: GramMatrix, n: int, support, out) -> None:
+    """Write the support x support block submatrix of eval(upper) -
+    eval(lower), in n x n blocks, into out."""
+    for a, i in enumerate(support):
+        lo, up = lower.cells[i], upper.cells[i]
+        rows = out[a * n : (a + 1) * n]
+        for b, j in enumerate(support):
+            np.subtract(ev(up[j]), ev(lo[j]), out=rows[:, b * n : (b + 1) * n])
 
 
 def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Report:
-    """PSD-check the k n x k n block differences of basic matrix relations."""
+    """PSD-check the k n x k n block differences of basic matrix relations.
+
+    Each is certified on its support S, the block rows where its two Gram
+    matrices differ, as the |S| n x |S| n principal submatrix that holds
+    every nonzero block (see the module docstring): only the cells in
+    S x S are evaluated, relations of one support size share a stack, and
+    failures are reported in input order.
+    """
     ev = _evaluator(rep_or_assign)
     n = rep_or_assign.n
     if k * n > DIM_CAP:
         raise DomainError("block dimension %d exceeds cap %d" % (k * n, DIM_CAP))
-    relations = list(relations)
+    items = []
     for lower, upper in relations:
         if lower.k != k or upper.k != k:
             raise DomainError("relation rank differs from k = %d" % k)
+        support = [i for i, (lo, up) in enumerate(zip(lower.cells, upper.cells)) if lo != up]
+        items.append((lower, upper, support))
     return _certified(
-        relations,
+        items,
         k * n,
-        lambda r: _block_eval(ev, r[1], n) - _block_eval(ev, r[0], n),
+        lambda r, out: _block_diff(ev, r[0], r[1], n, r[2], out),
         lambda r: {"lower": json.loads(r[0].to_json()), "upper": json.loads(r[1].to_json())},
         tol,
+        [len(r[2]) * n for r in items],
     )
 
 
@@ -389,9 +445,9 @@ def verify_schwarz(rep: PartialIsometryRep, samples, tol: float = PSD_TOL) -> Re
     """Check eval(alpha(a* a)) - eval(alpha(a))* eval(alpha(a)) is PSD."""
     ev = _evaluator(rep)
 
-    def diff(a):
+    def diff(a, out):
         img = ev(alpha(a))
-        return ev(alpha(a.star * a)) - img.conj().T @ img
+        np.subtract(ev(alpha(a.star * a)), img.conj().T @ img, out=out)
 
     return _certified(samples, rep.n, diff, lambda a: "schwarz at %s" % format_word(a), tol)
 
@@ -404,9 +460,11 @@ def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
     vs = v.conj().T
     samples = list(samples)
     rpt = Report(len(samples))
-    for batch, residuals in _batches(samples, rep.n, lambda n_word: vs @ ev(n_word) @ v - ev(alpha(n_word))):
+    gap = lambda n_word, out: np.subtract(vs @ ev(n_word) @ v, ev(alpha(n_word)), out=out)
+    for start, residuals in _batches(samples, rep.n, gap):
         for i, residual in _norms_over(residuals, CONJUGATION_TOL):
-            rpt.failures.append({"relation": "conjugation at %s" % format_word(batch[i]), "residual": residual})
+            relation = "conjugation at %s" % format_word(samples[start + i])
+            rpt.failures.append({"relation": relation, "residual": residual})
     return rpt
 
 

@@ -383,6 +383,8 @@ NUMERIC_REFUSALS = {
     "negative_seed": (lambda tmp: random_partial_isometry(2, -1), "seed must be nonnegative, got -1"),
     "psd_check_not_square": (lambda tmp: psd_check(np.zeros((2, 3))), "psd_check needs a square matrix"),
     "psd_check_not_a_matrix": (lambda tmp: psd_check(np.zeros(3)), "psd_check needs a square matrix"),
+    "psd_check_nan": (lambda tmp: psd_check(np.array([[np.nan]])), "psd_check needs a finite matrix"),
+    "psd_check_inf": (lambda tmp: psd_check(np.array([[1.0, np.inf], [0.0, 1.0]])), "psd_check needs a finite matrix"),
     "relation_rank": (
         lambda tmp: verify_k_order(random_partial_isometry(2, 0), 2, [(_ONE_CELL, _ONE_CELL)]),
         "relation rank differs from k = 2",
@@ -674,7 +676,9 @@ def test_passing_batch_runs_no_eigensolve(monkeypatch):
     cholesky = _calls(monkeypatch, np.linalg, "cholesky")
     rpt = verify_k_order(rep21, 3, rels)
     assert rpt.ok and rpt.total == 12
-    assert eigvalsh == [] and len(cholesky) == 1
+    # one factorization per order |S| n of the supports S that occur
+    sizes = {sum(lo != up for lo, up in zip(lower.cells, upper.cells)) for lower, upper in rels}
+    assert eigvalsh == [] and len(cholesky) == len(sizes - {0})
 
 
 def test_prefilter_reports_match_the_eigensolve_at_a_random_partial_isometry(monkeypatch):
@@ -807,3 +811,96 @@ def test_fixture_failure_is_far_outside_the_rounding_bound(fixture_assignment):
     exact = (1 - np.sqrt(5)) / 16
     assert failure["min_eig"] == pytest.approx(exact, abs=_eigensolve_bound(np.full((2, 2), 1 / 8)) + 1e-16)
     assert failure["min_eig"] < -0.077 < -1e7 * PSD_TOL
+
+
+# -- certification on the support -------------------------------------------------------
+
+
+def _support(lower, upper):
+    """The block rows where two Gram matrices differ."""
+    return [i for i, (lo, up) in enumerate(zip(lower.cells, upper.cells)) if lo != up]
+
+
+def _full_block_difference(rep, lower, upper):
+    block = lambda g: np.block([[eval_word(rep, c) for c in row] for row in g.cells])
+    return block(upper) - block(lower)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_order_is_certified_on_the_support(k, monkeypatch):
+    """Each relation goes into a stack of order |S| n, S its support, and
+    gets the verdict of its whole k n x k n block difference; a failure's
+    min_eig is that difference's, and failures come in input order."""
+    orders = []
+    inner = numeric._certify
+
+    def recorded(diffs, tol):
+        orders.extend([diffs.shape[1]] * len(diffs))
+        return inner(diffs, tol)
+
+    monkeypatch.setattr(numeric, "_certify", recorded)
+    rels = matrix_relations(10, 70 + k, ks=(k,))
+    assert any(len(_support(lo, up)) < k for lo, up in rels)
+    g = rels[0][0]
+    reps = [random_partial_isometry(16, 3), PartialIsometryRep.checked(ref.shift_matrix((1,), 20))]
+    failed = 0
+    for rep in reps:
+        for relations in (rels[:5] + [(g, g)] + rels[5:], [(up, lo) for lo, up in rels]):
+            orders.clear()
+            rpt = verify_k_order(rep, k, relations)
+            assert sorted(orders) == sorted(len(_support(lo, up)) * rep.n for lo, up in relations if lo != up)
+            want = []
+            for lower, upper in relations:
+                diff = _full_block_difference(rep, lower, upper)
+                if not _per_matrix_verdict(diff, PSD_TOL):
+                    want.append((lower, upper, diff))
+            assert rpt.total == len(relations)
+            assert [f["relation"] for f in rpt.failures] == [
+                {"lower": json.loads(lo.to_json()), "upper": json.loads(up.to_json())} for lo, up, _ in want
+            ]
+            for failure, (_, _, diff) in zip(rpt.failures, want):
+                # two eigensolves, of the support block and of the whole
+                # difference, each within _eigensolve_bound of the exact value
+                slack = 2 * _eigensolve_bound((diff + diff.conj().T) / 2)
+                assert abs(failure["min_eig"] - ref.min_eig(diff)) <= slack
+            failed += len(want)
+        orders.clear()
+        assert verify_k_order(rep, k, [(g, g)]).ok and orders == []
+    assert failed
+
+
+def _one_row_relation():
+    """The displayed lower matrix and its D0 successor that differs from it
+    in block row 1 only."""
+    lower, _ = displayed_block_relation()
+    (upper,) = [g for g in matrix_successors(lower, require="D0") if _support(lower, g) == [1]]
+    return lower, upper
+
+
+def test_cells_off_the_support_are_not_evaluated(fixture_assignment):
+    """An image that overflows in a cell off the support leaves a relation
+    certified both ways (the fixture pins the images of (-4,3,-3,4) and
+    (-4,2,-2,4) to one value), and one inside it is refused."""
+    lower, upper = _one_row_relation()
+
+    def overflowing_at(bad):
+        rule = lambda g: np.array([[1e200]]) * 1e200 if g == bad else fixture_assignment.image(g)
+        return GeneratorAssignment(n=1, rule=rule)
+
+    assert lower.cells[0][0] == upper.cells[0][0] == W("(-3,2,-2,3)")
+    assert verify_k_order(overflowing_at(W("(-3,2,-2,3)")), 2, [(lower, upper), (upper, lower)]).ok
+    assert upper.cells[1][1] == W("(-4,2,-2,4)")
+    with pytest.raises(DomainError, match=r"^the relations do not evaluate in double precision: overflow"):
+        verify_k_order(overflowing_at(W("(-4,2,-2,4)")), 2, [(lower, upper)])
+
+
+def test_a_skew_failure_reports_the_min_eig_of_the_whole_difference(fixture_assignment):
+    """A non-Hermitian image at the one cell of the support fails the skew
+    test with a positive support block; the whole difference, zero in the
+    other block row, has minimum eigenvalue 0, and that is reported."""
+    lower, upper = _one_row_relation()
+    tilted = fixture_assignment.image(W("(-4,2,-2,4)")) + 0.25 + 1e-6j
+    assign = GeneratorAssignment(n=1, rule=lambda g: tilted if g == W("(-4,2,-2,4)") else fixture_assignment.image(g))
+    (failure,) = verify_k_order(assign, 2, [(lower, upper)]).failures
+    block = lambda g: np.array([[assign(c)[0, 0] for c in row] for row in g.cells])
+    assert failure["min_eig"] == ref.min_eig(block(upper) - block(lower)) == 0.0
