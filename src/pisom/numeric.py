@@ -88,14 +88,13 @@ additions a matrix, because for a matrix that factors it bounds the
 norm.  At d = 64 and tol = PSD_TOL it admits tr A up to about 135, while
 the diagonal entries of a difference of two contractions (or of two
 blocks of them) lie in [-2, 2], so tr A <= 2 d + d tol <= 129 at every
-partial isometry.  A stack that the
-guard or the factorization refuses goes to one eigensolve, which gives
-the verdicts and every minimum eigenvalue that a report prints; so does
-a matrix that fails only the skew test.  So, within the stated bounds,
-verdicts and reports are exactly those of the eigensolve alone on the
-certified matrices; on the whole k n x k n difference, whose eigensolve
-has its own rounding, a reported minimum eigenvalue agrees to within
-the two eigensolve bounds.
+partial isometry.  A stack that the guard or the factorization refuses
+goes to one eigensolve, which gives the verdicts and every minimum
+eigenvalue that a report prints; so does a matrix that fails only the
+skew test.  So, within the stated bounds, verdicts and reports are
+exactly those of the eigensolve alone on the certified matrices; on the
+whole k n x k n difference, whose eigensolve has its own rounding, a
+reported minimum eigenvalue agrees to within the two eigensolve bounds.
 
 The skew test first takes the Frobenius norm, which is never below the
 spectral norm: a skew part whose Frobenius norm is within tol (less a
@@ -118,6 +117,7 @@ scripts/find_order_fixture.py.
 import json
 import random
 from functools import reduce as _fold
+from itertools import repeat
 
 import numpy as np
 
@@ -317,9 +317,9 @@ def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Rep
     """Certify that the dim x dim difference of every item is PSD, one
     stack per order and batch; failures are reported in input order.
 
-    Without ``orders``, diff(item, out) writes that difference.  With them,
-    it writes an orders[i] x orders[i] principal submatrix outside of which
-    the difference of items[i] is 0.  The verdict is then the submatrix's,
+    diff(item, out) writes an orders[i] x orders[i] principal submatrix
+    outside of which the difference of items[i] is 0 (every order is dim
+    when ``orders`` is not given).  The verdict is then the submatrix's,
     a failure's min_eig is at most 0 (the eigenvalue of the zeros) when the
     submatrix is smaller than dim, and an order 0 submatrix passes.
 
@@ -328,14 +328,11 @@ def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Rep
     assignment may have images large enough for it.
     """
     items = list(items)
-    if orders is None:
-        groups = {dim: (items, None)}
-    else:
-        groups = {}
-        for where, (item, order) in enumerate(zip(items, orders)):
-            group = groups.setdefault(order, ([], []))
-            group[0].append(item)
-            group[1].append(where)
+    groups = {}
+    for where, (item, order) in enumerate(zip(items, repeat(dim) if orders is None else orders)):
+        group = groups.setdefault(order, ([], []))
+        group[0].append(item)
+        group[1].append(where)
     failed = []
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -347,7 +344,7 @@ def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Rep
                     for i in np.flatnonzero(~ok):
                         j = start + i
                         eig = float(eigs[i]) if order == dim else min(float(eigs[i]), 0.0)
-                        failed.append((j if wheres is None else wheres[j], group[j], eig))
+                        failed.append((wheres[j], group[j], eig))
     except FloatingPointError as exc:
         raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
     failed.sort(key=lambda f: f[0])
