@@ -17,10 +17,13 @@ section 3.6); here g(d) <= 4 (d + 1) u.
   |fl(AB) - AB| <= g(d) |A| |B| entrywise, so an error of at most
   g(d) ||A||_F ||B||_F <= d g(d) in the Frobenius norm when A and B are
   contractions.  The images of words at a partial isometry are
-  contractions, and a word whose exponents have absolute sum W takes at
-  most W - 1 products from the power tables, so to first order in u its
-  image is within (W - 1) d g(d) of the exact one: 6.6e-13 a product at
-  d = 64.  The Hermitian part of a k x k block difference of order
+  contractions.  A power v^j takes j - 1 products, and (v*)^j is its
+  conjugate transpose, which is exact.  A word of more entries takes one
+  product more: the power of its first entry times the image of the rest,
+  or X* X for the image X of its half, whose error enters twice.  So,
+  counting X twice, a word whose exponents have absolute sum W takes
+  W - 1 products, and to first order in u its image is within
+  (W - 1) d g(d) of the exact one: 6.6e-13 a product at d = 64.  The Hermitian part of a k x k block difference of order
   k n <= 64 is then within 2 k (W - 1) n g(n) <= (W - 1) 1.4e-12 of the
   exact one in the spectral norm, so PSD_TOL absorbs W up to about 700.
   At a truncated shift every product is one of 0/1 partial permutations,
@@ -44,11 +47,15 @@ section 3.6); here g(d) <= 4 (d + 1) u.
 
 Certification.  Each verify call certifies its whole batch at once, in
 one stack per matrix order that occurs in it.  Its words are evaluated
-from one set of power tables v^j, (v*)^j, grown by repeated
-multiplication and dropped when the call returns, and each word is
-evaluated once a call.  A difference m passes when its skew part has
-spectral norm ||m - m*||_2 <= tol and the Hermitian part H = (m + m*)/2
-has minimum eigenvalue >= -tol, as the eigensolve reports it.
+against one memo, dropped when the call returns: the powers v^j, grown
+by repeated multiplication, their conjugate transposes (v*)^j, and the
+image of every word, suffix and half met in the call.  So the two sides
+of a basic step, w* w <= c* c with c = w less one unit at the front,
+share the image of w[1:] and take about len(w) + 2 products between
+them.  Each word the call reads is evaluated once.  A difference m
+passes when its skew part has spectral norm ||m - m*||_2 <= tol and the
+Hermitian part H = (m + m*)/2 has minimum eigenvalue >= -tol, as the
+eigensolve reports it.
 
 Support.  A k-order relation G <= G' is certified on its support S, the
 block rows i where the cells of G and G' differ as words.  Both matrices
@@ -116,6 +123,7 @@ scripts/find_order_fixture.py.
 
 import json
 import random
+from contextlib import contextmanager
 from functools import reduce as _fold
 from itertools import repeat
 
@@ -204,34 +212,66 @@ def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
     return PartialIsometryRep.checked(u[:, :r] @ vh[:r, :])
 
 
-class _Powers:
-    """Power tables v^j and (v*)^j, grown by repeated multiplication up to
-    the largest exponent asked for."""
+class _Images:
+    """The images of words at v within one call: the powers v^j, grown by
+    repeated multiplication, and a memo of the images of words, their
+    suffixes and their halves.  Products are ndarray.dot: the BLAS product
+    of @, with less overhead per call on small matrices."""
 
     def __init__(self, v):
         v = np.asarray(v, dtype=complex)
+        if not np.isfinite(v).all():
+            raise DomainError("the matrix v has an entry that is not finite")
         self.up = [None, v]
-        self.down = [None, v.conj().T]
+        self.memo = {}
 
     def power(self, e: int):
-        table = self.up if e > 0 else self.down
-        j = abs(e)
-        while len(table) <= j:
-            table.append(table[-1] @ table[1])
-        return table[j]
+        """v^e, or for e < 0 the conjugate transpose of v^-e."""
+        if e < 0:
+            out = self.memo.get((e,))
+            if out is None:
+                out = self.memo[e,] = self.power(-e).conj().T
+            return out
+        table = self.up
+        while len(table) <= e:
+            table.append(table[-1].dot(table[1]))
+        return table[e]
+
+    def image(self, w):
+        """X* X, X the image of x, for a selfadjoint w = star(x) x; for any
+        other word of more than one entry, P(w[0]) times the image of w[1:].
+
+        The chain runs from w down to the first half or suffix in the memo,
+        or to a single entry; the images are then built back up it."""
+        memo = self.memo
+        chain = []
+        out = memo.get(w)
+        while out is None and len(w) > 1:
+            h = len(w) // 2
+            # a selfadjoint word has even length and ends in -w[0]
+            half = w[0] == -w[-1] and w[:h] == tuple([-e for e in reversed(w[h:])])
+            chain.append((w, half))
+            w = w[h:] if half else w[1:]
+            out = memo.get(w)
+        if out is None:
+            out = self.power(w[0])
+        for w, half in reversed(chain):
+            out = memo[w] = out.conj().T.dot(out) if half else self.power(w[0]).dot(out)
+        return out
 
 
 def eval_word(rep, w: Word):
     """Product of powers: entry k > 0 contributes v^k, k < 0 gives (v*)^-k.
 
-    ``rep`` is a PartialIsometryRep, or the power tables that a verify call
-    shares across its words.
+    A selfadjoint word star(x) x evaluates as X* X from the image X of its
+    half x, and any other word as the power of its first entry times the
+    image of the rest; (v*)^j is the conjugate transpose of v^j.  Each image
+    is a function of the word alone, so it does not depend on what else the
+    memo holds.  ``rep`` is a PartialIsometryRep, or the images that a
+    verify call shares across its words.  A v with an entry that is not
+    finite is a DomainError.
     """
-    power = (rep if isinstance(rep, _Powers) else _Powers(rep.v)).power
-    out = power(w[0])
-    for e in w[1:]:
-        out = out @ power(e)
-    return out
+    return (rep if isinstance(rep, _Images) else _Images(rep.v)).image(w)
 
 
 # Relative slack on the Frobenius prefilter; see the module docstring.
@@ -313,6 +353,19 @@ def _batches(items, dim: int, diff):
         yield start, stack
 
 
+@contextmanager
+def _in_double_precision():
+    """Finite inputs make a value that is not finite only by an overflow,
+    which is a DomainError here rather than a numpy warning: a generator
+    assignment, or a matrix v that is no partial isometry, may have images
+    large enough for it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
+
+
 def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Report":
     """Certify that the dim x dim difference of every item is PSD, one
     stack per order and batch; failures are reported in input order.
@@ -322,10 +375,6 @@ def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Rep
     when ``orders`` is not given).  The verdict is then the submatrix's,
     a failure's min_eig is at most 0 (the eigenvalue of the zeros) when the
     submatrix is smaller than dim, and an order 0 submatrix passes.
-
-    Finite inputs make a value that is not finite only by an overflow,
-    which is a DomainError here rather than a numpy warning: a generator
-    assignment may have images large enough for it.
     """
     items = list(items)
     groups = {}
@@ -334,19 +383,16 @@ def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Rep
         group[0].append(item)
         group[1].append(where)
     failed = []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for order, (group, wheres) in groups.items():
-                if not order:
-                    continue
-                for start, diffs in _batches(group, order, diff):
-                    ok, eigs = _certify(diffs, tol)
-                    for i in np.flatnonzero(~ok):
-                        j = start + i
-                        eig = float(eigs[i]) if order == dim else min(float(eigs[i]), 0.0)
-                        failed.append((wheres[j], group[j], eig))
-    except FloatingPointError as exc:
-        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
+    with _in_double_precision():
+        for order, (group, wheres) in groups.items():
+            if not order:
+                continue
+            for start, diffs in _batches(group, order, diff):
+                ok, eigs = _certify(diffs, tol)
+                for i in np.flatnonzero(~ok):
+                    j = start + i
+                    eig = float(eigs[i]) if order == dim else min(float(eigs[i]), 0.0)
+                    failed.append((wheres[j], group[j], eig))
     failed.sort(key=lambda f: f[0])
     return Report(len(items), [{"relation": describe(item), "min_eig": eig} for _, item, eig in failed])
 
@@ -458,10 +504,11 @@ def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
     samples = list(samples)
     rpt = Report(len(samples))
     gap = lambda n_word, out: np.subtract(vs @ ev(n_word) @ v, ev(alpha(n_word)), out=out)
-    for start, residuals in _batches(samples, rep.n, gap):
-        for i, residual in _norms_over(residuals, CONJUGATION_TOL):
-            relation = "conjugation at %s" % format_word(samples[start + i])
-            rpt.failures.append({"relation": relation, "residual": residual})
+    with _in_double_precision():
+        for start, residuals in _batches(samples, rep.n, gap):
+            for i, residual in _norms_over(residuals, CONJUGATION_TOL):
+                relation = "conjugation at %s" % format_word(samples[start + i])
+                rpt.failures.append({"relation": relation, "residual": residual})
     return rpt
 
 
@@ -517,10 +564,11 @@ class GeneratorAssignment:
 
 def _evaluator(rep_or_assign):
     """Per-call memoized evaluation; relation batches reuse many cells, and
-    at a partial isometry all words share one set of power tables."""
+    at a partial isometry all words share one memo of powers, suffixes and
+    halves."""
     if isinstance(rep_or_assign, PartialIsometryRep):
-        powers = _Powers(rep_or_assign.v)
-        base = lambda w: eval_word(powers, w)
+        images = _Images(rep_or_assign.v)
+        base = lambda w: eval_word(images, w)
     elif isinstance(rep_or_assign, GeneratorAssignment):
         base = rep_or_assign
     else:

@@ -84,6 +84,84 @@ def test_eval_representation_laws(rep):
         assert opnorm(eval_word(rep, a.star) - eval_word(rep, a).conj().T) <= 1e-12
 
 
+def _reference_words():
+    """Selfadjoint D1 words, their alpha images and the cells of sampled
+    k = 2, 3 relations: long halves, shared suffixes and short cells."""
+    sa = sa_pool("D1")
+    cells = [c for lo, up in matrix_relations(20, 3, ks=(2, 3)) for g in (lo, up) for row in g.cells for c in row]
+    return list(dict.fromkeys(sa + [alpha(w) for w in sa] + cells))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 21, 64])
+def test_images_agree_with_the_left_to_right_reference(n):
+    """Each image is within the module docstring's (W - 1) d g(d) of the
+    exact one, and so is the reference's: they differ by at most twice it."""
+    rep = random_partial_isometry(n, 100 + n)
+    tables = ref.PowerTables(rep.v)
+    for w in _reference_words():
+        weight = sum(abs(e) for e in w)
+        error = np.linalg.norm(eval_word(rep, w) - tables.word(w))
+        assert error <= 2 * (weight - 1) * n * _g(n)
+
+
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_images_at_truncated_shifts_are_exact(n):
+    shift = PartialIsometryRep.checked(ref.shift_matrix((1,), n))
+    tables = ref.PowerTables(shift.v)
+    for w in _reference_words():
+        assert np.array_equal(eval_word(shift, w), tables.word(w))
+
+
+def test_a_verify_call_certifies_the_images_of_eval_word(monkeypatch):
+    """Within a call the images share suffixes and halves; each is still
+    bit for bit the image a fresh eval_word gives."""
+    seen = []
+    inner = numeric.eval_word
+
+    def recorded(images, w):
+        out = inner(images, w)
+        seen.append((w, out))
+        return out
+
+    monkeypatch.setattr(numeric, "eval_word", recorded)
+    pairs = scalar_relations(40, 11)
+    samples = [n for n, _ in pairs]
+    for rep in (random_partial_isometry(5, 4), random_partial_isometry(16, 9)):
+        seen.clear()
+        verify_order_rep(rep, pairs)
+        verify_schwarz(rep, samples)
+        verify_conjugation(rep, samples)
+        for k in (2, 3):
+            verify_k_order(rep, k, matrix_relations(8, 20 + k, ks=(k,)))
+        assert len(seen) > 100
+        for w, image in seen:
+            assert np.array_equal(image, inner(rep, w))
+
+
+_CALLS_AT_A_REP = {
+    "order": lambda rep: verify_order_rep(rep, scalar_relations(3, 1)),
+    "schwarz": lambda rep: verify_schwarz(rep, [UNIT_MINUS]),
+    "conjugation": lambda rep: verify_conjugation(rep, [UNIT_MINUS]),
+    "k_order": lambda rep: verify_k_order(rep, 1, matrix_relations(2, 1, ks=(1,))),
+    "eval_word": lambda rep: eval_word(rep, UNIT_MINUS),
+}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("call", _CALLS_AT_A_REP)
+def test_a_v_that_is_not_finite_is_refused(call, entry):
+    rep = PartialIsometryRep(np.array([[0.5, entry], [0.0, 0.5]]))
+    with pytest.raises(DomainError, match=r"^the matrix v has an entry that is not finite$"):
+        _CALLS_AT_A_REP[call](rep)
+
+
+@pytest.mark.parametrize("call", sorted(set(_CALLS_AT_A_REP) - {"eval_word"}))
+def test_images_that_overflow_are_refused(call):
+    rep = PartialIsometryRep(np.array([[1e200]]))
+    with pytest.raises(DomainError, match=r"^the relations do not evaluate in double precision: overflow"):
+        _CALLS_AT_A_REP[call](rep)
+
+
 # -- psd ------------------------------------------------------------------------------
 
 
