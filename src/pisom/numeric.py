@@ -19,16 +19,17 @@ section 3.6); here g(d) <= 4 (d + 1) u.
   contractions.  The images of words at a partial isometry are
   contractions.  A power v^j takes j - 1 products, and (v*)^j is its
   conjugate transpose, which is exact.  A word of more entries takes one
-  product more: the power of its first entry times the image of the rest,
-  or X* X for the image X of its half, whose error enters twice.  So,
-  counting X twice, a word whose exponents have absolute sum W takes
+  product more: the power of its first entry times the image of the
+  rest, or X* X for the image X of its half, whose error enters twice.
+  So, counting X twice, a word whose exponents have absolute sum W takes
   W - 1 products, and to first order in u its image is within
-  (W - 1) d g(d) of the exact one: 6.6e-13 a product at d = 64.  The Hermitian part of a k x k block difference of order
-  k n <= 64 is then within 2 k (W - 1) n g(n) <= (W - 1) 1.4e-12 of the
-  exact one in the spectral norm, so PSD_TOL absorbs W up to about 700.
-  At a truncated shift every product is one of 0/1 partial permutations,
-  and exact.  The defect check is two products, bounded by 2 d g(d),
-  which exceeds 1e-12 from d = 56 on; observed defects stay near 4e-15.
+  (W - 1) d g(d) of the exact one: 6.6e-13 a product at d = 64.  The
+  Hermitian part of a k x k block difference of order k n <= 64 is then
+  within 2 k (W - 1) n g(n) <= (W - 1) 1.4e-12 of the exact one in the
+  spectral norm, so PSD_TOL absorbs W up to about 700.  At a truncated
+  shift every product is one of 0/1 partial permutations, and exact.
+  The defect check is two products, bounded by 2 d g(d), which exceeds
+  1e-12 from d = 56 on; observed defects stay near 4e-15.
 - Cholesky.  If the Cholesky factorization of a Hermitian A of order d
   runs to completion, the computed R satisfies R* R = A + E with
   |E| <= g(d) |R*| |R| (Higham, chapter 10: the proof uses only that
@@ -230,7 +231,7 @@ class _Images:
         if e < 0:
             out = self.memo.get((e,))
             if out is None:
-                out = self.memo[e,] = self.power(-e).conj().T
+                out = self.memo[(e,)] = self.power(-e).conj().T
             return out
         table = self.up
         while len(table) <= e:
