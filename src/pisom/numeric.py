@@ -709,33 +709,33 @@ def scalar_relations(count: int, seed: int, within: str = "D1"):
 def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     """Deterministic sample of basic matrix relations (G, successor).
 
-    At every k the words are drawn one at a time, each uniformly among those
-    whose cells with itself and with every word drawn so far lie in D1 (one
-    cell of each pair suffices: v* u is the star of u* v, and D1 is closed
-    under star).  So each word, not the whole vector, is uniform.  A vector
-    with no successor is drawn again, up to 100 draws a relation (and at
-    least 100,000 draws in all).
+    At every k the first word is drawn uniformly among the words whose own
+    cell w* w lies in D1, and each later word uniformly among those with
+    the first word's tau: the words whose cells with themselves and with
+    every word drawn so far lie in D1.  For two words whose own cells are in
+    D1, u* v is in D1 exactly when tau(u) = tau(v), since by
+    ``GramMatrix.tagged`` gram((u, v)) is in D1 iff tau(u) = tau(v) = t and
+    the bounds on 1 + t that gram((u,)) and gram((v,)) in D1 give hold.  So
+    each word, not the whole vector, is uniform.  A vector with no successor
+    is drawn again, up to 100 draws a relation (at least 100,000 in all).
     """
     _check_count(count)
     if not ks:
         raise DomainError("matrix relations need at least one rank k")
-    words = list(iter_words(entry_weight))
-    # D1 membership of every Gram cell u* v, so that a draw is made by
-    # lookups and only a complete vector builds its matrix
-    in_d1 = {(u, v): member(u.star * v, "D1") for u in words for v in words}
-    diagonal = [w for w in words if in_d1[w, w]]
+    if min(ks) < 1:
+        raise DomainError("a rank k must be at least 1, got k = %d" % min(ks))
+    if entry_weight < 1:
+        raise DomainError("the entry weight must be at least 1, got %d" % entry_weight)
+    diagonal = [w for w in iter_words(entry_weight) if member(w.star * w, "D1")]
+    classes = {t: [w for w in diagonal if w.tau == t] for t in {w.tau for w in diagonal}}
     rng = random.Random(seed)
     out = []
     attempts, draws = 0, max(100000, 100 * count)
     while len(out) < count and attempts < draws:
         attempts += 1
         k = rng.choice(ks)
-        vec, cands = [], diagonal
-        while len(vec) < k:  # each drawn word stays in cands: its own cell is in D1
-            u = rng.choice(cands)
-            vec.append(u)
-            cands = [v for v in cands if in_d1[u, v]]
-        g = gram(vec)
+        u = rng.choice(diagonal)
+        g = gram([u] + [rng.choice(classes[u.tau]) for _ in range(k - 1)])
         succ = sorted(matrix_successors(g), key=lambda x: x.cells)
         if not succ:
             continue

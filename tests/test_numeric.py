@@ -308,13 +308,24 @@ def sequential_matrix_relations(count, seed, ks, entry_weight=4):
 # the wide ranks come first, so that ks0..ks3 keep naming them
 @pytest.mark.parametrize("ks", [(4,), (5,), (8,), (3, 6), (1,), (2,), (3,), (2, 3)])
 def test_matrix_relations_draw_wide_vectors_compatibly(ks):
-    for seed in range(2):
-        got = matrix_relations(4, seed, ks=ks)
-        want = sequential_matrix_relations(4, seed, ks)
-        assert got == want
-        assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
-        for lo, hi in got:
-            assert lo.k in ks and lo.tagged("D1") and hi in matrix_successors(lo)
+    for entry_weight in (4, 3, 6) if ks in [(1,), (3,), (2, 3)] else (4,):
+        for seed in range(2):
+            got = matrix_relations(4, seed, ks=ks, entry_weight=entry_weight)
+            want = sequential_matrix_relations(4, seed, ks, entry_weight)
+            assert got == want
+            assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
+            for lo, hi in got:
+                assert lo.k in ks and lo.tagged("D1") and hi in matrix_successors(lo)
+
+
+def test_d1_cells_of_d1_diagonal_words_are_the_tau_classes():
+    # the rule matrix_relations draws by, over the whole space and against
+    # the independent reducer: for two words whose own cells are in D1,
+    # the cell u* v is in D1 exactly when u and v have the same tau
+    diagonal = [w for w in ref.reduced_words(6) if ref.in_d1(ref.prod(ref.star(w), w))]
+    in_d1 = [(u, v) for u in diagonal for v in diagonal if ref.in_d1(ref.prod(ref.star(u), v))]
+    assert in_d1 == [(u, v) for u in diagonal for v in diagonal if sum(u) == sum(v)]
+    assert (len(diagonal), len(in_d1)) == (37, 249)
 
 
 def test_relation_pools_stay_in_their_tag():
@@ -480,6 +491,12 @@ NUMERIC_REFUSALS = {
         "the image of (-2,2) needs 're' and 'im'",
     ),
     "no_rank": (lambda tmp: matrix_relations(1, 0, ks=()), "matrix relations need at least one rank k"),
+    "rank_zero": (lambda tmp: matrix_relations(1, 0, ks=(0,)), "a rank k must be at least 1, got k = 0"),
+    "rank_negative": (lambda tmp: matrix_relations(1, 0, ks=(2, -1)), "a rank k must be at least 1, got k = -1"),
+    "entry_weight_zero": (
+        lambda tmp: matrix_relations(3, 0, entry_weight=0),
+        "the entry weight must be at least 1, got 0",
+    ),
 }
 
 
