@@ -268,11 +268,11 @@ def eval_word(rep, w: Word):
     half x, and any other word as the power of its first entry times the
     image of the rest; (v*)^j is the conjugate transpose of v^j.  Each image
     is a function of the word alone, so it does not depend on what else the
-    memo holds.  ``rep`` is a PartialIsometryRep, or the images that a
-    verify call shares across its words.  A v with an entry that is not
-    finite is a DomainError.
+    memo holds: a verify call, which shares one memo across its words, gets
+    the images this returns.  A v with an entry that is not finite is a
+    DomainError.
     """
-    return (rep if isinstance(rep, _Images) else _Images(rep.v)).image(w)
+    return _Images(rep.v).image(w)
 
 
 # Relative slack on the Frobenius prefilter; see the module docstring.
@@ -564,22 +564,19 @@ class GeneratorAssignment:
 
 
 def _evaluator(rep_or_assign):
-    """Per-call memoized evaluation; relation batches reuse many cells, and
-    at a partial isometry all words share one memo of powers, suffixes and
-    halves."""
+    """Per-call memoized evaluation; relation batches reuse many cells.  At
+    a partial isometry all words share the one memo of powers, suffixes and
+    halves of an _Images; a generator assignment gets a dict of its own."""
     if isinstance(rep_or_assign, PartialIsometryRep):
-        images = _Images(rep_or_assign.v)
-        base = lambda w: eval_word(images, w)
-    elif isinstance(rep_or_assign, GeneratorAssignment):
-        base = rep_or_assign
-    else:
+        return _Images(rep_or_assign.v).image
+    if not isinstance(rep_or_assign, GeneratorAssignment):
         raise DomainError("expected a partial isometry rep or a generator assignment")
     cache: dict[Word, np.ndarray] = {}
 
     def ev(w):
         out = cache.get(w)
         if out is None:
-            out = cache[w] = base(w)
+            out = cache[w] = rep_or_assign(w)
         return out
 
     return ev

@@ -16,14 +16,27 @@ Rule (b) preserves nonzeroness because |x + e + y| = |x| + |y| - 1 >= 1.
 Each rule strictly shortens the sequence, so normalization terminates; the
 test suite checks confluence against an exhaustive all-orders oracle.
 
-A product of two reduced words can be non-reduced only at the junction, so
-only the junction is settled.  Equal signs there merge into one entry of
-absolute value >= 2, and opposite signs with no unit at an interior
-position leave a plain concatenation; both are final.  Otherwise the
-entries of the right factor are pushed onto a copy of the left one and the
-top is settled after each push, until a pushed entry of absolute value >= 2
-sits unchanged.  No rule can reach past it, so the rest of the right factor
-is appended as it stands.
+A product of two reduced words can be non-reduced only at the junction,
+and it settles there in closed form.  Write a = (..., a2, a1) and
+b = (b1, b2, ...).  Equal signs at the junction merge a1 and b1 into one
+entry of absolute value >= 2, which is final.  With opposite signs, at most
+one rule (b) step happens:
+
+- if a1 is a unit and len(a) > 1, the product is
+  a[:-2] + (a2 + a1 + b1,) + b[1:];
+- otherwise, if b1 is a unit and len(b) > 1, it is
+  a[:-1] + (a1 + b1 + b2,) + b[2:];
+- otherwise it is the plain concatenation, with no unit at an interior
+  position.
+
+Proof for the first case.  The new entry z = a2 + a1 + b1 has
+|z| = |a2| + |b1| - 1 >= 1 and the sign of a2 and b1, so it merges with
+neither neighbour: a3 has the opposite sign of a2, and b2 that of b1.  z is
+a unit only when a2 and b1 both are; a2 is then an end of a, so len(a) = 2
+and z is the first entry of the product, not an interior one.  The entries
+next to z were interior entries of a or b, or are ends of the product.  So
+no second rule applies.  The second case is the mirror image.  When a1 and
+b1 are both units, both cases give the same word.
 
 Words that come from outside (``Word(...)``, :func:`parse_word`,
 :func:`reduce_word`, a Word times a plain tuple, the JSON readers) pass
@@ -32,7 +45,7 @@ are reduced by construction are wrapped unchecked by ``_trusted``, the only
 place a Word is made without that check; each of its callers has a test
 that re-validates every output on an exhaustive space:
 
-- products and stars of Words (the junction argument above):
+- products and stars of Words (the junction lemma above):
   ``test_products_and_stars_pass_the_check`` (every product of two words of
   weight <= 8, and every star), ``test_mul_matches_oracle_small_weights``
   (the all-orders oracle, weight <= 6) and ``test_mul_matches_full_reduction``;
@@ -171,23 +184,15 @@ class Word(tuple):
     def __mul__(self, other):
         if type(other) is not Word:
             return reduce_word(tuple(self) + tuple(other))
+        # the junction in closed form; the module docstring has the proof
         x, y = self[-1], other[0]
-        # the two junction cases that need no settling: a merge, or opposite
-        # signs with no unit that would become interior
         if (x > 0) == (y > 0):
             return _trusted(self[:-1] + (x + y,) + other[1:])
-        if (x > 1 or x < -1 or len(self) == 1) and (y > 1 or y < -1 or len(other) == 1):
-            return _trusted(self + other)
-        out = list(self)
-        for i, v in enumerate(other):
-            out.append(v)
-            _settle(out)
-            if out[-1] == v and abs(v) > 1:
-                # v sits unchanged and cannot take part in rule (b), so the
-                # rest of the reduced word `other` settles nothing.
-                out += other[i + 1 :]
-                break
-        return _trusted(out)
+        if abs(x) == 1 and len(self) > 1:
+            return _trusted(self[:-2] + (self[-2] + x + y,) + other[1:])
+        if abs(y) == 1 and len(other) > 1:
+            return _trusted(self[:-1] + (x + y + other[1],) + other[2:])
+        return _trusted(self + other)
 
     @property
     def star(self) -> "Word":

@@ -116,14 +116,14 @@ def test_a_verify_call_certifies_the_images_of_eval_word(monkeypatch):
     """Within a call the images share suffixes and halves; each is still
     bit for bit the image a fresh eval_word gives."""
     seen = []
-    inner = numeric.eval_word
+    inner = numeric._Images.image
 
     def recorded(images, w):
         out = inner(images, w)
         seen.append((w, out))
         return out
 
-    monkeypatch.setattr(numeric, "eval_word", recorded)
+    monkeypatch.setattr(numeric._Images, "image", recorded)
     pairs = scalar_relations(40, 11)
     samples = [n for n, _ in pairs]
     for rep in (random_partial_isometry(5, 4), random_partial_isometry(16, 9)):
@@ -134,8 +134,8 @@ def test_a_verify_call_certifies_the_images_of_eval_word(monkeypatch):
         for k in (2, 3):
             verify_k_order(rep, k, matrix_relations(8, 20 + k, ks=(k,)))
         assert len(seen) > 100
-        for w, image in seen:
-            assert np.array_equal(image, inner(rep, w))
+        for w, image in seen[:]:
+            assert np.array_equal(image, eval_word(rep, w))
 
 
 _CALLS_AT_A_REP = {

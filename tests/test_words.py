@@ -1,3 +1,4 @@
+import random
 from itertools import product as cartesian
 
 import pytest
@@ -18,7 +19,7 @@ from pisom.words import (
     reduce_word,
 )
 
-from conftest import oracle_normal_forms, raw_sequences, words_upto
+from conftest import oracle_normal_forms, raw_sequences, ref, words_upto
 
 entries_st = st.lists(
     st.integers(-5, 5).filter(lambda x: x != 0), min_size=1, max_size=7
@@ -155,11 +156,15 @@ def test_mul_associative(a, b, c):
 
 @given(words_st, words_st)
 def test_length_law(m, n):
+    # the junction lemma: with opposite signs, one rule (b) step happens
+    # exactly when a unit at the junction has a neighbour in its own factor
     prod = m * n
     if (m[-1] > 0) == (n[0] > 0):
         assert len(prod) == len(m) + len(n) - 1
+    elif (abs(m[-1]) == 1 and len(m) > 1) or (abs(n[0]) == 1 and len(n) > 1):
+        assert len(prod) == len(m) + len(n) - 2
     else:
-        assert len(prod) in (len(m) + len(n), len(m) + len(n) - 2)
+        assert len(prod) == len(m) + len(n)
 
 
 @given(words_st, words_st)
@@ -173,7 +178,8 @@ def test_mul_matches_full_reduction(a, b):
 
 def test_mul_matches_oracle_small_weights():
     # every pair of reduced words of weight <= 6 against the all-orders
-    # oracle, which shares nothing with the stack settling of the product
+    # oracle, which shares nothing with the closed-form junction of the
+    # product
     memo = {}
     pool = list(words_upto(6))
     for a in pool:
@@ -193,6 +199,33 @@ def test_products_and_stars_pass_the_check():
         for b in pool:
             p = a * b
             assert type(p) is Word and _checked(tuple(p)) == p == reduce_word(tuple(a) + tuple(b)), (a, b)
+
+
+def _random_word(rng, max_len, max_mag):
+    # a reduced word with up to max_len entries; interior magnitudes up to
+    # max_mag, and ends that are units about half the time
+    n = rng.randint(1, max_len)
+    sign = rng.choice((1, -1))
+    out = []
+    for i in range(n):
+        if i in (0, n - 1):
+            mag = rng.choice((1, rng.randint(1, max_mag)))
+        else:
+            mag = rng.randint(2, max_mag)
+        out.append(sign * mag)
+        sign = -sign
+    return Word(out)
+
+
+def test_long_products_with_big_entries():
+    # the closed form's slices a[:-2] and b[2:] on long words with big
+    # entries, against the reference's fixpoint reducer
+    rng = random.Random(2026)
+    for _ in range(20000):
+        a = _random_word(rng, 30, 10**20)
+        b = _random_word(rng, 30, 10**20)
+        p = a * b
+        assert type(p) is Word and tuple(p) == ref.prod(a, b), (a, b)
 
 
 def test_mul_by_plain_tuple():
