@@ -12,8 +12,7 @@ from importlib import import_module
 
 #: (layer, the names the package exports from it)
 _EXPORTS = (
-    ("words", ("DomainError", "Word", "WordError", "format_word", "member", "mul", "parse_word", "reduce_word",
-               "star")),
+    ("words", ("DomainError", "Word", "WordError", "format_word", "member", "parse_word", "reduce_word")),
     ("maps", ("alpha", "beta_omega", "conj", "is_irr_plus", "omega")),
     ("structure", ("IrrTable", "classify_sa", "enum_irr", "factor_a0", "factor_d0", "is_irreducible",
                    "sa_canonical_d1")),

@@ -7,6 +7,8 @@ endpoint exponents of a non-unit plus-irreducible toward zero and is the
 left inverse of alpha on D0.
 """
 
+from itertools import accumulate
+
 from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word, _trusted
 
 
@@ -29,7 +31,7 @@ def is_irr_plus(n: Word) -> bool:
     """Irreducible and plus-bracketed: all interior prefix sums < 0."""
     if n.tau != 0:
         return False
-    return all(s < 0 for s in n.sigmas()[:-1])
+    return all(s < 0 for s in accumulate(n[:-1]))
 
 
 def beta_omega(n: Word) -> Word:

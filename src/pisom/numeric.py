@@ -185,14 +185,12 @@ class PartialIsometryRep:
         v = np.asarray(self.v, dtype=complex)
         return opnorm(v @ v.conj().T @ v - v)
 
-    def is_valid(self) -> bool:
-        return self.defect() <= IDENTITY_TOL
-
     @classmethod
     def checked(cls, v) -> "PartialIsometryRep":
         rep = cls(np.asarray(v, dtype=complex))
-        if not rep.is_valid():
-            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (rep.defect(), IDENTITY_TOL))
+        defect = rep.defect()
+        if not defect <= IDENTITY_TOL:
+            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (defect, IDENTITY_TOL))
         return rep
 
 

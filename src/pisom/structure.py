@@ -44,7 +44,7 @@ def is_irreducible(p: Word) -> bool:
     if p.tau != 0:
         raise DomainError("irreducibility is decided inside A0, got %s" % (p,))
     s0 = p[0]
-    return all(s0 * s > 0 for s in p.sigmas()[:-1])
+    return all(s0 * s > 0 for s in accumulate(p[:-1]))
 
 
 def factor_a0(p: Word) -> list[Word]:

@@ -38,6 +38,12 @@ next to z were interior entries of a or b, or are ends of the product.  So
 no second rule applies.  The second case is the mirror image.  When a1 and
 b1 are both units, both cases give the same word.
 
+The same lemma settles :func:`reduce_word`, and so parsing, one entry at a
+time: pushing v onto a reduced stack multiplies it by the one-entry word
+(v).  v merges into a last entry of its own sign; otherwise a unit last
+entry with an entry before it folds with v into one entry; otherwise v is
+appended.  The second case never applies, since (v) has one entry.
+
 Words that come from outside (``Word(...)``, :func:`parse_word`,
 :func:`reduce_word`, a Word times a plain tuple, the JSON readers) pass
 through one checked constructor that validates the invariants.  Words that
@@ -125,34 +131,24 @@ def _trusted(entries) -> "Word":
     return tuple.__new__(Word, entries)
 
 
-def _settle(out: list[int]) -> None:
-    """Apply rules (a) and (b) at the top of a stack that is reduced below
-    its top entry, until the whole stack is reduced."""
-    while True:
-        if len(out) >= 2 and (out[-2] > 0) == (out[-1] > 0):
-            y = out.pop()
-            out[-1] += y
-        elif len(out) >= 3 and abs(out[-2]) == 1:
-            y = out.pop()
-            e = out.pop()
-            out[-1] += e + y
-        else:
-            return
-
-
 def _reduce_entries(raw) -> list[int]:
     """Normalize a nonzero-integer sequence with a single stack pass.
 
-    Only the junction under the cursor can be non-reduced, so settling the
-    stack top after each push restores the invariants.
+    Each push settles in one step by the junction lemma (module docstring),
+    so the stack is reduced after every push.
     """
     out: list[int] = []
     for v in raw:
         v = int(v)
         if v == 0:
             raise WordError("zero entry in word")
-        out.append(v)
-        _settle(out)
+        if out and (out[-1] > 0) == (v > 0):
+            out[-1] += v
+        elif len(out) > 1 and abs(out[-1]) == 1:
+            e = out.pop()
+            out[-1] += e + v
+        else:
+            out.append(v)
     return out
 
 
@@ -215,14 +211,6 @@ class Word(tuple):
             raise WordError("sigma index must be nonnegative")
         return sum(self[: r + 1])
 
-    def sigmas(self):
-        """All prefix sums, in order."""
-        total, out = 0, []
-        for e in self:
-            total += e
-            out.append(total)
-        return tuple(out)
-
     def tau_plus(self) -> int:
         """Sum of the positive entries; the grading used for irreducibles."""
         pos = [e for e in self if e > 0]
@@ -233,21 +221,10 @@ class Word(tuple):
     def is_selfadjoint(self) -> bool:
         return self == self.star
 
-    def is_idempotent(self) -> bool:
-        return self * self == self
-
 
 def reduce_word(raw) -> Word:
     """Normal form of an arbitrary nonzero-integer sequence."""
     return _checked(_reduce_entries(raw))
-
-
-def mul(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def star(a: Word) -> Word:
-    return a.star
 
 
 def parse_word(text: str) -> Word:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import pisom.cli as cli
 from pisom.cli import KORDER_WORK_CAP, REP_WORK_CAP, build_parser, run
 from pisom.matrix import VECTOR_CAP, gram
-from pisom.words import DomainError, Word, parse_word
+from pisom.words import Word, parse_word
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -879,8 +879,9 @@ def test_no_unused_imports():
 
 
 def test_no_library_code_only_the_tests_call():
-    # every module-level function and class of the package is exported or
-    # named somewhere in the package, so no code lives on for the tests alone
+    # every module-level function and class of the package, and every
+    # non-dunder method of such a class, is exported or named somewhere in
+    # the package, so no code lives on for the tests alone
     import pisom
 
     paths = sorted((REPO / "src" / "pisom").glob("*.py"))
@@ -894,12 +895,15 @@ def test_no_library_code_only_the_tests_call():
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    unused = [
-        "%s:%s" % (name, node.name)
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    defs = [
+        (name, node) for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
+    methods = [
+        (name, node) for name, cls in defs if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+    unused = ["%s:%s" % (name, node.name) for name, node in defs + methods if node.name not in named]
     assert unused == []
 
 
@@ -922,23 +926,6 @@ def load_script(monkeypatch, name):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec.loader.exec_module(script)
     return script
-
-
-def test_print_irr_tables_refusal_is_one_error_line(monkeypatch, capsys):
-    script = load_script(monkeypatch, "print_irr_tables")
-    enum_irr = script.enum_irr
-
-    def capped(k):
-        if k > 2:
-            raise DomainError("plus-irreducibles of grade %d exceed the cap" % k)
-        return enum_irr(k)
-
-    monkeypatch.setattr(script, "enum_irr", capped)
-    monkeypatch.setattr(sys, "argv", ["print_irr_tables.py", "21"])
-    assert script.main() == 1
-    out, err = capsys.readouterr()
-    assert out.splitlines() == ["grade  1 (  1 elements): (-1,1)", "grade  2 (  1 elements): (-2,2)"]
-    assert err == "error: plus-irreducibles of grade 3 exceed the cap\n"
 
 
 @pytest.mark.parametrize(

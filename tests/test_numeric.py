@@ -9,6 +9,7 @@ import pisom.numeric as numeric
 from pisom.maps import alpha
 from pisom.matrix import GramMatrix, gram, matrix_successors
 from pisom.numeric import (
+    IDENTITY_TOL,
     PSD_TOL,
     RELATION_CAP,
     _certify,
@@ -218,7 +219,7 @@ def test_verify_order_rep_random():
 
 def test_verify_order_rep_sabotage():
     bad = PartialIsometryRep(np.array([[1.3]], dtype=complex))
-    assert not bad.is_valid()
+    assert bad.defect() > IDENTITY_TOL
     pairs = [(Word((-2, 2)), Word((-1, 1)))]
     rpt = verify_order_rep(bad, pairs)
     assert rpt.failures and rpt.failures[0]["min_eig"] < -1e-9

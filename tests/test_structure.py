@@ -1,5 +1,5 @@
 import json
-from itertools import product as cartesian
+from itertools import accumulate, product as cartesian
 
 import pytest
 
@@ -71,7 +71,7 @@ def factor_by_splits(p):
     factor the remainder n again from its own prefix sums."""
     factors = []
     while True:
-        sig = p.sigmas()
+        sig = tuple(accumulate(p))
         r = next((i for i in range(1, len(p) - 1) if p[0] * sig[i] <= 0), None)
         if r is None:
             return factors + [p]

@@ -138,6 +138,16 @@ def test_reduce_matches_oracle(seq):
     assert forms == frozenset({tuple(reduce_word(seq))})
 
 
+def test_reduce_matches_reference_on_long_input():
+    # long raw sequences, half of their entries units, so a unit folds deep
+    # in the stack and the fold's guard meets a one-entry stack
+    rng = random.Random(27)
+    for _ in range(20000):
+        mags = [1 if rng.random() < 0.5 else rng.randint(1, 10**12) for _ in range(rng.randint(1, 40))]
+        seq = [m if rng.random() < 0.5 else -m for m in mags]
+        assert reduce_word(seq) == ref.reduce(seq), seq
+
+
 # -- multiplication and star -----------------------------------------------------
 
 
@@ -292,16 +302,16 @@ def test_membership_examples():
 
 
 def test_selfadjoint_idempotent_examples():
-    assert UNIT_PLUS.is_selfadjoint() and UNIT_PLUS.is_idempotent()
+    assert UNIT_PLUS.is_selfadjoint() and UNIT_PLUS * UNIT_PLUS == UNIT_PLUS
     w = Word((-5, 5))
     assert w.is_selfadjoint()
-    assert w * w == Word((-5, 5, -5, 5)) and not w.is_idempotent()
+    assert w * w == Word((-5, 5, -5, 5)) and w * w != w
     v = Word((1, -2))
-    assert not v.is_selfadjoint() and not v.is_idempotent()
+    assert not v.is_selfadjoint() and v * v != v
 
 
 def test_idempotent_census_weight_6():
-    idems = [w for w in words_upto(6) if w.is_idempotent()]
+    idems = [w for w in words_upto(6) if w * w == w]
     assert sorted(idems) == [Word((-1, 1)), Word((1, -1))]
 
 
