@@ -2,8 +2,12 @@
 generate.
 
 A Gram matrix stores the cells w_i* w_j of a word vector and the vector
-itself, its witness.  Every matrix has one: the builders make the cells
-from it, and a matrix that comes in as cells alone gets it at the way in
+itself, its witness.  ``gram`` makes the cells with one kernel,
+``words._star_products``: each entry is cut once into its star and the
+slices the junction lemma of ``words`` needs, and each cell is one
+concatenation of those pieces, with no word product and no star per cell.
+Every matrix has a witness: the builders make the cells from it, and a
+matrix that comes in as cells alone gets it at the way in
 (``GramMatrix.from_cells``, which ``from_json`` calls for JSON without a
 witness).  Recovery reads each entry off tau: the two factorizations of a
 selfadjoint cell differ in tau by one, the negative-start one being lower,
@@ -19,8 +23,8 @@ hollowing choices, its strip s_i and its shift, and cell (i, j) of a
 successor depends on the choices at i and j only.  Every cell that
 involves a shift is the cell of g (see ``matrix_successors``), and an entry
 whose strip is its shift has one choice, so only the m entries with two
-choices are multiplied: the m(m+1)/2 products of their strips' Gram
-matrix, and each of the 2^m choice vectors is assembled from that block
+choices are multiplied: the Gram matrix of their strips, one kernel
+call, and each of the 2^m choice vectors is assembled from that block
 and the rows of g by lookup; a fixed cap, k <= K_CAP, bounds that
 enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
 witness's prefix sums (``GramMatrix.tagged``).
@@ -44,6 +48,7 @@ from .words import (
     DomainError,
     Word,
     WordError,
+    _star_products,
     format_word,
     member,
     parse_word,
@@ -132,10 +137,10 @@ class GramMatrix:
         entry i is the factorization of cell (i, i) whose tau is
         tau(w_0) + tau(cell (0, i)); the other one is off by one.  A vector
         matches the diagonal by construction and the cells below it by
-        selfadjointness, so it is kept when it matches the cells above the
-        diagonal.  The first vector kept is mixed or all negative: an
-        all-positive one has the all-negative mirror, which starts with the
-        negative-start w_0.
+        selfadjointness, so it is kept when its Gram cells match the given
+        ones, which they do exactly when they match above the diagonal.  The
+        first vector kept is mixed or all negative: an all-positive one has
+        the all-negative mirror, which starts with the negative-start w_0.
         """
         k = len(cells)
         if not all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k)):
@@ -144,8 +149,7 @@ class GramMatrix:
         for first in diag[0]:
             t = first.tau
             vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
-            stars = (w.star for w in vec[:-1])
-            if all(s * vec[j] == cells[i][j] for i, s in enumerate(stars) for j in range(i + 1, k)):
+            if _star_products(vec) == tuple(map(tuple, cells)):
                 return cls(cells, vec)
         raise DomainError("inconsistent gram matrix: no factorization")
 
@@ -194,21 +198,15 @@ def vector_from_json(text: str) -> tuple[Word, ...]:
 def gram(v) -> GramMatrix:
     """Gram matrix of a word vector.
 
-    Only the cells with i <= j are multiplied; cell (j, i) is the star of
-    cell (i, j), since (v_i* v_j)* = v_j* v_i and normal forms are unique.
+    The cells come from ``words._star_products``: each entry is cut once
+    into its star and the slices the junction lemma needs, and each cell
+    v_i* v_j is one concatenation of those pieces, with no word product and
+    no star per cell.
     """
     v = tuple(v)
     if not v:
         raise DomainError("empty word vector")
-    k = len(v)
-    rows = [[None] * k for _ in range(k)]
-    for i, w in enumerate(v):
-        s, row = w.star, rows[i]
-        row[i] = s * w
-        for j in range(i + 1, k):
-            row[j] = c = s * v[j]
-            rows[j][i] = c.star
-    return GramMatrix(tuple(map(tuple, rows)), v)
+    return GramMatrix(_star_products(v), v)
 
 
 def _require_tag(g: GramMatrix, tag: str) -> None:
@@ -254,7 +252,7 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     vector is cell (i, j) of gram(s) when both i and j strip, and that of g
     otherwise.  An entry whose strip is its shift has one choice and takes
     g's cells, so only the m entries with two choices are multiplied: the
-    block gram of their strips, m(m+1)/2 products, and none when m = 0, as
+    block gram of their strips, one kernel call, and none when m = 0, as
     the one choice vector is then the other factorization.  Each choice
     vector is a flag per entry, 0 to strip and 1 to shift, and each of its
     cells is looked up in a (block cell, g cell) pair.  The choice vectors
@@ -488,12 +486,13 @@ def iota_tau(g: GramMatrix, tau) -> GramMatrix:
 
 
 def conj_delta(v, g: GramMatrix) -> GramMatrix:
-    """Diagonal conjugation: cells become n_i* c_ij n_j."""
+    """Diagonal conjugation: cells become n_i* c_ij n_j.
+
+    With c_ij = w_i* w_j for the witness w, n_i* c_ij n_j is
+    (w_i n_i)* (w_j n_j), so the result is the Gram matrix of the vector
+    (w_i n_i): k products, not 2 k^2.
+    """
     v = tuple(v)
     if len(v) != g.k:
         raise DomainError("vector length %d does not match rank %d" % (len(v), g.k))
-    stars = [w.star for w in v]
-    cells = tuple(
-        tuple(stars[i] * g.cells[i][j] * v[j] for j in range(g.k)) for i in range(g.k)
-    )
-    return GramMatrix(cells, tuple(g.witness[i] * v[i] for i in range(g.k)))
+    return gram(tuple(w * n for w, n in zip(g.witness, v)))

@@ -65,9 +65,9 @@ def test_gram_examples():
 
 
 def test_gram_stars_the_upper_triangle():
-    # gram multiplies the cells with i <= j only and stars them below: the
-    # same cells as every product v_i* v_j, on all vectors of rank <= 3 and
-    # entry weight <= 3
+    # gram builds every cell from pieces of the entries cut once, with no
+    # product or star per cell: the same cells as every product v_i* v_j,
+    # on all vectors of rank <= 3 and entry weight <= 3
     for k in (1, 2, 3):
         for vec in itertools.product(words_upto(3), repeat=k):
             g = gram(vec)
