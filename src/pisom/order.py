@@ -16,17 +16,25 @@ j = len(w) - len(u), n <= m exactly when j >= 0, u[1:] == w[j+1:], u[0]
 has the sign of w[j] and |u[0]| <= |w[j]|; and the number of steps up to
 a unit, ``hollow_depth``, is the sum of |e| - 1 over the entries e of w.
 Hollowing keeps D0 and D1, so no function here takes a tag to stay within.
+
+Selfadjointness is read off the halves of n (``Word.is_selfadjoint``), and
+membership of a selfadjoint n in D1 off its prefix sums alone: its tau is 0
+already, since tau(n*) = -tau(n).  (-1,1) fixes a word on the left exactly
+when the word starts negative: with w[0] < 0 the junction folds (-1,1,w[0])
+into w[0], and with w[0] > 0 the product (-1, 1 + w[0], ...) is one entry
+longer than w.  So ``upper_idempotent`` reads its answer off n[0].
 """
 
-from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _trusted, member
+from itertools import accumulate
+
+from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _trusted
 
 
 def sa_factor_min(n: Word) -> Word:
     """The unique minimal-length w with w* w == n."""
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
-    # n has even length (a middle entry would equal its own negative), and
-    # its second half is the star of its first
+    # is_selfadjoint found this half equal to the star of the first
     return _trusted(n[len(n) // 2 :])
 
 
@@ -58,9 +66,10 @@ def unit_shift(u: Word) -> Word:
 
 
 def _check_sa_d1(n: Word) -> None:
+    """Refuse n unless it is selfadjoint (checked first) and in D1."""
     if not n.is_selfadjoint():
         raise DomainError("not selfadjoint: %s" % (n,))
-    if not member(n, "D1"):
+    if max(accumulate(n)) > 1:
         raise DomainError("not in D1: %s" % (n,))
 
 
@@ -97,6 +106,7 @@ def square_hollow(s: Word) -> Word:
 
 
 def upper_idempotent(n: Word) -> Word:
-    """The idempotent above n; (-1,1) exactly when it fixes n on the left."""
+    """The idempotent above n; (-1,1) exactly when it fixes n on the left,
+    that is when n starts negative (module docstring)."""
     _check_sa_d1(n)
-    return UNIT_PLUS if UNIT_PLUS * n == n else UNIT_MINUS
+    return UNIT_PLUS if n[0] < 0 else UNIT_MINUS

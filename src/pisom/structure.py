@@ -12,8 +12,12 @@ for a remainder starting at i.  The cut prefix is always irreducible, and
 for reduced input the produced sequence is already the unique minimal
 decomposition, so it is returned as it stands: no minimality pass and no
 recomposition check follow, and the factors, reduced by construction, are
-built without the checked constructor.  The canonical form and the case
-tag of a selfadjoint element are likewise computed once.  The theorems
+built without the checked constructor.  The same prefix sums give tau, as
+their last entry.  Inside D0 every cut is a zero cut, so the factors of a
+D0 word are its slices between zero prefix sums (proof at
+:func:`factor_d0`).  The canonical form and the case tag of a selfadjoint
+element are likewise computed once; the tag is read off the first half of
+the element, with no factor built.  The theorems
 they rest on (recomposition, minimality, plus-irreducible factors in D0,
 the star-palindromic factor sequence) are checked exhaustively on short
 words in the tests, against the cut-and-recurse form of the split.
@@ -31,8 +35,8 @@ import json
 from functools import reduce as _fold
 from itertools import accumulate
 
-from .order import _check_sa_d1, sa_factor_min
-from .words import DomainError, Word, _trusted, format_word, member
+from .order import _check_sa_d1
+from .words import DomainError, Word, _trusted, format_word
 
 
 def is_irreducible(p: Word) -> bool:
@@ -49,9 +53,9 @@ def is_irreducible(p: Word) -> bool:
 
 def factor_a0(p: Word) -> list[Word]:
     """Unique minimal decomposition into irreducibles of the tau-kernel."""
-    if p.tau != 0:
-        raise DomainError("factorization lives in A0, got %s" % (p,))
     sig = list(accumulate(p))
+    if sig[-1] != 0:  # tau
+        raise DomainError("factorization lives in A0, got %s" % (p,))
     factors: list[Word] = []
     # the remainder starts at index i with the entry lead = sig[i]; a cut is
     # the first interior r with sig[r] zero or of the other sign than lead
@@ -71,10 +75,29 @@ def factor_a0(p: Word) -> list[Word]:
 
 
 def factor_d0(d: Word) -> list[Word]:
-    """Factor inside D0; every factor is a plus-irreducible."""
-    if not member(d, "D0"):
+    """Factor inside D0; every factor is a plus-irreducible.
+
+    The factors are the slices of d between its zero prefix sums, the same
+    as :func:`factor_a0`'s.  Proof: in D0 every prefix sum is <= 0, so no
+    prefix sum has the other sign than a negative lead, and factor_a0's
+    scan cuts only at zero cuts.  Its lead stays negative: it starts as
+    d[0] = sig[0] < 0, and after a zero cut at r it is sig[r+1] = d[r+1],
+    which is <= 0 and nonzero.  A factor that starts at i = 0 or after a
+    zero cut has lead sig[i] = d[i], so the factor (sig[i],) + d[i+1:r+1]
+    is the slice d[i:r+1], with r the first index >= i where sig is 0.
+    sig[i] itself is not 0, so each factor has at least two entries, and
+    the last zero is sig[-1] = tau.  A slice of a reduced word is reduced,
+    so the factors are built unchecked.
+    """
+    sig = list(accumulate(d))
+    if sig[-1] != 0 or max(sig) > 0:
         raise DomainError("not in D0: %s" % (d,))
-    return factor_a0(d)
+    factors, i = [], 0
+    while i < len(d):
+        r = sig.index(0, i)
+        factors.append(_trusted(d[i : r + 1]))
+        i = r + 1
+    return factors
 
 
 # -- graded enumeration ------------------------------------------------------
@@ -173,16 +196,15 @@ def sa_canonical_d1(n: Word):
 
 
 def classify_sa(n: Word) -> str:
-    """Case tag of a selfadjoint D1 element, from its minimal factor.
+    """Case tag of a selfadjoint D1 element, from its minimal factor w.
 
     CenterUnitPos: the hollowed idempotent (1,-1) sits at the center;
     Boundary: plain m*m with m fixed by the plus unit;
     CenterIrrNeg: an irreducible of D0 sits at the center.
+    The tag is read off tau(w*), the sum of the first half of n = w* w.
     """
-    w = sa_factor_min(n)  # checks that n is selfadjoint
-    if not member(n, "D1"):
-        raise DomainError("not in D1: %s" % (n,))
-    t = -w.tau  # tau of w*
+    _check_sa_d1(n)
+    t = sum(n[: len(n) // 2])  # tau of w*
     if t == 1:
         return "CenterUnitPos"
     if t == 0:

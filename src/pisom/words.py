@@ -64,6 +64,11 @@ that re-validates every output on an exhaustive space:
   cuts, with the cut entries replaced by prefix sums of the right sign):
   ``test_factor_exhaustive_small`` (the 6,092 tau-kernel words of weight
   <= 20, against the cut-and-recurse reference);
+- the factors of ``structure.factor_d0`` (slices of a D0 word between its
+  zero prefix sums): ``test_factor_d0_exhaustive_small`` (the 338 D0 words
+  of weight <= 20, against ``factor_a0``) and
+  ``test_factor_d0_matches_factor_a0_on_products`` (seeded products of up
+  to four plus-irreducibles of grade <= 16);
 - ``order.sa_factor_min`` (the second half of a selfadjoint word) and
   ``order.unit_strip`` (a reduced word with a unit taken off its front):
   ``test_trusted_slices_pass_the_check`` (the 176 selfadjoint words of
@@ -224,7 +229,14 @@ class Word(tuple):
         return sum(pos)
 
     def is_selfadjoint(self) -> bool:
-        return self == self.star
+        """Equal to its star: the second half is the negated reverse of the
+        first.  A word of odd length, one entry included, never is, since
+        its middle entry would equal its own negative."""
+        n = len(self)
+        if n % 2:
+            return False
+        h = n // 2
+        return self[h:] == tuple([-e for e in self[h - 1 :: -1]])
 
 
 def _star_products(v) -> tuple[tuple[Word, ...], ...]:

@@ -90,13 +90,11 @@ def raw_sequences(max_weight):
 
 
 def sa_words_upto(max_weight, tag=None):
-    from pisom.words import member
-
-    out = []
-    for w in words_upto(max_weight):
-        if w.is_selfadjoint() and (tag is None or member(w, tag)):
-            out.append(w)
-    return out
+    """The selfadjoint words of weight <= max_weight, in D0 or D1 if tagged;
+    selected by the reference, not by the predicates under test."""
+    return [
+        w for w in words_upto(max_weight) if tuple(w) == ref.star(w) and (tag is None or ref.member(w, tag))
+    ]
 
 
 def product(ws):

@@ -756,6 +756,7 @@ def test_package_has_no_assert_statements():
 #: with the exhaustive test that holds its output
 TRUSTED_CALLERS = {
     "factor_a0": "test_structure.py::test_factor_exhaustive_small",
+    "factor_d0": "test_structure.py::test_factor_d0_exhaustive_small",
     "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
     "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
     "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",

@@ -251,6 +251,18 @@ def test_upper_idempotent_examples():
         upper_idempotent(Word((-2, 4, -4, 2)))  # outside D1
 
 
+def test_plus_unit_fixes_exactly_the_negative_start_words():
+    # upper_idempotent reads (-1,1) off n[0] < 0: the plus unit fixes a word
+    # on the left exactly when it starts negative, on every word of weight
+    # <= 14, and the selfadjoint D1 ones among them get that idempotent
+    ws = list(iter_words(14))
+    assert len(ws) == 3190
+    for w in ws:
+        assert (UNIT_PLUS * w == w) == (w[0] < 0), w
+    for n in sa_words_upto(14, "D1"):
+        assert upper_idempotent(n) == (UNIT_PLUS if UNIT_PLUS * n == n else UNIT_MINUS), n
+
+
 def test_upper_idempotent_reachable():
     for a in sa_words_upto(8, "D1"):
         assert leq(a, upper_idempotent(a)), a

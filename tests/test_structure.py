@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import accumulate, product as cartesian
 
 import pytest
@@ -122,14 +123,30 @@ def test_factor_d0_examples():
 
 def test_factor_d0_exhaustive_small():
     # every D0 word up to weight 20 factors into plus-irreducibles, with the
-    # unit (-1,1) as a factor only of the unit itself
+    # unit (-1,1) as a factor only of the unit itself; the factors, slices
+    # between zero prefix sums built unchecked, are reduced Words and equal
+    # to factor_a0's
     d0 = [d for d in words_upto(20) if member(d, "D0")]
     assert len(d0) == 338
     for d in d0:
         factors = factor_d0(d)
+        assert factors == factor_a0(d), d
+        assert all(passes_the_check(f) for f in factors), d
         assert product(factors) == d
         assert all(is_irr_plus(f) for f in factors), d
         assert d == UNIT_PLUS or UNIT_PLUS not in factors, d
+
+
+def test_factor_d0_matches_factor_a0_on_products():
+    # seeded D0 products of 1-4 plus-irreducibles of grade <= 16, with long
+    # words and many zero cuts
+    tables = [enum_irr(k).elements for k in range(1, 17)]
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        d = product([rng.choice(rng.choice(tables)) for _ in range(rng.randint(1, 4))])
+        factors = factor_d0(d)
+        assert factors == factor_a0(d), d
+        assert all(passes_the_check(f) for f in factors), d
 
 
 # -- graded enumeration ------------------------------------------------------------

@@ -362,6 +362,16 @@ def test_selfadjoint_idempotent_examples():
     assert not v.is_selfadjoint() and v * v != v
 
 
+def test_selfadjoint_matches_the_reference():
+    # is_selfadjoint compares the halves of a word, with no star built; on
+    # every word of weight <= 14 it agrees with equality to the reference star
+    ws = list(iter_words(14))
+    assert len(ws) == 3190
+    found = [w for w in ws if w.is_selfadjoint()]
+    assert found == [w for w in ws if tuple(w) == ref.star(w)]
+    assert len(found) == 66
+
+
 def test_idempotent_census_weight_6():
     idems = [w for w in words_upto(6) if w * w == w]
     assert sorted(idems) == [Word((-1, 1)), Word((1, -1))]
