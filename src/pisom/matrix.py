@@ -9,9 +9,11 @@ concatenation of those pieces, with no word product and no star per cell.
 Every matrix has a witness: the builders make the cells from it, and a
 matrix that comes in as cells alone gets it at the way in
 (``GramMatrix.from_cells``, which ``from_json`` calls for JSON without a
-witness).  Recovery reads each entry off tau: the two factorizations of a
-selfadjoint cell differ in tau by one, the negative-start one being lower,
-and tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
+witness; it returns ``gram`` of the vector it recovers, so only ``gram``,
+``matrix_successors`` and ``iota_tau`` make a GramMatrix).  Recovery reads
+each entry off tau: the two factorizations of a selfadjoint cell differ in
+tau by one, the negative-start one being lower, and
+tau(w_i) = tau(w_0) + tau(w_0* w_i), so the choice of w_0 fixes every
 other entry.  A vector whose entries all start with one sign stays a
 factorization when the unit of the other sign is prepended to each entry
 ((-1,1) fixes negative-start words, (1,-1) positive-start ones).  So a
@@ -27,7 +29,7 @@ choices are multiplied: the Gram matrix of their strips, one kernel
 call, and each of the 2^m choice vectors is assembled from that block
 and the rows of g by lookup; a fixed cap, k <= K_CAP, bounds that
 enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
-witness's prefix sums (``GramMatrix.tagged``).
+witness's prefix sums (``GramMatrix.tagged``), which takes no other tag.
 The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
 """
@@ -38,7 +40,7 @@ from itertools import accumulate, combinations, islice
 from itertools import product as _cartesian
 from operator import getitem
 
-from .order import sa_factorizations, unit_strip
+from .order import sa_factorizations, unit_shift, unit_strip
 from .structure import factor_a0, sa_canonical_d1
 from .words import (
     GEN,
@@ -50,7 +52,6 @@ from .words import (
     WordError,
     _star_products,
     format_word,
-    member,
     parse_word,
 )
 
@@ -95,7 +96,7 @@ class GramMatrix:
         return "GramMatrix[%s]" % rows
 
     def tagged(self, tag: str) -> bool:
-        """Every cell lies in the tag's subsemigroup.
+        """Every cell lies in D0 or D1, as the tag names.
 
         D0 and D1, the words D_T (T = 0 or 1) of tau 0 with every prefix sum
         at most T, are read off the witness w in time linear in its length:
@@ -108,16 +109,13 @@ class GramMatrix:
         and a rule (b) step drops two that are at most a kept one or at most
         0 (the empty prefix), so the maximum of 0 and the prefix sums
         survives reduction, and as T >= 0 it is at most T exactly when every
-        prefix sum is.
-
-        The other tags scan the cells with i <= j: each tag is closed under
-        star and cell (j, i) is the star of cell (i, j).
+        prefix sum is.  Any other tag is a DomainError.
         """
-        if tag == "D0" or tag == "D1":
-            w = self.witness
-            bound = sum(w[0]) + (tag == "D1")
-            return bound >= 0 and len(set(map(sum, w))) == 1 and max(map(max, map(accumulate, w))) <= bound
-        return all(member(c, tag) for i, row in enumerate(self.cells) for c in row[i:])
+        if tag != "D0" and tag != "D1":
+            raise DomainError("gram matrices are tagged D0 or D1, got %r" % (tag,))
+        w = self.witness
+        bound = sum(w[0]) + (tag == "D1")
+        return bound >= 0 and len(set(map(sum, w))) == 1 and max(map(max, map(accumulate, w))) <= bound
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,10 +135,11 @@ class GramMatrix:
         entry i is the factorization of cell (i, i) whose tau is
         tau(w_0) + tau(cell (0, i)); the other one is off by one.  A vector
         matches the diagonal by construction and the cells below it by
-        selfadjointness, so it is kept when its Gram cells match the given
-        ones, which they do exactly when they match above the diagonal.  The
-        first vector kept is mixed or all negative: an all-positive one has
-        the all-negative mirror, which starts with the negative-start w_0.
+        selfadjointness, so its Gram matrix is returned when its cells match
+        the given ones, which they do exactly when they match above the
+        diagonal.  The first vector returned is mixed or all negative: an
+        all-positive one has the all-negative mirror, which starts with the
+        negative-start w_0.
         """
         k = len(cells)
         if not all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k)):
@@ -148,9 +147,9 @@ class GramMatrix:
         diag = [sa_factorizations(cells[i][i]) for i in range(k)]
         for first in diag[0]:
             t = first.tau
-            vec = tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0]))
-            if _star_products(vec) == tuple(map(tuple, cells)):
-                return cls(cells, vec)
+            g = gram(tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0])))
+            if g.cells == tuple(map(tuple, cells)):
+                return g
         raise DomainError("inconsistent gram matrix: no factorization")
 
     @classmethod
@@ -223,16 +222,15 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     tau in every entry, or one lower in every entry, and the lower of the
     two factorizations of a cell is the negative-start one; every entry of
     w would start with one sign.  An all-negative w comes with (1) w, entry
-    by entry, and an all-positive one with (-1) w: ((1) w_i)* (1) w_j =
-    w_i* (-1,1) w_j = w_i* w_j, as (-1,1) fixes a negative-start word, and
-    (1,-1) a positive-start one.
+    by entry, and an all-positive one with (-1) w, each entry's
+    ``order.unit_shift``: ((1) w_i)* (1) w_j = w_i* (-1,1) w_j = w_i* w_j,
+    as (-1,1) fixes a negative-start word, and (1,-1) a positive-start one.
     """
     w = g.witness
     if len({e[0] > 0 for e in w}) == 2:
         return (w,)
-    if w[0][0] < 0:
-        return w, tuple(GEN * e for e in w)
-    return tuple(GEN_STAR * e for e in w), w
+    other = tuple(map(unit_shift, w))
+    return (w, other) if w[0][0] < 0 else (other, w)
 
 
 def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatrix]:
@@ -417,7 +415,8 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
             factors = factor_a0(w)
             cut = next((i for i, f in enumerate(factors) if f == UNIT_MINUS), len(factors))
             head, tail = factors[:cut], factors[cut:]
-            a.append(_fold(lambda x, y: x * y, head) if head else UNIT_PLUS)
+            # w starts negative, so its first factor is not (1,-1) and head is never empty
+            a.append(_fold(lambda x, y: x * y, head))
             m.append(_fold(lambda x, y: x * y, tail) if tail else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 

@@ -50,10 +50,11 @@ Certification.  Each verify call certifies its whole batch at once, in
 one stack per matrix order that occurs in it.  Its words are evaluated
 against one memo, dropped when the call returns: the powers v^j, grown
 by repeated multiplication, their conjugate transposes (v*)^j, and the
-image of every word, suffix and half met in the call.  So the two sides
-of a basic step, w* w <= c* c with c = w less one unit at the front,
-share the image of w[1:] and take about len(w) + 2 products between
-them.  Each word the call reads is evaluated once.  A difference m
+image of every word, suffix and half met in the call; a word or slice
+goes to its half exactly when ``Word.is_selfadjoint`` holds.  So the two
+sides of a basic step, w* w <= c* c with c = w less one unit at the
+front, share the image of w[1:] and take about len(w) + 2 products
+between them.  Each word the call reads is evaluated once.  A difference m
 passes when its skew part has spectral norm ||m - m*||_2 <= tol and the
 Hermitian part H = (m + m*)/2 has minimum eigenvalue >= -tol, as the
 eigensolve reports it.
@@ -115,11 +116,12 @@ most 2^18 entries.
 
 Also houses generator assignments: multiplicative *-maps on the
 prefix-sum-nonpositive subsemigroup given by images of its free
-generators.  The committed counterexample fixture (an order-preserving
-scalar assignment whose 2-amplification fails) lives here as a rule,
-because any truly finite-support order-preserving assignment with a
-nonzero image of (-4,4) provably cannot exist; see
-scripts/find_order_fixture.py.
+generators, the plus-irreducibles; ``structure.factor_d0`` cuts a word
+into them and refuses a word outside D0.  The committed counterexample
+fixture (an order-preserving scalar assignment whose 2-amplification
+fails) lives here as a rule, because any truly finite-support
+order-preserving assignment with a nonzero image of (-4,4) provably
+cannot exist; see scripts/find_order_fixture.py.
 """
 
 import json
@@ -133,7 +135,7 @@ import numpy as np
 from .matrix import GramMatrix, gram, matrix_successors
 from .maps import alpha, is_irr_plus
 from .order import hollow_depth, hollow_successors, square_hollow
-from .structure import factor_a0
+from .structure import factor_d0
 from .words import (
     UNIT_MINUS,
     UNIT_PLUS,
@@ -246,11 +248,9 @@ class _Images:
         chain = []
         out = memo.get(w)
         while out is None and len(w) > 1:
-            h = len(w) // 2
-            # a selfadjoint word has even length and ends in -w[0]
-            half = w[0] == -w[-1] and w[:h] == tuple([-e for e in reversed(w[h:])])
+            half = Word.is_selfadjoint(w)  # w may be a plain tuple slice
             chain.append((w, half))
-            w = w[h:] if half else w[1:]
+            w = w[len(w) // 2 :] if half else w[1:]
             out = memo.get(w)
         if out is None:
             out = self.power(w[0])
@@ -555,10 +555,9 @@ class GeneratorAssignment:
         return np.zeros((self.n, self.n), dtype=complex)
 
     def __call__(self, d: Word):
-        """Evaluate a word of the generated subsemigroup multiplicatively."""
-        if not member(d, "D0"):
-            raise DomainError("assignments evaluate D0 words only, got %s" % format_word(d))
-        return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_a0(d)))
+        """Evaluate a word of D0 multiplicatively over its plus-irreducible
+        factors; ``factor_d0`` refuses any other word."""
+        return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_d0(d)))
 
 
 def _evaluator(rep_or_assign):

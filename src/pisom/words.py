@@ -44,6 +44,10 @@ time: pushing v onto a reduced stack multiplies it by the one-entry word
 entry with an entry before it folds with v into one entry; otherwise v is
 appended.  The second case never applies, since (v) has one entry.
 
+Selfadjointness is decided in one place, ``Word.is_selfadjoint``, off the
+two halves of a word; it reads only the entries, so the numeric layer asks
+it about plain tuple slices of words as well.
+
 Words that come from outside (``Word(...)``, :func:`parse_word`,
 :func:`reduce_word`, a Word times a plain tuple, the JSON readers) pass
 through one checked constructor that validates the invariants.  Words that
@@ -230,12 +234,16 @@ class Word(tuple):
 
     def is_selfadjoint(self) -> bool:
         """Equal to its star: the second half is the negated reverse of the
-        first.  A word of odd length, one entry included, never is, since
-        its middle entry would equal its own negative."""
-        n = len(self)
-        if n % 2:
+        first, so the ends are negatives of each other.  An odd length never
+        is, as the halves then differ in length; and since the entries of a
+        word alternate in sign, its ends then share one, so the ends check
+        already refuses it.
+
+        Only the entries are read, so ``Word.is_selfadjoint(t)`` also
+        decides a plain tuple t, such as a slice of a word."""
+        if self[0] != -self[-1]:
             return False
-        h = n // 2
+        h = len(self) // 2
         return self[h:] == tuple([-e for e in self[h - 1 :: -1]])
 
 

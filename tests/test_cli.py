@@ -816,7 +816,7 @@ def test_trusted_word_construction_stays_in_words():
 
 #: the functions of matrix.py that make a GramMatrix; each promises that
 #: the witness is a factorization of the cells
-GRAM_BUILDERS = ("gram", "from_cells", "matrix_successors", "iota_tau")
+GRAM_BUILDERS = ("gram", "matrix_successors", "iota_tau")
 GRAM_PROMISE_TEST = "test_matrix.py::test_every_witness_factors_its_cells"
 
 

@@ -27,7 +27,7 @@ from pisom.matrix import (
     partitions,
     vector_from_json,
 )
-from pisom.maps import conj
+from pisom.maps import alpha, conj
 from pisom.numeric import PSD_TOL, eval_word, random_partial_isometry
 from pisom.order import leq, sa_factor_min, sa_factorizations, unit_shift
 from pisom.structure import factor_a0, is_irreducible, sa_canonical_d1
@@ -81,10 +81,10 @@ def test_gram_selfadjoint_and_tagged():
 
 
 def test_every_tag_is_closed_under_star():
-    # GramMatrix.tagged reads only the cells with i <= j for the tags other
-    # than D0 and D1, which it reads off the witness: each cell below
-    # the diagonal is the star of one above it, and every tag holds a word
-    # exactly when it holds its star: on all 174 words of weight <= 8
+    # every tag holds a word exactly when it holds its star, so a Gram
+    # matrix, whose cell (j, i) is the star of cell (i, j), is in a tag's
+    # subsemigroup when its cells with i <= j are: on all 174 words of
+    # weight <= 8
     pool = list(iter_words(8))
     assert len(pool) == 174
     for tag in TAGS:
@@ -636,6 +636,32 @@ def test_matrix_leq_matches_search_wide():
     assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
 
 
+def schwarz_pair(a):
+    """gram((alpha(a_i))_i) and gram((a_i (1))_i)."""
+    return gram(tuple(map(alpha, a))), gram(tuple(x * GEN for x in a))
+
+
+def test_schwarz_step_is_in_the_matrix_order():
+    # the Schwarz inequality at every rank: gram((alpha(a_i))) <= gram((a_i (1)))
+    # when both are in D1, since each lower entry is (-1) times the upper one,
+    # a single basic step or an equality; every vector of rank <= 3 over the
+    # words of weight <= 3, and 5,000 seeded draws at rank 3 over weight <= 6
+    pool = list(words_upto(3))
+    equal = {1: [], 2: [], 3: []}  # per rank, lower == upper for each vector checked
+    for k in equal:
+        for a in itertools.product(pool, repeat=k):
+            lower, upper = schwarz_pair(a)
+            if lower.tagged("D1") and upper.tagged("D1"):
+                assert matrix_leq(lower, upper), a
+                equal[k].append(lower == upper)
+    assert len(equal[1]) + len(equal[2]) == 34 and sum(equal[1]) + sum(equal[2]) == 14
+    assert (len(equal[3]), sum(equal[3])) == (64, 12)
+    pool, rng = list(words_upto(6)), random.Random(5)
+    pairs = [schwarz_pair([rng.choice(pool) for _ in range(3)]) for _ in range(5000)]
+    pairs = [(lower, upper) for lower, upper in pairs if lower.tagged("D1") and upper.tagged("D1")]
+    assert len(pairs) == 75 and all(matrix_leq(lower, upper) for lower, upper in pairs)
+
+
 def test_matrix_order_against_the_operator_order_at_partial_isometries():
     # on the matrices of d1_grams_small, every pair below in matrix_leq
     # stays PSD at 30 seeded partial isometries of dimension 2..4, and every
@@ -1151,6 +1177,7 @@ MATRIX_REFUSALS = {
     "composition_short": (lambda: compose_partitions((1, 2), (1,)), "partition composition mismatch"),
     "composition_long": (lambda: compose_partitions((1,), (2,)), "partition composition mismatch"),
     "empty_expansion": (lambda: iota_tau(HMM_GRAM, (0, 0)), "empty expansion"),
+    "tag_outside_d": (lambda: HMM_GRAM.tagged("A0"), "gram matrices are tagged D0 or D1, got 'A0'"),
 }
 
 

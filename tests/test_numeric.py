@@ -471,6 +471,7 @@ _ONE_CELL = gram((W("(-1,2)"),))
 
 NUMERIC_REFUSALS = {
     "negative_seed": (lambda tmp: random_partial_isometry(2, -1), "seed must be nonnegative, got -1"),
+    "dimension_zero": (lambda tmp: random_partial_isometry(0, 0), "dimension must be positive"),
     "psd_check_not_square": (lambda tmp: psd_check(np.zeros((2, 3))), "psd_check needs a square matrix"),
     "psd_check_not_a_matrix": (lambda tmp: psd_check(np.zeros(3)), "psd_check needs a square matrix"),
     "psd_check_nan": (lambda tmp: psd_check(np.array([[np.nan]])), "psd_check needs a finite matrix"),
@@ -487,6 +488,7 @@ NUMERIC_REFUSALS = {
         lambda tmp: GeneratorAssignment(n=2, images={W("(-2,2)"): np.eye(1)}),
         "image of (-2,2) has wrong shape",
     ),
+    "assignment_outside_d0": (lambda tmp: GeneratorAssignment(n=1)(W("(2,-2)")), "not in D0: (2,-2)"),
     "image_without_im": (
         lambda tmp: load_assignment(_fixture_file(tmp, '{"n": 1, "images": {"(-2,2)": {"re": [[1]]}}}')),
         "the image of (-2,2) needs 're' and 'im'",

@@ -1,3 +1,4 @@
+import doctest
 import random
 from itertools import product as cartesian
 
@@ -370,6 +371,28 @@ def test_selfadjoint_matches_the_reference():
     found = [w for w in ws if w.is_selfadjoint()]
     assert found == [w for w in ws if tuple(w) == ref.star(w)]
     assert len(found) == 66
+
+
+def test_selfadjoint_decides_plain_tuples():
+    # is_selfadjoint reads only the entries, and numeric's evaluation chain
+    # asks it about plain tuple slices of words: on every suffix of every
+    # word of weight <= 12, the second halves among them, it agrees with
+    # equality to the reference star
+    ws = list(iter_words(12))
+    suffixes = [w[i:] for w in ws for i in range(len(w))]
+    halves = [w[len(w) // 2 :] for w in ws]
+    assert len(ws) == 1216 and len(suffixes) == 4568
+    for slices, selfadjoint in ((suffixes, 228), (halves, 108)):
+        assert all(type(t) is tuple for t in slices)
+        found = [Word.is_selfadjoint(t) for t in slices]
+        assert found == [ref.star(t) == t for t in slices]
+        assert sum(found) == selfadjoint
+
+
+def test_docstring_examples_run():
+    # the examples in the words docstrings, which also run Word.__repr__
+    result = doctest.testmod(words)
+    assert (result.attempted, result.failed) == (5, 0)
 
 
 def test_idempotent_census_weight_6():
