@@ -32,7 +32,9 @@ REP_WORK_CAP = 2**17
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
-    parts = json.loads(text)
+    from .matrix import read_json
+
+    parts = read_json(text)
     if not isinstance(parts, list) or not all(type(t) is int for t in parts):
         raise DomainError("a partition must be a JSON list of integers")
     return tuple(parts)
@@ -131,9 +133,9 @@ def _verify_korder(args):
         raise DomainError("--fixture at --k 2 certifies its one displayed relation; --count does not apply")
     count = 20 if count is None else count
     if count * 2**k > KORDER_WORK_CAP:
+        # count * 2**k is not printed: it may pass Python's 4,300 digits
         raise DomainError(
-            "--count %d at --k %d draws %d choice vectors, above the cap of %d"
-            % (count, k, count * 2**k, KORDER_WORK_CAP)
+            "--count %d at --k %d exceeds the cap of %d on --count times 2^k" % (count, k, KORDER_WORK_CAP)
         )
     tol = _tol(args)
     if args.fixture:
@@ -248,10 +250,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _numeric_errors() -> tuple:
-    """The numeric layer's input errors, once a command has imported it
-    (and numpy with it); the except clause evaluates this when it matches."""
-    numeric = sys.modules.get("pisom.numeric")
-    return (numeric.InvalidRepError, sys.modules["numpy"].linalg.LinAlgError) if numeric else ()
+    """numpy's LinAlgError, once a command has imported numpy; the except
+    clause evaluates this when it matches."""
+    numpy = sys.modules.get("numpy")
+    return (numpy.linalg.LinAlgError,) if numpy else ()
 
 
 def run(argv) -> int:
@@ -262,7 +264,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         _show(args, args.fn(args))
-    except (WordError, DomainError, json.JSONDecodeError, *_numeric_errors()) as exc:
+    except (WordError, DomainError, *_numeric_errors()) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

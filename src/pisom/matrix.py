@@ -156,7 +156,7 @@ class GramMatrix:
     def from_json(cls, text: str) -> "GramMatrix":
         """Parse the :meth:`to_json` shape; any other shape is a DomainError.
         Without a witness (no key, or null) the cells go to :meth:`from_cells`."""
-        obj = json.loads(text)
+        obj = read_json(text)
         if not isinstance(obj, dict) or not isinstance(obj.get("cells"), list) or not obj["cells"]:
             raise DomainError("a gram matrix must be a JSON object with a non-empty 'cells' list")
         cells = tuple(_word_list(row, "a gram matrix row") for row in obj["cells"])
@@ -175,6 +175,16 @@ class GramMatrix:
         return g
 
 
+def read_json(text: str):
+    """The value of a JSON argument.  Text that is not JSON, an integer past
+    Python's 4,300 digits (a ValueError, not a JSONDecodeError) and nesting
+    too deep for the parser (a RecursionError) are each a DomainError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(str(exc)) from None
+
+
 def _word_list(obj, what: str) -> tuple[Word, ...]:
     if not isinstance(obj, list) or not all(isinstance(t, str) for t in obj):
         raise DomainError("%s must be a JSON list of word literals" % what)
@@ -184,7 +194,7 @@ def _word_list(obj, what: str) -> tuple[Word, ...]:
 def vector_from_json(text: str) -> tuple[Word, ...]:
     """A word vector from a JSON list of word literals, refused when its
     Gram matrix would exceed VECTOR_CAP."""
-    v = _word_list(json.loads(text), "a word vector")
+    v = _word_list(read_json(text), "a word vector")
     entries = sum(map(len, v))
     if len(v) * entries > VECTOR_CAP:
         raise DomainError(
@@ -477,8 +487,8 @@ def iota_tau(g: GramMatrix, tau) -> GramMatrix:
     rank = sum(tau)
     if rank < 1:
         raise DomainError("empty expansion")
-    if rank * rank > EXPANSION_CAP:
-        raise DomainError("expansion to rank %d exceeds the cap of %d cells" % (rank, EXPANSION_CAP))
+    if rank * rank > EXPANSION_CAP:  # rank is not printed: it may pass Python's 4,300 digits
+        raise DomainError("the expansion exceeds the cap of %d cells" % EXPANSION_CAP)
     idx = [j for j, t in enumerate(tau) for _ in range(t)]
     cells = tuple(tuple(g.cells[idx[i]][idx[j]] for j in range(len(idx))) for i in range(len(idx)))
     return GramMatrix(cells, tuple(g.witness[j] for j in idx))

@@ -127,7 +127,7 @@ cannot exist; see scripts/find_order_fixture.py.
 import json
 import random
 from contextlib import contextmanager
-from functools import reduce as _fold
+from functools import cache, reduce as _fold
 from itertools import repeat
 
 import numpy as np
@@ -154,8 +154,9 @@ DIM_CAP = 64
 RELATION_CAP = 10**5  # pairs in one scalar_relations() or matrix_relations() sample
 
 
-class InvalidRepError(ValueError):
-    """The supplied matrix is not a partial isometry within tolerance."""
+class InvalidRepError(DomainError):
+    """The supplied matrix is not a partial isometry within tolerance: an
+    input outside the domain."""
 
 
 def matrix_to_json(m) -> str:
@@ -563,20 +564,12 @@ class GeneratorAssignment:
 def _evaluator(rep_or_assign):
     """Per-call memoized evaluation; relation batches reuse many cells.  At
     a partial isometry all words share the one memo of powers, suffixes and
-    halves of an _Images; a generator assignment gets a dict of its own."""
+    halves of an _Images; a generator assignment gets a cache of its own."""
     if isinstance(rep_or_assign, PartialIsometryRep):
         return _Images(rep_or_assign.v).image
     if not isinstance(rep_or_assign, GeneratorAssignment):
         raise DomainError("expected a partial isometry rep or a generator assignment")
-    cache: dict[Word, np.ndarray] = {}
-
-    def ev(w):
-        out = cache.get(w)
-        if out is None:
-            out = cache[w] = rep_or_assign(w)
-        return out
-
-    return ev
+    return cache(rep_or_assign)
 
 
 # -- the order-but-not-2-order fixture ----------------------------------------
@@ -632,7 +625,7 @@ def load_assignment(path) -> GeneratorAssignment:
         raise DomainError("cannot read fixture %s: %s" % (path, exc.strerror or exc)) from None
     except DomainError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, past the digit limit, or nested too deep
         raise DomainError("fixture %s is not JSON: %s" % (path, exc)) from None
     if not isinstance(obj, dict):
         raise DomainError("a fixture must be a JSON object")

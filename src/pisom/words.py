@@ -78,7 +78,10 @@ that re-validates every output on an exhaustive space:
   ``test_trusted_slices_pass_the_check`` (the 176 selfadjoint words of
   weight <= 18);
 - ``maps.beta_omega`` (a non-unit plus-irreducible with its endpoints moved
-  toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14).
+  toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14);
+- the words of ``structure._plus_irreducibles`` (each completed prefix of
+  the depth-first search): ``test_enum_elements_meet_the_definition``
+  (every plus-irreducible of grade <= 16).
 
 ``test_trusted_word_construction_stays_in_words`` keeps ``tuple.__new__``
 inside ``_trusted`` and ``_trusted`` to the callers above.
@@ -97,7 +100,14 @@ class DomainError(ValueError):
     selfadjoint, ...)."""
 
 
-_INT_RE = re.compile(r"-?[1-9][0-9]*")
+#: a literal entry: an optional sign, then 0 (refused as a zero entry when
+#: the literal is reduced) or at most 4,000 digits without a leading zero.
+#: Every integer a command computes from words (an entry, a prefix sum, tau)
+#: is a signed sum of entries of its input, plus a unit or two.  The input
+#: has fewer than 10^299 entries, as no longer one fits in memory, so that
+#: sum has at most 4,300 digits: within Python's limit on int/str
+#: conversion, which then never raises
+_INT_RE = re.compile(r"-?(?:0|[1-9][0-9]{0,3999})")
 
 #: membership tags accepted by :func:`member`
 TAGS = ("A0", "Aplus", "Aminus", "Aplus0", "D0", "D1")
@@ -106,14 +116,14 @@ TAGS = ("A0", "Aplus", "Aminus", "Aplus0", "D0", "D1")
 def _checked(entries) -> "Word":
     """Validate the normal-form invariants of an int sequence and wrap it.
 
-    Every Word made from outside input comes through here, and so does
-    every word of the irreducible enumerator; words reduced by construction
-    go through :func:`_trusted` instead (the module docstring names them and
-    the tests that check them).  The checks run as C-level scans: min/max
-    over the even and odd slices (strict, so they also catch a zero), then
-    min of the interior magnitudes.  Faults are reported zero first, then
-    sign, then interior, as a per-entry scan would find them; the zero
-    membership test runs only once the alternation has failed.
+    Every Word made from outside input comes through here; words reduced
+    by construction go through :func:`_trusted` instead (the module
+    docstring names them and the tests that check them).  The checks run
+    as C-level scans: min/max over the even and odd slices (strict, so
+    they also catch a zero), then min of the interior magnitudes.  Faults
+    are reported zero first, then sign, then interior, as a per-entry scan
+    would find them; the zero membership test runs only once the
+    alternation has failed.
     """
     n = len(entries)
     if n == 1:
@@ -308,9 +318,9 @@ def reduce_word(raw) -> Word:
 def parse_word(text: str) -> Word:
     """Parse a word literal and reduce it.
 
-    Grammar: ``'(' int (',' int)* ')'`` with ints free of leading zeros;
-    whitespace around tokens is tolerated.  Unreduced literals are accepted
-    and normalized.
+    Grammar: ``'(' int (',' int)* ')'`` with ints free of leading zeros
+    and of at most 4,000 digits (``_INT_RE``); whitespace around tokens
+    is tolerated.  Unreduced literals are accepted and normalized.
 
     >>> parse_word("(-2,3,-3,2)")
     Word((-2,3,-3,2))
@@ -322,11 +332,9 @@ def parse_word(text: str) -> Word:
         raise WordError("word literal must be parenthesized: %r" % text)
     body = s[1:-1]
     parts = [p.strip() for p in body.split(",")]
-    if not parts or any(p == "" for p in parts):
+    if any(p == "" for p in parts):
         raise WordError("malformed word literal: %r" % text)
     for p in parts:
-        if p == "0" or p == "-0":
-            raise WordError("zero entry in word literal: %r" % text)
         if not _INT_RE.fullmatch(p):
             raise WordError("bad integer %r in word literal" % p)
     return reduce_word(int(p) for p in parts)

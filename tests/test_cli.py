@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -344,6 +345,8 @@ FIXTURE_ERROR_CASES = {
     # finite, but the gap between one image and the star of the other overflows
     "overflowing_star_gap": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [[1e308]], "im": [[0]]}, '
     '"(-4,3,-2,3)": {"re": [[-1e308]], "im": [[0]]}}}',
+    # json.load raises a ValueError past 4,300 digits, not a JSONDecodeError
+    "integer_past_the_digit_limit": '{"n": %s, "images": {}}' % ("9" * 4301),
 }
 
 
@@ -358,6 +361,42 @@ def test_verify_korder_fixture_errors(tmp_path, name):
     elif text is not None:
         path.write_text(text)
     code, out, err = invoke(["verify-korder", "--k", "1", "--fixture", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+NINES = "9" * 4300
+DEEP = "[" * 1500 + "]" * 1500
+
+#: one reproducer of each path by which a call once ended in a traceback:
+#: JSON nested too deep for the parser, and integers past Python's 4,300
+#: digits on int/str conversion, read or printed
+TRACEBACK_CASES = {
+    "vector_nested_too_deep": ["gram", DEEP],
+    "gram_nested_too_deep": ["matrix-succ", DEEP],
+    "target_nested_too_deep": ["classify", DEEP],
+    "partition_nested_too_deep": ["iota-tau", ONE_CELL_GRAM_JSON, DEEP],
+    "fixture_nested_too_deep": ["verify-korder", "--k", "1", "--fixture", "deep.json"],
+    "entry_past_the_limit": ["reduce", "(%s9)" % NINES],
+    "product_past_the_limit": ["mul", "(%s)" % NINES, "(%s)" % NINES],
+    "json_integer_past_the_limit": ["iota-tau", ONE_CELL_GRAM_JSON, "[%s9]" % NINES],
+    "work_past_the_limit": ["verify-korder", "--k", "8", "--count", NINES[1:]],
+    "rank_past_the_limit": ["iota-tau", HMM_GRAM_JSON, "[%s,%s]" % (NINES, NINES)],
+}
+
+
+@pytest.mark.parametrize("name", TRACEBACK_CASES)
+def test_traceback_reproducers_are_one_error_line(monkeypatch, tmp_path, name):
+    # in a fresh interpreter, whose stack is as shallow as the command line's,
+    # and in this one
+    (tmp_path / "deep.json").write_text(DEEP)
+    monkeypatch.chdir(tmp_path)
+    argv = TRACEBACK_CASES[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pisom.cli", *argv], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    code, out, err = invoke(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -719,13 +758,9 @@ def test_matrix_leq_answers_a_huge_gap_at_once():
     assert invoke_within(1.0, ["matrix-leq", upper, lower]) == (0, "false\n", "")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_cli_contract(argv):
-    # every input ends in exit code 0, 1 or 2 within a time bound, with at
-    # most one error line and never a traceback; a success under --json
-    # prints exactly one JSON document
-    code, out, err = invoke_within(5.0, argv)
+def assert_contract(argv, code, out, err):
+    """Exit code 0, 1 or 2, at most one error line and never a traceback; a
+    success under --json prints exactly one JSON document."""
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) <= 1, err
@@ -735,6 +770,177 @@ def test_cli_contract(argv):
             json.loads(out)
     if code == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_cli_contract(argv):
+    # every input ends within a time bound, as assert_contract states
+    assert_contract(argv, *invoke_within(5.0, argv))
+
+
+# -- a seeded grammar fuzzer over cli.COMMANDS --------------------------------------
+
+
+def _digits(rng, count):
+    """A count-digit integer literal, often all nines so that sums carry."""
+    return rng.choice("19") + rng.choice("09") * (count - 1)
+
+
+def _huge_int(rng):
+    """An integer of 4,290 to 4,310 digits, mostly at the 4,300 of the limit."""
+    return rng.choice(("", "", "", "-")) + _digits(rng, rng.choice((4290, 4299, 4300, 4300, 4300, 4301, 4310)))
+
+
+def _fuzz_int(rng):
+    """An integer argument: small, huge or malformed."""
+    roll = rng.random()
+    if roll < 0.5:
+        return str(rng.randrange(-2, 9))
+    if roll < 0.85:
+        return _huge_int(rng)
+    return rng.choice(("", "x", "1.5", "0x10", "1e3", "--"))
+
+
+def _int_list(rng):
+    """A JSON list of small and huge integers, as a partition is."""
+    parts = (str(rng.randrange(4)) if rng.random() < 0.3 else _huge_int(rng) for _ in range(rng.randrange(4)))
+    return "[%s]" % ",".join(parts)
+
+
+def _fuzz_entry(rng):
+    """A word literal's entry: small, zero, huge or malformed."""
+    roll = rng.random()
+    if roll < 0.6:
+        return str(rng.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6)))
+    if roll < 0.7:
+        return rng.choice(("0", "-0"))
+    if roll < 0.85:
+        return rng.choice(("", "-")) + _digits(rng, rng.choice((30, 3999, 4000, 4001, 4299, 4300, 4301)))
+    return rng.choice(("", "x", "01", "1.5", "+1", "- 1", "(1)"))
+
+
+def _bracket_run(rng, opening, closing):
+    """Up to 1,500 nested brackets, closed or not."""
+    depth = rng.choice((rng.randrange(1501), 990, 1000, 1500))
+    return opening * depth + closing * depth * rng.randrange(2)
+
+
+def _fuzz_word(rng):
+    """A word literal, well formed or not, or a run of parentheses."""
+    if rng.random() < 0.05:
+        return _bracket_run(rng, "(", ")")
+    body = rng.choice((",", ", ")).join(_fuzz_entry(rng) for _ in range(rng.randrange(1, 6)))
+    return rng.choice(("(%s)", "(%s)", "(%s)", "(%s)", "(%s", "%s", " ( %s ) ")) % body
+
+
+def _valid_word(rng):
+    """A valid word literal, now and then with entries of 4,000 digits."""
+    top = int(_digits(rng, 4000)) if rng.random() < 0.2 else 4
+    entries = [rng.choice((1, 2, 3, top)) * (-1) ** i for i in range(rng.randrange(1, 5))]
+    return "(%s)" % ",".join(map(str, entries))
+
+
+def _valid_gram(rng):
+    """The JSON of a Gram matrix of rank 1 to 3, with or without its witness."""
+    obj = json.loads(gram(tuple(parse_word(_valid_word(rng)) for _ in range(rng.randrange(1, 4)))).to_json())
+    if rng.random() < 0.3:
+        del obj["witness"]
+    return json.dumps(obj)
+
+
+def _fuzz_json(rng, depth):
+    """JSON text of depth at most `depth`: valid Gram matrices and vectors,
+    atoms with huge integers, and lists and objects of those."""
+    roll = rng.random()
+    if roll < 0.25:
+        return _valid_gram(rng)
+    if roll < 0.35:
+        return json.dumps([_valid_word(rng) for _ in range(rng.randrange(1, 4))])
+    if roll < 0.4:
+        return _bracket_run(rng, "[", "]")
+    if roll < 0.5:
+        return _int_list(rng)
+    if depth == 0 or roll < 0.65:
+        return rng.choice((json.dumps(_fuzz_word(rng)), str(rng.randrange(-2, 5)), _huge_int(rng), "1.5", "true",
+                           "null", '"x"', ""))
+    items = [_fuzz_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if rng.random() < 0.5:
+        return "[%s]" % ",".join(items)
+    return "{%s}" % ",".join('"%s": %s' % (rng.choice(("k", "cells", "witness", "x")), item) for item in items)
+
+
+def _fuzz_arg(rng, name, kind, fixtures):
+    """A value for the argument of this name and type: mostly of its own
+    kind, sometimes of any."""
+    if kind is int:
+        return _fuzz_int(rng)
+    if kind is float:
+        return rng.choice(("1e-9", "0", "-1", "nan", "inf", "1e400", "x", _digits(rng, 4301)))
+    if name == "--fixture":
+        return rng.choice(fixtures)
+    if name == "tag":
+        return rng.choice(("D0", "D1", "A0", "Aplus0", "XX", ""))
+    if name == "partition" and rng.random() < 0.6:
+        return _int_list(rng)
+    if name == "gram" and rng.random() < 0.4:
+        return _valid_gram(rng)
+    roll = rng.random()
+    if name in ("word", "left", "right") and roll < 0.9 or name in ("target", "lower", "upper") and roll < 0.45:
+        return _fuzz_word(rng)
+    return _fuzz_json(rng, rng.randrange(5))
+
+
+def _fuzz_argv(rng, fixtures):
+    """A call to a command of cli.COMMANDS, its arguments drawn by kind."""
+    name, _, *arguments = rng.choice(cli.COMMANDS)
+    positional, optional = [], []
+    for arg in arguments:
+        if isinstance(arg, str) and arg.startswith("--"):
+            optional.append([arg])
+        elif isinstance(arg, str):
+            positional.append(_fuzz_arg(rng, arg, str, fixtures))
+        elif len(arg) == 2:
+            positional.append(_fuzz_arg(rng, arg[0], arg[1], fixtures))
+        else:
+            optional.append([arg[0], _fuzz_arg(rng, arg[0], arg[1], fixtures)])
+    if positional and rng.random() < 0.05:
+        positional.pop()  # a missing argument
+    argv = [name, *positional]
+    for option in optional:
+        if rng.random() < 0.5:
+            argv += option
+    if rng.random() < 0.5:
+        argv.append("--json")
+    return argv
+
+
+def _brief(argv):
+    """argv with each long argument cut short, for a failure message."""
+    return [a if len(a) <= 60 else "%s...(%d characters)" % (a[:40], len(a)) for a in argv]
+
+
+def test_cli_contract_under_a_grammar_fuzzer(tmp_path):
+    # 2,000 seeded argvs over every command of cli.COMMANDS, with word
+    # literals, JSON of depth 0 to 4, bracket runs up to depth 1,500 and
+    # integers around Python's 4,300-digit limit.  At seed 7 they reach
+    # every path of TRACEBACK_CASES, and a printed tau past the limit, on
+    # code that lacks their refusals
+    deep, huge = tmp_path / "deep.json", tmp_path / "huge.json"
+    deep.write_text(DEEP)
+    huge.write_text('{"n": %s, "images": {}}' % ("9" * 4301))
+    fixtures = (ORDER_FIXTURE, ORDER_FIXTURE + ".missing", "/", str(deep), str(huge))
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(2000):
+        argv = _fuzz_argv(rng, fixtures)
+        seen.add(argv[0])
+        try:
+            code, out, err = invoke_within(5.0, argv)
+        except Exception as exc:
+            pytest.fail("%r escapes run at %r" % (exc, _brief(argv)))
+        assert_contract(_brief(argv), code, out, err)
+    assert seen == {row[0] for row in cli.COMMANDS}
 
 
 def test_package_has_no_assert_statements():

@@ -98,12 +98,31 @@ def test_parse_examples():
     # oracle: every rewrite order of (1,-1,1) ends at (1)
     assert oracle_normal_forms((1, -1, 1)) == frozenset({(1,)})
     assert parse_word("(1,-1,1)") == Word((1,))
-    with pytest.raises(WordError):
-        parse_word("(0)")
+    # a zero entry is refused by the reducer, once the entries are read, so a
+    # malformed entry beside it is the one reported
+    for text, message in (
+        ("(0)", "zero entry in word"),
+        ("(-0)", "zero entry in word"),
+        ("(0,x)", "bad integer 'x' in word literal"),
+    ):
+        with pytest.raises(WordError) as exc:
+            parse_word(text)
+        assert str(exc.value) == message
     with pytest.raises(WordError):
         parse_word("(1,02)")
     with pytest.raises(WordError):
         parse_word("1,-1")
+
+
+def test_literal_entries_have_at_most_4000_digits():
+    # the bound of words._INT_RE: sums of entries then print within Python's
+    # 4,300 digits on int/str conversion
+    most = "9" * 4000
+    w = parse_word("(%s,-1,%s)" % (most, most))
+    assert format_word(w * w) == "(%d)" % (4 * int(most) - 2)
+    with pytest.raises(WordError) as exc:
+        parse_word("(-%s9)" % most)
+    assert str(exc.value).startswith("bad integer '-999")
 
 
 def test_format_examples():
