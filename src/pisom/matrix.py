@@ -175,12 +175,20 @@ class GramMatrix:
         return g
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer, refused past Python's 4,300 digits on int/str
+    conversion (the sign is not a digit)."""
+    if len(digits.lstrip("-")) > 4300:
+        raise DomainError("a JSON integer has more than 4,300 digits")
+    return int(digits)
+
+
 def read_json(text: str):
-    """The value of a JSON argument.  Text that is not JSON, an integer past
-    Python's 4,300 digits (a ValueError, not a JSONDecodeError) and nesting
-    too deep for the parser (a RecursionError) are each a DomainError."""
+    """The value of a JSON argument.  Text that is not JSON, an integer of
+    more than 4,300 digits and nesting too deep for the parser (a
+    RecursionError) are each a DomainError."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except (ValueError, RecursionError) as exc:
         raise DomainError(str(exc)) from None
 

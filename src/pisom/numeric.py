@@ -46,8 +46,13 @@ section 3.6); here g(d) <= 4 (d + 1) u.
   p(d) = 3 d (d + 1).  By Weyl's inequality no eigenvalue moves by more
   than ||F||_2.
 
-Certification.  Each verify call certifies its whole batch at once, in
-one stack per matrix order that occurs in it.  Its words are evaluated
+Certification.  All four verify calls run through one loop,
+``_certified``: it refuses a call whose matrix order exceeds DIM_CAP, the
+bound the rounding analysis above assumes, before any word is evaluated,
+and certifies the whole batch at once, in one stack per matrix order that
+occurs in it.  The order and Schwarz relations and the k-order relations
+are PSD tests; the conjugation identity bounds the spectral norm of each
+residual v* eval(n) v - eval(alpha(n)).  Its words are evaluated
 against one memo, dropped when the call returns: the powers v^j, grown
 by repeated multiplication, their conjugate transposes (v*)^j, and the
 image of every word, suffix and half met in the call; a word or slice
@@ -128,11 +133,10 @@ import json
 import random
 from contextlib import contextmanager
 from functools import cache, reduce as _fold
-from itertools import repeat
 
 import numpy as np
 
-from .matrix import GramMatrix, gram, matrix_successors
+from .matrix import GramMatrix, _json_int, gram, matrix_successors
 from .maps import alpha, is_irr_plus
 from .order import hollow_depth, hollow_successors, square_hollow
 from .structure import factor_d0
@@ -366,35 +370,37 @@ def _in_double_precision():
         raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
 
 
-def _certified(items, dim: int, diff, describe, tol: float, orders=None) -> "Report":
-    """Certify that the dim x dim difference of every item is PSD, one
-    stack per order and batch; failures are reported in input order.
+def _psd_failures(stack, tol: float):
+    """(i, min_eig) for every matrix of the stack that _certify refuses."""
+    ok, eigs = _certify(stack, tol)
+    return [(i, float(eigs[i])) for i in np.flatnonzero(~ok)]
+
+
+def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures, key="min_eig", orders=None):
+    """Certify the dim x dim difference of every item, one stack per order
+    and batch, and report the failures in input order.
 
     diff(item, out) writes an orders[i] x orders[i] principal submatrix
     outside of which the difference of items[i] is 0 (every order is dim
-    when ``orders`` is not given).  The verdict is then the submatrix's,
-    a failure's min_eig is at most 0 (the eigenvalue of the zeros) when the
-    submatrix is smaller than dim, and an order 0 submatrix passes.
+    when ``orders`` is not given), and check(stack, tol) gives (i, value)
+    for every matrix of a stack that fails; a failure's record holds the
+    value under ``key``.  The verdict is then the submatrix's, a failure's
+    value is at most 0 (the eigenvalue of the zeros) when the submatrix is
+    smaller than dim, and an order 0 submatrix passes.  A dim above DIM_CAP
+    is refused before any item is evaluated.
     """
+    if dim > DIM_CAP:
+        raise DomainError("block dimension %d exceeds cap %d" % (dim, DIM_CAP))
     items = list(items)
-    groups = {}
-    for where, (item, order) in enumerate(zip(items, repeat(dim) if orders is None else orders)):
-        group = groups.setdefault(order, ([], []))
-        group[0].append(item)
-        group[1].append(where)
-    failed = []
+    orders = [dim] * len(items) if orders is None else orders
+    failed = {}
     with _in_double_precision():
-        for order, (group, wheres) in groups.items():
-            if not order:
-                continue
-            for start, diffs in _batches(group, order, diff):
-                ok, eigs = _certify(diffs, tol)
-                for i in np.flatnonzero(~ok):
-                    j = start + i
-                    eig = float(eigs[i]) if order == dim else min(float(eigs[i]), 0.0)
-                    failed.append((wheres[j], group[j], eig))
-    failed.sort(key=lambda f: f[0])
-    return Report(len(items), [{"relation": describe(item), "min_eig": eig} for _, item, eig in failed])
+        for order in dict.fromkeys(filter(None, orders)):
+            wheres = [j for j, o in enumerate(orders) if o == order]
+            for start, stack in _batches(wheres, order, lambda j, out: diff(items[j], out)):
+                for i, value in check(stack, tol):
+                    failed[wheres[start + i]] = value if order == dim else min(value, 0.0)
+    return Report(len(items), [{"relation": describe(x), key: failed[j]} for j, x in enumerate(items) if j in failed])
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
@@ -466,8 +472,6 @@ def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Re
     """
     ev = _evaluator(rep_or_assign)
     n = rep_or_assign.n
-    if k * n > DIM_CAP:
-        raise DomainError("block dimension %d exceeds cap %d" % (k * n, DIM_CAP))
     items = []
     for lower, upper in relations:
         if lower.k != k or upper.k != k:
@@ -480,7 +484,7 @@ def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Re
         lambda r, out: _block_diff(ev, r[0], r[1], n, r[2], out),
         lambda r: {"lower": json.loads(r[0].to_json()), "upper": json.loads(r[1].to_json())},
         tol,
-        [len(r[2]) * n for r in items],
+        orders=[len(r[2]) * n for r in items],
     )
 
 
@@ -498,18 +502,18 @@ def verify_schwarz(rep: PartialIsometryRep, samples, tol: float = PSD_TOL) -> Re
 def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
     """Check v* eval(n) v agrees with eval of the conjugated word, to
     CONJUGATION_TOL in spectral norm."""
-    ev = _evaluator(rep)
+    ev = _evaluator(rep, PartialIsometryRep)
     v = np.asarray(rep.v, dtype=complex)
     vs = v.conj().T
-    samples = list(samples)
-    rpt = Report(len(samples))
-    gap = lambda n_word, out: np.subtract(vs @ ev(n_word) @ v, ev(alpha(n_word)), out=out)
-    with _in_double_precision():
-        for start, residuals in _batches(samples, rep.n, gap):
-            for i, residual in _norms_over(residuals, CONJUGATION_TOL):
-                relation = "conjugation at %s" % format_word(samples[start + i])
-                rpt.failures.append({"relation": relation, "residual": residual})
-    return rpt
+    return _certified(
+        samples,
+        rep.n,
+        lambda n_word, out: np.subtract(vs @ ev(n_word) @ v, ev(alpha(n_word)), out=out),
+        lambda n_word: "conjugation at %s" % format_word(n_word),
+        CONJUGATION_TOL,
+        _norms_over,
+        "residual",
+    )
 
 
 # -- generator assignments ----------------------------------------------------
@@ -561,15 +565,16 @@ class GeneratorAssignment:
         return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_d0(d)))
 
 
-def _evaluator(rep_or_assign):
+def _evaluator(rep_or_assign, kinds=(PartialIsometryRep, GeneratorAssignment)):
     """Per-call memoized evaluation; relation batches reuse many cells.  At
     a partial isometry all words share the one memo of powers, suffixes and
-    halves of an _Images; a generator assignment gets a cache of its own."""
-    if isinstance(rep_or_assign, PartialIsometryRep):
-        return _Images(rep_or_assign.v).image
-    if not isinstance(rep_or_assign, GeneratorAssignment):
+    halves of an _Images; a generator assignment gets a cache of its own.
+    Anything but an instance of ``kinds`` is refused."""
+    if not isinstance(rep_or_assign, kinds):
         raise DomainError("expected a partial isometry rep or a generator assignment")
-    return cache(rep_or_assign)
+    if isinstance(rep_or_assign, GeneratorAssignment):
+        return cache(rep_or_assign)
+    return _Images(rep_or_assign.v).image
 
 
 # -- the order-but-not-2-order fixture ----------------------------------------
@@ -620,12 +625,12 @@ def load_assignment(path) -> GeneratorAssignment:
     """Read an assignment file; an unreadable or malformed one is a DomainError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh, object_pairs_hook=_distinct_keys)
+            obj = json.load(fh, object_pairs_hook=_distinct_keys, parse_int=_json_int)
     except OSError as exc:
         raise DomainError("cannot read fixture %s: %s" % (path, exc.strerror or exc)) from None
     except DomainError:
         raise
-    except (ValueError, RecursionError) as exc:  # malformed, past the digit limit, or nested too deep
+    except (ValueError, RecursionError) as exc:  # malformed, undecodable or nested too deep
         raise DomainError("fixture %s is not JSON: %s" % (path, exc)) from None
     if not isinstance(obj, dict):
         raise DomainError("a fixture must be a JSON object")

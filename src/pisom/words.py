@@ -336,6 +336,8 @@ def parse_word(text: str) -> Word:
         raise WordError("malformed word literal: %r" % text)
     for p in parts:
         if not _INT_RE.fullmatch(p):
+            if len(p.lstrip("-")) > 4000:  # echo its head only
+                raise WordError("bad integer %r in word literal: an entry has at most 4,000 digits" % (p[:20] + "..."))
             raise WordError("bad integer %r in word literal" % p)
     return reduce_word(int(p) for p in parts)
 

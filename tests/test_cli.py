@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -345,8 +346,10 @@ FIXTURE_ERROR_CASES = {
     # finite, but the gap between one image and the star of the other overflows
     "overflowing_star_gap": '{"n": 1, "images": {"(-3,2,-3,4)": {"re": [[1e308]], "im": [[0]]}, '
     '"(-4,3,-2,3)": {"re": [[-1e308]], "im": [[0]]}}}',
-    # json.load raises a ValueError past 4,300 digits, not a JSONDecodeError
+    # Python converts no integer of more than 4,300 digits
     "integer_past_the_digit_limit": '{"n": %s, "images": {}}' % ("9" * 4301),
+    # a 65 x 65 image is past the d <= 64 of the rounding analysis
+    "order_past_the_cap": '{"n": 65, "images": {}}',
 }
 
 
@@ -363,14 +366,26 @@ def test_verify_korder_fixture_errors(tmp_path, name):
     code, out, err = invoke(["verify-korder", "--k", "1", "--fixture", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err.replace(str(path), "")) <= 120, err
+
+
+def test_fixture_orders_up_to_the_cap_are_certified(tmp_path):
+    path = tmp_path / "order_at_the_cap.json"
+    path.write_text('{"n": 64, "images": {}}')
+    assert invoke(["verify-korder", "--k", "1", "--count", "3", "--fixture", str(path)]) == (
+        0,
+        '{"total": 3, "failures": []}\n',
+        "",
+    )
 
 
 NINES = "9" * 4300
 DEEP = "[" * 1500 + "]" * 1500
 
 #: one reproducer of each path by which a call once ended in a traceback:
-#: JSON nested too deep for the parser, and integers past Python's 4,300
-#: digits on int/str conversion, read or printed
+#: JSON nested too deep for the parser, integers past Python's 4,300
+#: digits on int/str conversion, read or printed, and a fixture whose
+#: images are too large to allocate
 TRACEBACK_CASES = {
     "vector_nested_too_deep": ["gram", DEEP],
     "gram_nested_too_deep": ["matrix-succ", DEEP],
@@ -382,7 +397,26 @@ TRACEBACK_CASES = {
     "json_integer_past_the_limit": ["iota-tau", ONE_CELL_GRAM_JSON, "[%s9]" % NINES],
     "work_past_the_limit": ["verify-korder", "--k", "8", "--count", NINES[1:]],
     "rank_past_the_limit": ["iota-tau", HMM_GRAM_JSON, "[%s,%s]" % (NINES, NINES)],
+    # n x n images at n = 10^6 would take 16 TB a matrix
+    "fixture_far_past_the_cap": ["verify-korder", "--k", "1", "--fixture", "huge.json"],
 }
+
+#: the whole refusal of the reproducers whose text was once unreadable or
+#: absent: an echo of every digit, Python's own advice, or a traceback
+TRACEBACK_TEXT = {
+    "entry_past_the_limit": "bad integer '99999999999999999999...' in word literal: an entry has at most 4,000 digits",
+    "product_past_the_limit": "bad integer '99999999999999999999...' in word literal: an entry has at most 4,000 digits",
+    "json_integer_past_the_limit": "a JSON integer has more than 4,300 digits",
+    "fixture_far_past_the_cap": "block dimension 1000000 exceeds cap 64",
+}
+
+#: the address space of a reproducer's process: an allocation without a
+#: bound then fails at once instead of swapping
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
 @pytest.mark.parametrize("name", TRACEBACK_CASES)
@@ -390,15 +424,23 @@ def test_traceback_reproducers_are_one_error_line(monkeypatch, tmp_path, name):
     # in a fresh interpreter, whose stack is as shallow as the command line's,
     # and in this one
     (tmp_path / "deep.json").write_text(DEEP)
+    (tmp_path / "huge.json").write_text('{"n": 1000000, "images": {}}')
     monkeypatch.chdir(tmp_path)
     argv = TRACEBACK_CASES[name]
     proc = subprocess.run(
-        [sys.executable, "-m", "pisom.cli", *argv], capture_output=True, text=True, env=_src_env(), timeout=60
+        [sys.executable, "-m", "pisom.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+        preexec_fn=_limit_address_space,
     )
     code, out, err = invoke(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name in TRACEBACK_TEXT:
+        assert err == "error: %s\n" % TRACEBACK_TEXT[name]
 
 
 @pytest.mark.parametrize(

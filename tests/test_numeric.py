@@ -467,6 +467,8 @@ def _fixture_file(tmp_path, text):
 
 
 _ONE_CELL = gram((W("(-1,2)"),))
+# unchecked, and past DIM_CAP: no call may evaluate a word at it
+_REP_65 = PartialIsometryRep(np.zeros((65, 65)))
 
 
 NUMERIC_REFUSALS = {
@@ -483,6 +485,27 @@ NUMERIC_REFUSALS = {
     "evaluator_type": (
         lambda tmp: verify_order_rep(np.eye(2), []),
         "expected a partial isometry rep or a generator assignment",
+    ),
+    "conjugation_of_an_assignment": (
+        lambda tmp: verify_conjugation(GeneratorAssignment(n=1), [UNIT_MINUS]),
+        "expected a partial isometry rep or a generator assignment",
+    ),
+    "order_rep_past_the_cap": (
+        lambda tmp: verify_order_rep(_REP_65, scalar_relations(3, 1)),
+        "block dimension 65 exceeds cap 64",
+    ),
+    "assignment_past_the_cap": (
+        lambda tmp: verify_order_rep(GeneratorAssignment(n=65), scalar_relations(3, 1, within="D0")),
+        "block dimension 65 exceeds cap 64",
+    ),
+    "k_order_past_the_cap": (
+        lambda tmp: verify_k_order(_REP_65, 1, matrix_relations(2, 1, ks=(1,))),
+        "block dimension 65 exceeds cap 64",
+    ),
+    "schwarz_past_the_cap": (lambda tmp: verify_schwarz(_REP_65, [UNIT_MINUS]), "block dimension 65 exceeds cap 64"),
+    "conjugation_past_the_cap": (
+        lambda tmp: verify_conjugation(_REP_65, [UNIT_MINUS]),
+        "block dimension 65 exceeds cap 64",
     ),
     "image_shape": (
         lambda tmp: GeneratorAssignment(n=2, images={W("(-2,2)"): np.eye(1)}),
@@ -504,11 +527,26 @@ NUMERIC_REFUSALS = {
 
 
 @pytest.mark.parametrize("name", NUMERIC_REFUSALS)
-def test_numeric_refusals(tmp_path, name):
+def test_numeric_refusals(monkeypatch, tmp_path, name):
+    # a refusal comes before any image of a word or a generator is made
+    def evaluated(*args):
+        raise AssertionError("an image was made")
+
+    monkeypatch.setattr(numeric._Images, "image", evaluated)
+    monkeypatch.setattr(GeneratorAssignment, "image", evaluated)
     call, message = NUMERIC_REFUSALS[name]
     with pytest.raises(DomainError) as exc:
         call(tmp_path)
     assert str(exc.value) == message
+
+
+def test_orders_up_to_the_cap_are_certified():
+    rep = random_partial_isometry(64, 3)
+    pairs = scalar_relations(4, 2)
+    assert verify_order_rep(rep, pairs).ok
+    assert verify_schwarz(rep, [p[0] for p in pairs]).ok
+    assert verify_conjugation(rep, [p[0] for p in pairs]).ok
+    assert verify_k_order(rep, 1, matrix_relations(2, 1, ks=(1,))).ok
 
 
 # -- the committed fixture ----------------------------------------------------------------
