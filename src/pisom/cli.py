@@ -17,11 +17,12 @@ through the package's lazily resolved names, or import them when they run.
 import argparse
 import json
 import math
+import re
 import sys
 
 import pisom
 
-from .words import DomainError, Word, WordError, format_word, member, parse_word
+from .words import DomainError, Word, WordError, _echo, format_word, member, parse_word
 
 #: sampled relations times choice vectors per draw (2^k at rank k) in one
 #: verify-korder call; 20 x 2^8 keeps the default --count at every --k
@@ -108,7 +109,8 @@ def _verify_rep(args):
     rep = numeric.random_partial_isometry(args.dim, args.seed)
     if args.count * args.dim > REP_WORK_CAP:
         raise DomainError(
-            "--count %d at --dim %d exceeds the cap of %d on --count times --dim" % (args.count, args.dim, REP_WORK_CAP)
+            "--count %s at --dim %d exceeds the cap of %d on --count times --dim"
+            % (_echo(args.count), args.dim, REP_WORK_CAP)
         )
     pairs = numeric.scalar_relations(args.count, args.seed)
     rpt = numeric.verify_order_rep(rep, pairs, tol)
@@ -124,9 +126,9 @@ def _verify_korder(args):
     # sampled matrix relations need a successor, which is enumerated up to
     # the k cap only
     if not 1 <= k <= matrix.K_CAP:
-        raise DomainError("--k must be between 1 and %d, got %d" % (matrix.K_CAP, k))
+        raise DomainError("--k must be between 1 and %d, got %s" % (matrix.K_CAP, _echo(k)))
     if count is not None and count < 0:
-        raise DomainError("--count must be nonnegative, got %d" % count)
+        raise DomainError("--count must be nonnegative, got %s" % _echo(count))
     if args.fixture and k > 2:
         raise DomainError("--fixture takes --k 1 or --k 2, got %d" % k)
     if args.fixture and k == 2 and count is not None:
@@ -135,7 +137,7 @@ def _verify_korder(args):
     if count * 2**k > KORDER_WORK_CAP:
         # count * 2**k is not printed: it may pass Python's 4,300 digits
         raise DomainError(
-            "--count %d at --k %d exceeds the cap of %d on --count times 2^k" % (count, k, KORDER_WORK_CAP)
+            "--count %s at --k %d exceeds the cap of %d on --count times 2^k" % (_echo(count), k, KORDER_WORK_CAP)
         )
     tol = _tol(args)
     if args.fixture:
@@ -151,6 +153,36 @@ def _verify_korder(args):
         relations = numeric.matrix_relations(count, args.seed, ks=(k,))
         rpt = numeric.verify_k_order(rep, k, relations, tol)
     return rpt.to_json()
+
+
+def _int(text: str) -> int:
+    """An integer argument as int reads it; argparse's refusal of any other
+    text echoes it as words._echo does."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % _echo(text)) from None
+
+
+def _count(text: str) -> int:
+    """--count as _int reads it, save that a decimal literal of more than
+    4,300 digits, past Python's limit on int/str conversion, is read as its
+    first 4,300 significant digits.  A count past the limit so keeps its
+    sign and head and stays past every cap, and the command refuses it
+    (exit 1) as it refuses any count too large or negative, where int would
+    make it a usage error."""
+    m = re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)
+    if m and len(m[2]) > 4300:
+        return int(m[1] + (m[2].lstrip("0")[:4300] or "0"))
+    return _int(text)
+
+
+def _reader(arg):
+    """The argparse type of an argument row: --count reads through _count,
+    any other int argument through _int."""
+    if arg[0] == "--count":
+        return _count
+    return _int if arg[1] is int else arg[1]
 
 
 _SEED, _DIM, _TOL = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
@@ -242,9 +274,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             elif isinstance(arg, str):
                 sp.add_argument(arg)
             elif len(arg) == 2:
-                sp.add_argument(arg[0], type=arg[1])
+                sp.add_argument(arg[0], type=_reader(arg))
             else:
-                sp.add_argument(arg[0], type=arg[1], default=arg[2])
+                sp.add_argument(arg[0], type=_reader(arg), default=arg[2])
         sp.set_defaults(fn=fn)
     return p
 

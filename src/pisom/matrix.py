@@ -50,6 +50,7 @@ from .words import (
     DomainError,
     Word,
     WordError,
+    _echo,
     _star_products,
     format_word,
     parse_word,
@@ -464,7 +465,9 @@ def partitions(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     for i in range(1, r + 1):
         count = count * (d + k - 1 - r + i) // i
         if count * d > PARTITION_CAP:
-            raise DomainError("partitions of %d into %d parts exceed the cap of %d entries" % (k, d, PARTITION_CAP))
+            raise DomainError(
+                "partitions of %s into %s parts exceed the cap of %d entries" % (_echo(k), _echo(d), PARTITION_CAP)
+            )
     # stars and bars: d - 1 bar positions among k + d - 1 slots (at most
     # the cap, by the check above), in lexicographic order, which is the
     # lexicographic order of the tuples

@@ -145,6 +145,7 @@ from .words import (
     UNIT_PLUS,
     DomainError,
     Word,
+    _echo,
     format_word,
     iter_words,
     member,
@@ -208,9 +209,9 @@ def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
     if n < 1:
         raise DomainError("dimension must be positive")
     if n > DIM_CAP:
-        raise DomainError("dimension %d exceeds cap %d" % (n, DIM_CAP))
+        raise DomainError("dimension %s exceeds cap %d" % (_echo(n), DIM_CAP))
     if seed < 0:
-        raise DomainError("seed must be nonnegative, got %d" % seed)
+        raise DomainError("seed must be nonnegative, got %s" % _echo(seed))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u, _, vh = np.linalg.svd(z)
@@ -390,7 +391,7 @@ def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures,
     is refused before any item is evaluated.
     """
     if dim > DIM_CAP:
-        raise DomainError("block dimension %d exceeds cap %d" % (dim, DIM_CAP))
+        raise DomainError("block dimension %s exceeds cap %d" % (_echo(dim), DIM_CAP))
     items = list(items)
     orders = [dim] * len(items) if orders is None else orders
     failed = {}
@@ -685,7 +686,9 @@ def sa_pool(within: str):
 
 def _check_count(count: int) -> None:
     if not 0 <= count <= RELATION_CAP:
-        raise DomainError("a sample of %d relations is negative or exceeds the cap of %d" % (count, RELATION_CAP))
+        raise DomainError(
+            "a sample of %s relations is negative or exceeds the cap of %d" % (_echo(count), RELATION_CAP)
+        )
 
 
 def scalar_relations(count: int, seed: int, within: str = "D1"):

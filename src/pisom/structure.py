@@ -16,8 +16,9 @@ built without the checked constructor.  The same prefix sums give tau, as
 their last entry.  Inside D0 every cut is a zero cut, so the factors of a
 D0 word are its slices between zero prefix sums (proof at
 :func:`factor_d0`).  The canonical form and the case tag of a selfadjoint
-element are likewise computed once; the tag is read off the first half of
-the element, with no factor built.  The theorems
+element are read off its prefix sums, with no factor built: the tag off
+the first half, and the center and flank off the cuts nearest the middle
+(proof at :func:`sa_canonical_d1`).  The theorems
 they rest on (recomposition, minimality, plus-irreducible factors in D0,
 the star-palindromic factor sequence) are checked exhaustively on short
 words in the tests, against the cut-and-recurse form of the split.
@@ -32,11 +33,10 @@ lower ones) is checked against it in the tests.
 """
 
 import json
-from functools import reduce as _fold
 from itertools import accumulate
 
 from .order import _check_sa_d1
-from .words import DomainError, Word, _trusted, format_word
+from .words import UNIT_MINUS, DomainError, Word, _echo, _trusted, format_word
 
 
 def is_irreducible(p: Word) -> bool:
@@ -171,7 +171,7 @@ def enum_irr(k: int) -> IrrTable:
     if k < 1:
         raise DomainError("grades start at 1")
     if _grade_size(k) > IRR_CAP:
-        raise DomainError("plus-irreducibles of grade %d exceed the cap of %d elements" % (k, IRR_CAP))
+        raise DomainError("plus-irreducibles of grade %s exceed the cap of %d elements" % (_echo(k), IRR_CAP))
     return IrrTable(k, tuple(_plus_irreducibles(k)))
 
 
@@ -185,14 +185,55 @@ def sa_canonical_d1(n: Word):
     factor sequence has even length, the flank is absent when the element
     is a single irreducible.  The factor sequence of a selfadjoint element
     is star-palindromic, so the flank is the product of its second half.
+
+    Both are read off the prefix sums sig of n, with no factor built.
+    factor_a0 cuts at an interior r exactly when sig[r] is 0 (a zero cut)
+    or has the other sign than sig[r-1] (a crossing cut): a remainder's
+    lead is the prefix sum at its start, and the prefix sums up to the next
+    cut share its sign.  With L = len(n) and h = L/2, selfadjointness gives
+    n[L-1-j] = -n[j] and tau 0, so sig[L-2-j] = sig[j]: the zero cut at r
+    mirrors to one at L-2-r, and the crossing cut at r, which splits entry
+    r, to one at L-1-r.  The cuts are symmetric about the middle, and the
+    factors after the middle multiply to the remainder there, whose scan is
+    the tail of n's scan.  The case is read off t = sig[h-1] = tau(w*) for
+    w = n[h:], as in :func:`classify_sa`; in D1, t <= 1.
+
+    - t = 0: the middle is a zero cut, so the factors split evenly and the
+      flank is w.
+    - t = 1: for L > 2, entry h-1 is interior, so p = n[h-1] = -n[h] >= 2
+      and sig[h-2] = sig[h] = 1 - p < 0.  Entries h-1 and h are crossing
+      cuts, the center between them is (1, -1), and the remainder after it
+      is (1-p,) + n[h+1:], which is unit_strip(w).  For L = 2, n = (1,-1)
+      is its own center.
+    - t < 0: the center is the factor over the middle.  Its right end is
+      the first interior r >= h with sig[r] >= 0, as sig[h-1..r-1] < 0.  A
+      zero cut there mirrors to one at L-2-r, so the center is
+      n[L-1-r : r+1] and the remainder n[r+1:].  A crossing at r mirrors to
+      one at L-1-r, where the center starts with p = sig[L-1-r] = sig[r-1];
+      it is (p,) + n[L-r : r] + (-p,), and the remainder (sig[r],) + n[r+1:].
+      With no such r, every interior prefix sum is negative and n is
+      irreducible.
+
+    Every piece is a slice of n or one with its cut ends replaced by prefix
+    sums of their sign, as in factor_a0, so it is built unchecked.
     """
     _check_sa_d1(n)
-    factors = factor_a0(n)
-    s = len(factors)
-    center = factors[s // 2] if s % 2 else None
-    tail = factors[(s + 1) // 2 :]
-    flank = _fold(lambda a, b: a * b, tail) if tail else None
-    return center, flank
+    L = len(n)
+    h = L // 2
+    t = sum(n[:h])  # tau of w*
+    if t == 0:
+        return None, _trusted(n[h:])
+    if t == 1:
+        return UNIT_MINUS, (_trusted((n[h] + 1,) + n[h + 1 :]) if L > 2 else None)
+    prev = t
+    for r in range(h, L - 1):
+        s = prev + n[r]
+        if s >= 0:
+            if s:
+                return _trusted((prev,) + n[L - r : r] + (-prev,)), _trusted((s,) + n[r + 1 :])
+            return _trusted(n[L - 1 - r : r + 1]), _trusted(n[r + 1 :])
+        prev = s
+    return n, None
 
 
 def classify_sa(n: Word) -> str:

@@ -79,6 +79,13 @@ that re-validates every output on an exhaustive space:
   weight <= 18);
 - ``maps.beta_omega`` (a non-unit plus-irreducible with its endpoints moved
   toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14);
+- ``maps._bracket``, the closed form of ``alpha`` and ``omega`` (a word with
+  each end settled by the junction lemma): ``test_bracket_matches_the_products``
+  (every word of weight <= 18, against the products);
+- ``structure.sa_canonical_d1`` (the center and flank of a selfadjoint D1
+  word: slices between its cuts, with the cut entries replaced by prefix
+  sums): ``test_sa_canonical_matches_factor_and_fold`` (the 4,279 D1 words
+  w* w with weight(w) <= 18, against the factor sequence and its product);
 - the words of ``structure._plus_irreducibles`` (each completed prefix of
   the depth-first search): ``test_enum_elements_meet_the_definition``
   (every plus-irreducible of grade <= 16).
@@ -320,7 +327,8 @@ def parse_word(text: str) -> Word:
 
     Grammar: ``'(' int (',' int)* ')'`` with ints free of leading zeros
     and of at most 4,000 digits (``_INT_RE``); whitespace around tokens
-    is tolerated.  Unreduced literals are accepted and normalized.
+    is tolerated.  Unreduced literals are accepted and normalized.  A
+    refusal quotes the text, or the bad entry, as :func:`_echo` cuts it.
 
     >>> parse_word("(-2,3,-3,2)")
     Word((-2,3,-3,2))
@@ -329,17 +337,25 @@ def parse_word(text: str) -> Word:
     """
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
-        raise WordError("word literal must be parenthesized: %r" % text)
+        raise WordError("word literal must be parenthesized: %r" % _echo(text))
     body = s[1:-1]
     parts = [p.strip() for p in body.split(",")]
     if any(p == "" for p in parts):
-        raise WordError("malformed word literal: %r" % text)
+        raise WordError("malformed word literal: %r" % _echo(text))
     for p in parts:
         if not _INT_RE.fullmatch(p):
             if len(p.lstrip("-")) > 4000:  # echo its head only
                 raise WordError("bad integer %r in word literal: an entry has at most 4,000 digits" % (p[:20] + "..."))
-            raise WordError("bad integer %r in word literal" % p)
+            raise WordError("bad integer %r in word literal" % _echo(p))
     return reduce_word(int(p) for p in parts)
+
+
+def _echo(value) -> str:
+    """A user's text or integer as a refusal echoes it: whole up to 80
+    characters, else its first 20 and '...', so that no refusal line grows
+    with its input."""
+    text = str(value)
+    return text if len(text) <= 80 else text[:20] + "..."
 
 
 def format_word(w) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 import io
@@ -385,7 +386,8 @@ DEEP = "[" * 1500 + "]" * 1500
 #: one reproducer of each path by which a call once ended in a traceback:
 #: JSON nested too deep for the parser, integers past Python's 4,300
 #: digits on int/str conversion, read or printed, and a fixture whose
-#: images are too large to allocate
+#: images are too large to allocate; and of each refusal that once echoed
+#: a long count or word literal in full
 TRACEBACK_CASES = {
     "vector_nested_too_deep": ["gram", DEEP],
     "gram_nested_too_deep": ["matrix-succ", DEEP],
@@ -399,6 +401,11 @@ TRACEBACK_CASES = {
     "rank_past_the_limit": ["iota-tau", HMM_GRAM_JSON, "[%s,%s]" % (NINES, NINES)],
     # n x n images at n = 10^6 would take 16 TB a matrix
     "fixture_far_past_the_cap": ["verify-korder", "--k", "1", "--fixture", "huge.json"],
+    "count_past_the_limit": ["verify-rep", "--count", NINES + "9"],
+    "negative_count_past_the_limit": ["verify-rep", "--count", "-%s9" % NINES],
+    "negative_korder_count_past_the_limit": ["verify-korder", "--count", "-%s9" % NINES],
+    "literal_past_the_limit": ["reduce", NINES + "9"],
+    "malformed_literal_past_the_limit": ["reduce", "(1,,%s9)" % NINES],
 }
 
 #: the whole refusal of the reproducers whose text was once unreadable or
@@ -408,6 +415,16 @@ TRACEBACK_TEXT = {
     "product_past_the_limit": "bad integer '99999999999999999999...' in word literal: an entry has at most 4,000 digits",
     "json_integer_past_the_limit": "a JSON integer has more than 4,300 digits",
     "fixture_far_past_the_cap": "block dimension 1000000 exceeds cap 64",
+    "work_past_the_limit": "--count 99999999999999999999... at --k 8 exceeds the cap of 5120 on --count times 2^k",
+    "count_past_the_limit": (
+        "--count 99999999999999999999... at --dim 4 exceeds the cap of 131072 on --count times --dim"
+    ),
+    "negative_count_past_the_limit": (
+        "a sample of -9999999999999999999... relations is negative or exceeds the cap of 100000"
+    ),
+    "negative_korder_count_past_the_limit": "--count must be nonnegative, got -9999999999999999999...",
+    "literal_past_the_limit": "word literal must be parenthesized: '99999999999999999999...'",
+    "malformed_literal_past_the_limit": "malformed word literal: '(1,,9999999999999999...'",
 }
 
 #: the address space of a reproducer's process: an allocation without a
@@ -441,6 +458,24 @@ def test_traceback_reproducers_are_one_error_line(monkeypatch, tmp_path, name):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if name in TRACEBACK_TEXT:
         assert err == "error: %s\n" % TRACEBACK_TEXT[name]
+
+
+def test_integer_arguments_past_the_digit_limit():
+    # a --count of more than 4,300 digits is read as its first 4,300
+    # significant digits, so a count with fewer reads exactly; any other
+    # integer argument past the limit stays a usage error, as does text that
+    # is no integer, and argparse's echo of it is cut
+    assert cli._count("9" * 4301) == int("9" * 4300)
+    assert cli._count(" -%s " % ("12" * 2200)) == -int(("12" * 2200)[:4300])
+    assert cli._count("0" * 4300 + "5") == 5 and cli._count("0" * 4301) == 0
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^invalid int value: 'xxxxxxxxxxxxxxxxxxxx\.\.\.'$"):
+        cli._count("x" * 81)
+    code, out, err = invoke(["verify-korder", "--count", "0" * 4300 + "3"])
+    assert code == 0 and json.loads(out)["total"] == 3 and err == ""
+    code, out, err = invoke(["random-pi", "9" * 4301])
+    assert code == 2 and err.endswith("error: argument n: invalid int value: '99999999999999999999...'\n"), err
+    code, out, err = invoke(["verify-rep", "--count", "x" * 80])
+    assert code == 2 and err.endswith("error: argument --count: invalid int value: '%s'\n" % ("x" * 80)), err
 
 
 @pytest.mark.parametrize(
@@ -1008,6 +1043,8 @@ TRUSTED_CALLERS = {
     "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
     "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
     "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",
+    "_bracket": "test_maps.py::test_bracket_matches_the_products",
+    "sa_canonical_d1": "test_structure.py::test_sa_canonical_matches_factor_and_fold",
     "_plus_irreducibles": "test_structure.py::test_enum_elements_meet_the_definition",
 }
 

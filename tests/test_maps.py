@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from pisom.maps import alpha, beta_omega, conj, is_irr_plus, omega
 from pisom.structure import enum_irr
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, reduce_word
+from pisom.words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, reduce_word
 
-from conftest import passes_the_check, product, random_minimal_sequences
+from conftest import passes_the_check, product, random_minimal_sequences, ref
 
 words_st = st.lists(
     st.integers(-5, 5).filter(lambda x: x != 0), min_size=1, max_size=7
@@ -21,6 +21,33 @@ def test_alpha_examples():
     assert alpha(UNIT_MINUS) == UNIT_PLUS
     assert alpha(UNIT_PLUS) == Word((-2, 2))
     assert alpha(Word((-3, 2, -2, 3))) == Word((-4, 2, -2, 4))
+
+
+def test_bracket_matches_the_products():
+    # alpha and omega settle each end of a word in closed form, with the
+    # product path kept for words of at most two entries: on every word of
+    # weight <= 18 they equal the products, built unchecked to a Word the
+    # checked constructor accepts
+    count = 0
+    for n in iter_words(18):
+        a, o = alpha(n), omega(n)
+        assert a == GEN_STAR * n * GEN and passes_the_check(a), n
+        assert o == GEN * n * GEN_STAR and passes_the_check(o), n
+        count += 1
+    assert count == 21888
+
+
+def test_is_irr_plus_matches_the_reference():
+    # on every word of weight <= 14, against the reference's definition; a
+    # product of plus-irreducibles has an interior prefix sum of 0 and is
+    # refused
+    found = 0
+    for n in iter_words(14):
+        expected = n[0] < 0 and ref.is_irreducible(n)
+        assert is_irr_plus(n) == expected, n
+        found += expected
+    assert found == 18
+    assert not is_irr_plus(Word((-2, 2, -2, 2)))
 
 
 def test_alpha_image_is_irreducible():

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import reduce as fold
 from itertools import accumulate, product as cartesian
 
 import pytest
@@ -15,7 +16,7 @@ from pisom.structure import (
     is_irreducible,
     sa_canonical_d1,
 )
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, member, parse_word
+from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word
 
 from conftest import (
     passes_the_check,
@@ -278,6 +279,27 @@ def test_sa_canonical_exhaustive():
         center, flank = sa_canonical_d1(n)
         parts = [x for x in (flank and flank.star, center, flank) if x is not None]
         assert product(parts) == n, n
+
+
+def canonical_by_factor_and_fold(n):
+    """The canonical form from the whole factor sequence: the middle factor
+    of an odd sequence, and the product of the second half."""
+    factors = factor_a0(n)
+    s = len(factors)
+    tail = factors[(s + 1) // 2 :]
+    return (factors[s // 2] if s % 2 else None), (fold(lambda a, b: a * b, tail) if tail else None)
+
+
+def test_sa_canonical_matches_factor_and_fold():
+    # the canonical form read off the prefix sums equals the one folded from
+    # the factors on every D1 word w* w with weight(w) <= 18, and each part,
+    # built unchecked, is a Word the checked constructor accepts
+    elems = {n for n in (w.star * w for w in iter_words(18)) if member(n, "D1")}
+    assert len(elems) == 4279
+    for n in elems:
+        got = sa_canonical_d1(n)
+        assert got == canonical_by_factor_and_fold(n), n
+        assert all(x is None or passes_the_check(x) for x in got), n
 
 
 def test_sa_canonical_unit_action():
