@@ -14,7 +14,7 @@ the product path.
 
 from itertools import accumulate
 
-from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word, _trusted
+from .words import GEN, GEN_STAR, UNIT_PLUS, DomainError, Word, _echo, _trusted
 
 
 def _bracket(n: Word, e: int) -> Word:
@@ -82,7 +82,7 @@ def beta_omega(n: Word) -> Word:
     Left inverse of alpha on D0; its image is all of D0.
     """
     if n == UNIT_PLUS or not is_irr_plus(n):
-        raise DomainError("beta_omega needs a non-unit plus-irreducible, got %s" % (n,))
+        raise DomainError("beta_omega needs a non-unit plus-irreducible, got %s" % _echo(n))
     # n starts at most -2 and ends at least 2, since only the unit has a
     # unit endpoint, so the shifted endpoints stay nonzero
     return _trusted((n[0] + 1,) + n[1:-1] + (n[-1] - 1,))

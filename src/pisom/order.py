@@ -9,6 +9,12 @@ at most one strict successor, computed directly, and the elements above n
 form a chain.  The tests keep the generate-and-filter definition and
 compare it with the direct step.
 
+The step is read off the middle pair (-p, p) of n, p = n[h] the first
+entry of w and h = len(n)/2, with no star and no product: it moves both
+entries one step toward zero, and drops the pair when |p| = 2 and n has
+more entries.  The two units (1,-1) and (-1,1) are the maximal elements
+(proof at :func:`hollow_successors`).
+
 The chain is read off the minimal factor w of n: a step takes one unit off
 w[0], and once that entry is a unit the recomposition absorbs it, so the
 next minimal factor is w[1:].  Hence, with u the minimal factor of m and
@@ -27,15 +33,20 @@ longer than w.  So ``upper_idempotent`` reads its answer off n[0].
 
 from itertools import accumulate
 
-from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _trusted
+from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _echo, _trusted
+
+
+def _sa_half(n: Word) -> int:
+    """len(n) / 2 for a selfadjoint n; any other word is a DomainError."""
+    if not n.is_selfadjoint():
+        raise DomainError("not selfadjoint: %s" % _echo(n))
+    return len(n) // 2
 
 
 def sa_factor_min(n: Word) -> Word:
     """The unique minimal-length w with w* w == n."""
-    if not n.is_selfadjoint():
-        raise DomainError("not selfadjoint: %s" % (n,))
     # is_selfadjoint found this half equal to the star of the first
-    return _trusted(n[len(n) // 2 :])
+    return _trusted(n[_sa_half(n) :])
 
 
 def sa_factorizations(n: Word) -> tuple[Word, Word]:
@@ -67,25 +78,51 @@ def unit_shift(u: Word) -> Word:
 
 def _check_sa_d1(n: Word) -> None:
     """Refuse n unless it is selfadjoint (checked first) and in D1."""
-    if not n.is_selfadjoint():
-        raise DomainError("not selfadjoint: %s" % (n,))
+    _sa_half(n)
     if max(accumulate(n)) > 1:
-        raise DomainError("not in D1: %s" % (n,))
+        raise DomainError("not in D1: %s" % _echo(n))
 
 
 def hollow_successors(n: Word) -> set[Word]:
-    """Elements one basic step above n: the hollowed minimal factor's
-    recomposition, or none when that is n itself (n is maximal)."""
-    c = unit_strip(sa_factor_min(n))  # checks that n is selfadjoint
-    m = c.star * c
-    return set() if m == n else {m}
+    """The element one basic step above n, or none when n is maximal, which
+    it is exactly at the two units (1,-1) and (-1,1).
+
+    The step recomposes c* c for c = unit_strip(w), w = n[h:] the minimal
+    factor and h = len(n)/2, and the junction lemma of ``words`` reads it
+    off the middle of n with no star and no product.  Let p = w[0] = n[h],
+    so n[h-1] = -p, and let p' be p moved one step toward zero.
+
+    - |p| = 1: p is an interior entry unless len(n) = 2, so n is (1,-1) or
+      (-1,1).  c is (1,-1) or (-1,1) itself, an idempotent, and c* c = n.
+    - |p| >= 3, or len(n) = 2 (so |p| >= 2): c = (p',) + w[1:] and
+      c* = n[:h-1] + (-p',).  At the junction -p' and p' have opposite
+      signs and neither is a unit with an entry beside it, so c* c is the
+      plain concatenation n[:h-1] + (-p', p') + n[h+1:]: the middle pair
+      moves one step toward zero.
+    - |p| = 2 and len(n) > 2: p' is a unit and c* has more than one entry,
+      so the lemma's first case folds (c*[-2], -p', p') into c*[-2] =
+      n[h-2]: c* c = n[:h-1] + n[h+1:], the middle pair drops out.
+
+    In the last two cases c* c is shorter or lighter than n, so it is not
+    n; and each is reduced by the lemma, so it is built unchecked.
+    """
+    h = _sa_half(n)
+    p = n[h]
+    if p == 1 or p == -1:
+        return set()
+    if p > 2 or p < -2 or h == 1:
+        e = 1 if p > 0 else -1
+        return {_trusted(n[: h - 1] + (e - p, p - e) + n[h + 1 :])}
+    return {_trusted(n[: h - 1] + n[h + 1 :])}
 
 
 def leq(n: Word, m: Word) -> bool:
     """n <= m along hollowing steps: the minimal factor of m is the suffix
     of that of n with its first entry shrunk toward zero (module docstring).
+    Both minimal factors are compared as the plain slices n[h:] and m[h':].
     """
-    w, u = sa_factor_min(n), sa_factor_min(m)
+    w = n[_sa_half(n) :]
+    u = m[_sa_half(m) :]
     j = len(w) - len(u)
     return j >= 0 and u[1:] == w[j + 1 :] and (u[0] < 0) == (w[j] < 0) and abs(u[0]) <= abs(w[j])
 

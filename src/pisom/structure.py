@@ -46,7 +46,7 @@ def is_irreducible(p: Word) -> bool:
     crosses the sign of the leading entry.
     """
     if p.tau != 0:
-        raise DomainError("irreducibility is decided inside A0, got %s" % (p,))
+        raise DomainError("irreducibility is decided inside A0, got %s" % _echo(p))
     s0 = p[0]
     return all(s0 * s > 0 for s in accumulate(p[:-1]))
 
@@ -55,7 +55,7 @@ def factor_a0(p: Word) -> list[Word]:
     """Unique minimal decomposition into irreducibles of the tau-kernel."""
     sig = list(accumulate(p))
     if sig[-1] != 0:  # tau
-        raise DomainError("factorization lives in A0, got %s" % (p,))
+        raise DomainError("factorization lives in A0, got %s" % _echo(p))
     factors: list[Word] = []
     # the remainder starts at index i with the entry lead = sig[i]; a cut is
     # the first interior r with sig[r] zero or of the other sign than lead
@@ -91,7 +91,7 @@ def factor_d0(d: Word) -> list[Word]:
     """
     sig = list(accumulate(d))
     if sig[-1] != 0 or max(sig) > 0:
-        raise DomainError("not in D0: %s" % (d,))
+        raise DomainError("not in D0: %s" % _echo(d))
     factors, i = [], 0
     while i < len(d):
         r = sig.index(0, i)

@@ -77,6 +77,10 @@ that re-validates every output on an exhaustive space:
   ``order.unit_strip`` (a reduced word with a unit taken off its front):
   ``test_trusted_slices_pass_the_check`` (the 176 selfadjoint words of
   weight <= 18);
+- ``order.hollow_successors`` (the middle pair of a selfadjoint word moved
+  one step toward zero, or dropped): ``test_hollow_step_matches_the_product``
+  (the 752 selfadjoint words whose minimal factor has weight <= 12, against
+  the product);
 - ``maps.beta_omega`` (a non-unit plus-irreducible with its endpoints moved
   toward zero): ``test_beta_omega_lands_in_d0`` (grades 2..14);
 - ``maps._bracket``, the closed form of ``alpha`` and ``omega`` (a word with
@@ -246,7 +250,7 @@ class Word(tuple):
         """Sum of the positive entries; the grading used for irreducibles."""
         pos = [e for e in self if e > 0]
         if not pos:
-            raise DomainError("word has no positive entry: %s" % (self,))
+            raise DomainError("word has no positive entry: %s" % _echo(self))
         return sum(pos)
 
     def is_selfadjoint(self) -> bool:

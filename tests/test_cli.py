@@ -478,6 +478,20 @@ def test_integer_arguments_past_the_digit_limit():
     assert code == 2 and err.endswith("error: argument --count: invalid int value: '%s'\n" % ("x" * 80)), err
 
 
+@pytest.mark.parametrize("command", ["order-succ", "order-leq", "tau-plus", "irr", "beta-omega"])
+def test_refusals_cut_a_long_word(command):
+    # the literal reduces to the one entry -2 * 10^4000: not selfadjoint,
+    # no positive entry, tau not 0; each refusal echoes the word's first
+    # 20 characters only
+    literal = "(-%s,-%s,-1,-1)" % ("9" * 4000, "9" * 4000)
+    assert len(literal) == 8011
+    argv = [command, literal] + (["(-1,1)"] if command == "order-leq" else [])
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 121, err
+    assert err.endswith(" (-2%s...\n" % ("0" * 17)), err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1042,6 +1056,7 @@ TRUSTED_CALLERS = {
     "factor_d0": "test_structure.py::test_factor_d0_exhaustive_small",
     "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
     "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
+    "hollow_successors": "test_order.py::test_hollow_step_matches_the_product",
     "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",
     "_bracket": "test_maps.py::test_bracket_matches_the_products",
     "sa_canonical_d1": "test_structure.py::test_sa_canonical_matches_factor_and_fold",

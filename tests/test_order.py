@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -169,6 +171,38 @@ def test_trusted_slices_pass_the_check():
         for u in sa_factorizations(n):
             c = unit_strip(u)
             assert passes_the_check(c) and u in (Word((-1,)) * c, Word((1,)) * c), u
+
+
+def test_hollow_step_matches_the_product():
+    # hollow_successors reads the step off the middle of n and builds its
+    # word unchecked; on every selfadjoint word whose minimal factor has
+    # weight <= 12 (each is u* u for its minimal factor u) it is the
+    # recomposition of the stripped minimal factor, other than n, and a
+    # reduced Word.  The three cases of the step are all met
+    elems = {u.star * u for u in iter_words(12)}
+    assert len(elems) == 752
+    lengths = set()
+    for n in elems:
+        c = unit_strip(sa_factor_min(n))
+        succ = hollow_successors(n)
+        assert succ == {c.star * c} - {n}, n
+        assert all(passes_the_check(m) for m in succ), n
+        lengths |= {len(n) - len(m) for m in succ}
+    assert lengths == {0, 2} and {n for n in elems if not hollow_successors(n)} == {UNIT_MINUS, UNIT_PLUS}
+
+
+@pytest.mark.parametrize("bad, other", [("(1,-2)", "(-3,2,-3,3)"), ("(-3,2,-3,3)", "(1,-2)")])
+def test_order_refuses_a_word_that_is_not_selfadjoint(bad, other):
+    # leq checks n before m, so it names n when both are bad
+    calls = (
+        lambda: hollow_successors(W(bad)),
+        lambda: leq(W(bad), UNIT_PLUS),
+        lambda: leq(UNIT_PLUS, W(bad)),
+        lambda: leq(W(bad), W(other)),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^not selfadjoint: %s$" % re.escape(bad)):
+            call()
 
 
 def hollow_depth_by_walk(n):
