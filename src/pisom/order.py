@@ -96,15 +96,17 @@ def hollow_successors(n: Word) -> set[Word]:
       (-1,1).  c is (1,-1) or (-1,1) itself, an idempotent, and c* c = n.
     - |p| >= 3, or len(n) = 2 (so |p| >= 2): c = (p',) + w[1:] and
       c* = n[:h-1] + (-p',).  At the junction -p' and p' have opposite
-      signs and neither is a unit with an entry beside it, so c* c is the
+      signs, and no rule (b) step applies: for |p| >= 3 neither is a unit,
+      and for len(n) = 2 both c and c* have one entry.  So c* c is the
       plain concatenation n[:h-1] + (-p', p') + n[h+1:]: the middle pair
       moves one step toward zero.
     - |p| = 2 and len(n) > 2: p' is a unit and c* has more than one entry,
       so the lemma's first case folds (c*[-2], -p', p') into c*[-2] =
       n[h-2]: c* c = n[:h-1] + n[h+1:], the middle pair drops out.
 
-    In the last two cases c* c is shorter or lighter than n, so it is not
-    n; and each is reduced by the lemma, so it is built unchecked.
+    In the last two cases c* c is lighter (a step) or shorter (a drop) than
+    n, so it is not n; and the lemma leaves it reduced, so it is built
+    unchecked.
     """
     h = _sa_half(n)
     p = n[h]
