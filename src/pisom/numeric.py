@@ -540,16 +540,16 @@ class GeneratorAssignment:
         for g, m in self.images.items():
             m = np.asarray(m, dtype=complex)
             if m.shape != (self.n, self.n):
-                raise DomainError("image of %s has wrong shape" % format_word(g))
+                raise DomainError("image of %s has wrong shape" % _echo(g))
             self.images[g] = m
             if not is_irr_plus(g) or g == UNIT_PLUS:
-                raise DomainError("%s is not a non-unit plus-irreducible" % format_word(g))
+                raise DomainError("%s is not a non-unit plus-irreducible" % _echo(g))
         for g, m in self.images.items():
             other = self.image(g.star)
             with np.errstate(over="ignore"):  # an overflowed gap is not finite, so refused
                 gap = other - m.conj().T
             if not (np.isfinite(gap).all() and opnorm(gap) <= IDENTITY_TOL):
-                raise DomainError("star-incompatible images at %s" % format_word(g))
+                raise DomainError("star-incompatible images at %s" % _echo(g))
 
     def image(self, g: Word):
         if g == UNIT_PLUS:
@@ -616,7 +616,7 @@ def _distinct_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            what = "the image of " + key if key.startswith("(") else repr(key)
+            what = "the image of " + _echo(key) if key.startswith("(") else repr(_echo(key))
             raise DomainError("the fixture gives %s twice" % what)
         obj[key] = value
     return obj
@@ -628,11 +628,11 @@ def load_assignment(path) -> GeneratorAssignment:
         with open(path) as fh:
             obj = json.load(fh, object_pairs_hook=_distinct_keys, parse_int=_json_int)
     except OSError as exc:
-        raise DomainError("cannot read fixture %s: %s" % (path, exc.strerror or exc)) from None
+        raise DomainError("cannot read fixture %s: %s" % (_echo(path), exc.strerror or exc)) from None
     except DomainError:
         raise
     except (ValueError, RecursionError) as exc:  # malformed, undecodable or nested too deep
-        raise DomainError("fixture %s is not JSON: %s" % (path, exc)) from None
+        raise DomainError("fixture %s is not JSON: %s" % (_echo(path), exc)) from None
     if not isinstance(obj, dict):
         raise DomainError("a fixture must be a JSON object")
     if obj.get("kind") == "sa_depth_rule":
@@ -647,20 +647,20 @@ def load_assignment(path) -> GeneratorAssignment:
     for lit, m in images.items():
         w = parse_word(lit)
         if w in out:
-            raise DomainError("the fixture gives the image of %s twice" % format_word(w))
+            raise DomainError("the fixture gives the image of %s twice" % _echo(w))
         out[w] = _image_from_json(lit, m)
     return GeneratorAssignment(n=n, images=out)
 
 
 def _image_from_json(lit: str, m):
     if not isinstance(m, dict) or "re" not in m or "im" not in m:
-        raise DomainError("the image of %s needs 're' and 'im'" % lit)
+        raise DomainError("the image of %s needs 're' and 'im'" % _echo(lit))
     try:
         re, im = np.asarray(m["re"], dtype=float), np.asarray(m["im"], dtype=float)
     except (TypeError, ValueError):
-        raise DomainError("the image of %s is not a numeric matrix" % lit) from None
+        raise DomainError("the image of %s is not a numeric matrix" % _echo(lit)) from None
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise DomainError("the image of %s has an entry that is not finite" % lit)
+        raise DomainError("the image of %s has an entry that is not finite" % _echo(lit))
     return re + 1j * im
 
 

@@ -24,12 +24,18 @@ the star-palindromic factor sequence) are checked exhaustively on short
 words in the tests, against the cut-and-recurse form of the split.
 
 Plus-irreducibles are graded by the positive-entry sum.  A grade is
-enumerated directly from the definition by a depth-first search over the
-reduced words that start negative, end positive, have every interior
-prefix sum < 0, have tau = 0 and positive-entry sum k, reduced by
-construction and so built unchecked; nothing is kept between calls.
-The paper's generation theorem (each grade from conjugated products of
-lower ones) is checked against it in the tests.
+enumerated directly from the definition: the reduced words that start
+negative, end positive, have every interior prefix sum < 0, have tau = 0
+and positive-entry sum k.  A prefix that ends in a negative entry is
+summed up by its state, the prefix sum s and the budget b of the grade
+still to spend, and its completions depend on (s, b) alone, so each
+state's completions are listed once per call, in sorted order, and
+shared by every prefix that reaches it (proof at
+:func:`_plus_irreducibles`).  The words are reduced by construction and
+so built unchecked; nothing is kept between calls.  The paper's
+generation theorem (each grade from conjugated products of lower ones)
+and the depth-first search that lists each prefix's completions afresh
+are checked against it in the tests.
 """
 
 import json
@@ -133,8 +139,24 @@ def _grade_size(k: int) -> int:
     return a[-1]
 
 
+def _completions(s: int, b: int, memo: dict) -> list[tuple]:
+    """C(s, b) of :func:`_plus_irreducibles`, through the call's memo."""
+    got = memo.get((s, b))
+    if got is None:
+        top = b + s
+        got = []
+        for x in range(2, -s):
+            got.append((x, -top, b - x))
+            for m in range(top - 2, 1, -1):
+                head = (x, -m)
+                got += [head + t for t in _completions(s + x - m, b - x, memo)]
+        memo[s, b] = got
+    return got
+
+
 def _plus_irreducibles(k: int) -> list[Word]:
-    """Every plus-irreducible of grade k, in sorted order, by depth-first search.
+    """Every plus-irreducible of grade k, in sorted order, by dynamic
+    programming over the states of a depth-first search.
 
     Besides (-k, k), each word grows from prefixes that end in a negative
     entry, have sum s < 0 and leave b of the grade for the positive
@@ -143,23 +165,39 @@ def _plus_irreducibles(k: int) -> list[Word]:
     next entry is an interior positive x with 2 <= x < -s, which keeps the
     prefix sum negative.  After it comes either -top, and then the last
     entry b - x, which brings the sum to 0 and spends the budget, or an
-    interior -m with 2 <= m <= top - 2, which leaves a completable prefix.
-    Trying x upward and m downward emits the words in tuple order.
+    interior -m with 2 <= m <= top - 2, which leaves a completable prefix
+    with state (s + x - m, b - x).
+
+    The lemma: every condition above reads only s and b, never the entries
+    before them, so the completions of a prefix depend only on its state
+    (s, b).  The list C(s, b) of completions is therefore built once per
+    call and shared by every prefix that reaches (s, b): for x upward, the
+    closing (x, -top, b - x), then (x, -m) + t for m downward and each t in
+    C(s + x - m, b - x).  The memo holds the inner states only; each first
+    entry -a is tried once, so its state (-a, k) is expanded in place and
+    each of its words is one concatenation.  The memo is local to the call,
+    and :func:`_completions` is a module function, not a closure over it,
+    so no reference cycle keeps the memo past the return.
+
+    The emitted order is the sorted order.  Two words first differ at the
+    entry where their branches part, and every branch point tries that
+    entry upward: the first entry as -k, then -a for a downward; x upward;
+    after x, the closing -top before -(top - 2) < ... < -2.  Both words
+    have that entry (each branch goes on past it), so neither is a prefix
+    of the other, and tuple order puts them as their branches are tried.
+    So each list, and the output, is the concatenation of sorted blocks in
+    increasing order of the entry they part at: it is sorted.
     """
+    memo = {}
     out = [_trusted((-k, k))]
-    emit = out.append
-
-    def extend(prefix, s, b):
-        top = b + s
-        for x in range(2, -s):
-            p = prefix + (x,)
-            emit(_trusted(p + (-top, b - x)))
-            for m in range(top - 2, 1, -1):
-                extend(p + (-m,), s + x - m, b - x)
-
     # a first entry -(k-1), -2 or -1 leaves no closable branch
     for a in range(k - 2, 2, -1):
-        extend((-a,), -a, k)
+        top = k - a
+        for x in range(2, a):
+            out.append(_trusted((-a, x, -top, k - x)))
+            for m in range(top - 2, 1, -1):
+                head = (-a, x, -m)
+                out += [_trusted(head + t) for t in _completions(x - a - m, k - x, memo)]
     return out
 
 

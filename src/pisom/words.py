@@ -90,9 +90,11 @@ that re-validates every output on an exhaustive space:
   word: slices between its cuts, with the cut entries replaced by prefix
   sums): ``test_sa_canonical_matches_factor_and_fold`` (the 4,279 D1 words
   w* w with weight(w) <= 18, against the factor sequence and its product);
-- the words of ``structure._plus_irreducibles`` (each completed prefix of
-  the depth-first search): ``test_enum_elements_meet_the_definition``
-  (every plus-irreducible of grade <= 16).
+- the words of ``structure._plus_irreducibles`` (a first entry, x and -m
+  concatenated with one of the completions listed once per prefix state):
+  ``test_enum_elements_meet_the_definition`` (every plus-irreducible of
+  grade <= 16) and ``test_enum_matches_the_search`` (grades <= 18, against
+  a depth-first search through the checked constructor).
 
 ``test_trusted_word_construction_stays_in_words`` keeps ``tuple.__new__``
 inside ``_trusted`` and ``_trusted`` to the callers above.

@@ -352,6 +352,25 @@ FIXTURE_ERROR_CASES = {
     # a 65 x 65 image is past the d <= 64 of the rounding analysis
     "order_past_the_cap": '{"n": 65, "images": {}}',
 }
+# every refusal that names a word or key of the file, with N and M standing
+# for entries of 4,000 digits: each echoes its first 20 characters
+FIXTURE_ERROR_CASES.update(
+    ("long_literal_" + name, text.replace("N", "9" * 4000).replace("M", "8" * 4000))
+    for name, text in (
+        ("without_im", '{"n": 1, "images": {"(-N,N)": {"re": [[1]]}}}'),
+        ("non_numeric", '{"n": 1, "images": {"(-N,N)": {"re": [["x"]], "im": [[0]]}}}'),
+        ("not_finite", '{"n": 1, "images": {"(-N,N)": {"re": [[Infinity]], "im": [[0]]}}}'),
+        ("wrong_shape", '{"n": 1, "images": {"(-N,N)": {"re": [[1, 2]], "im": [[0, 0]]}}}'),
+        ("not_in_d0", '{"n": 1, "images": {"(N,-N)": {"re": [[1]], "im": [[0]]}}}'),
+        # its star is not given, so it maps to zero
+        ("half_given_star", '{"n": 1, "images": {"(-M,2,-3,%s9)": {"re": [[1]], "im": [[0]]}}}' % ("8" * 3999)),
+        ("given_twice", '{"n": 1, "images": {"(-N,N)": {"re": [[1]], "im": [[0]]}, '
+         '"(-N,1,-1,N)": {"re": [[1]], "im": [[0]]}}}'),
+        ("repeated", '{"n": 1, "images": {"(-N,N)": {"re": [[1]], "im": [[0]]}, '
+         '"(-N,N)": {"re": [[1]], "im": [[0]]}}}'),
+        ("repeated_key", '{"n": 1, "images": {}, "N": 1, "N": 2}'),
+    )
+)
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning on stderr breaks the one-line contract
@@ -387,7 +406,7 @@ DEEP = "[" * 1500 + "]" * 1500
 #: JSON nested too deep for the parser, integers past Python's 4,300
 #: digits on int/str conversion, read or printed, and a fixture whose
 #: images are too large to allocate; and of each refusal that once echoed
-#: a long count or word literal in full
+#: a long count, word literal or fixture path in full
 TRACEBACK_CASES = {
     "vector_nested_too_deep": ["gram", DEEP],
     "gram_nested_too_deep": ["matrix-succ", DEEP],
@@ -401,6 +420,9 @@ TRACEBACK_CASES = {
     "rank_past_the_limit": ["iota-tau", HMM_GRAM_JSON, "[%s,%s]" % (NINES, NINES)],
     # n x n images at n = 10^6 would take 16 TB a matrix
     "fixture_far_past_the_cap": ["verify-korder", "--k", "1", "--fixture", "huge.json"],
+    "fixture_literal_past_the_limit": ["verify-korder", "--k", "1", "--fixture", "long_key.json"],
+    "fixture_path_past_the_limit": ["verify-korder", "--k", "1", "--fixture", "m" * 200],
+    "fixture_path_past_the_limit_not_json": ["verify-korder", "--k", "1", "--fixture", "j" * 200],
     "count_past_the_limit": ["verify-rep", "--count", NINES + "9"],
     "negative_count_past_the_limit": ["verify-rep", "--count", "-%s9" % NINES],
     "negative_korder_count_past_the_limit": ["verify-korder", "--count", "-%s9" % NINES],
@@ -415,6 +437,11 @@ TRACEBACK_TEXT = {
     "product_past_the_limit": "bad integer '99999999999999999999...' in word literal: an entry has at most 4,000 digits",
     "json_integer_past_the_limit": "a JSON integer has more than 4,300 digits",
     "fixture_far_past_the_cap": "block dimension 1000000 exceeds cap 64",
+    "fixture_literal_past_the_limit": "the image of (-999999999999999999... needs 're' and 'im'",
+    "fixture_path_past_the_limit": "cannot read fixture %s...: No such file or directory" % ("m" * 20),
+    "fixture_path_past_the_limit_not_json": (
+        "fixture %s... is not JSON: Expecting value: line 1 column 1 (char 0)" % ("j" * 20)
+    ),
     "work_past_the_limit": "--count 99999999999999999999... at --k 8 exceeds the cap of 5120 on --count times 2^k",
     "count_past_the_limit": (
         "--count 99999999999999999999... at --dim 4 exceeds the cap of 131072 on --count times --dim"
@@ -442,6 +469,8 @@ def test_traceback_reproducers_are_one_error_line(monkeypatch, tmp_path, name):
     # and in this one
     (tmp_path / "deep.json").write_text(DEEP)
     (tmp_path / "huge.json").write_text('{"n": 1000000, "images": {}}')
+    (tmp_path / "long_key.json").write_text(FIXTURE_ERROR_CASES["long_literal_without_im"])
+    (tmp_path / ("j" * 200)).write_text("not json")
     monkeypatch.chdir(tmp_path)
     argv = TRACEBACK_CASES[name]
     proc = subprocess.run(

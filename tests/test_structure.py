@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 from functools import reduce as fold
 from itertools import accumulate, product as cartesian
 
@@ -196,6 +198,48 @@ def test_enum_elements_meet_the_definition():
         for w in elements:
             assert passes_the_check(w), w
         assert ref.check_grade_table(g, elements) is None
+
+
+def plus_irreducibles_by_search(k):
+    """Grade k by a depth-first search that lists the completions of each
+    prefix afresh: the enumerator's state lemma is not used."""
+    out = [Word((-k, k))]
+
+    def extend(prefix, s, b):
+        top = b + s
+        for x in range(2, -s):
+            p = prefix + (x,)
+            out.append(Word(p + (-top, b - x)))
+            for m in range(top - 2, 1, -1):
+                extend(p + (-m,), s + x - m, b - x)
+
+    for a in range(k - 2, 2, -1):
+        extend((-a,), -a, k)
+    return out
+
+
+def test_enum_matches_the_search():
+    for k in range(1, 19):
+        assert list(enum_irr(k).elements) == plus_irreducibles_by_search(k), k
+
+
+def test_enum_keeps_nothing_between_calls():
+    # no new module name, no reference cycle left for the collector, and
+    # what the call allocated is freed when its table is
+    before = set(vars(structure))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        enum_irr(16)
+        cycles = gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert set(vars(structure)) == before
+    assert cycles == 0
+    assert peak > 2**20 and kept < 2**14, (kept, peak)
 
 
 def generated_grades(k_max):
