@@ -1,7 +1,8 @@
 """Command line surface: one subcommand per library operation.
 
-Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.  All
-outputs are deterministic for fixed inputs and seeds.
+Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.  A
+closed stdout ends a call with 1 and nothing on stderr.  All outputs are
+deterministic for fixed inputs and seeds.
 
 Each subcommand prints its result by kind.  A word prints as its literal,
 under --json as a JSON string; a list of words prints space-joined, under
@@ -17,6 +18,7 @@ through the package's lazily resolved names, or import them when they run.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -46,7 +48,7 @@ def _gram_arg(text: str):
 
 
 def _grams_json(grams) -> str:
-    return json.dumps([json.loads(g.to_json()) for g in grams])
+    return "[%s]" % ", ".join(g.to_json() for g in grams)
 
 
 def _show(args, result) -> None:
@@ -303,7 +305,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line; a closed stdout ends it with exit code 1 and
+    nothing on stderr.  Flushing inside the try makes a write to a closed
+    pipe fail here, and stdout then points at os.devnull, so that the flush
+    at exit cannot fail again (the Python documentation's note on SIGPIPE)."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

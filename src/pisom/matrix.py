@@ -32,26 +32,28 @@ enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
 witness's prefix sums (``GramMatrix.tagged``), which takes no other tag.
 The order the steps generate needs no enumeration, at any rank: a chain
 of steps takes one word off the front of every entry (``matrix_leq``).
+The case analysis reads every decomposition off the witness or the
+diagonal with no factor list and no product: Case2 cuts each entry at its
+first prefix sum 1 (proof at ``classify_matrix``).
 """
 
 import json
-from functools import reduce as _fold
 from itertools import accumulate, combinations, islice
 from itertools import product as _cartesian
 from operator import getitem
 
 from .order import sa_factorizations, unit_shift, unit_strip
-from .structure import factor_a0, sa_canonical_d1
+from .structure import sa_canonical_d1
 from .words import (
     GEN,
     GEN_STAR,
-    UNIT_MINUS,
     UNIT_PLUS,
     DomainError,
     Word,
     WordError,
     _echo,
     _star_products,
+    _trusted,
     format_word,
     parse_word,
 )
@@ -410,13 +412,39 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     Case3: an irreducible D0 core.
 
     Every case reads its decomposition off w or the diagonal; the tests
-    check that it recomposes to g.  Case3 splits each diagonal cell as
-    m_i* center_i m_i (its minimal factor) and takes lam_i as the
-    negative-start factor of the center.  Every diagonal cell has a
-    center: each w_i has tau -top (the cells of D1 have tau 0), so the
-    minimal factor, w_i or (1) w_i, has tau -top or 1 - top, never 0.  The
-    prefix sum at the middle of g_ii is minus that tau, so the middle is
-    not a zero cut, and the star-palindromic factor sequence has odd length.
+    check that it recomposes to g.
+
+    Case2 splits each w_i as a_i m_i, the factors of ``factor_a0(w_i)``
+    before its first (1,-1) and from it on, each side multiplied out, and
+    reads both off the prefix sums sig of w = w_i, which starts negative
+    and lies in D1 (tau 0, every prefix sum at most 1).  factor_a0's lead
+    is the prefix sum where a factor starts, so it is negative until sig
+    first reaches 1, and a positive lead is 1.  If no sig[i] is 1, w lies
+    in D0, no factor starts with 1, and a_i = w, m_i = (-1,1).  Otherwise
+    let i be the first index with sig[i] = 1.  It is interior, as
+    sig[0] = w[0] < 0 and sig[L-1] = tau = 0, so w[i] = 1 - sig[i-1] is
+    positive, hence w[i] >= 2 and sig[i-1] = 1 - w[i] < 0.  So i - 1 is no
+    zero cut, the factor open at i has a negative lead, and the sum 1 at i
+    is a crossing cut: the next factor starts at i with lead 1.  w[i+1] is
+    negative, so the prefix sum at i+1 is at most -1 when i+1 is interior
+    (a crossing cut: the factor is (1,-1)) and is tau = 0 when it is last
+    (w[i+1] = -1: the last factor is (1,-1)).  Every earlier factor starts
+    negative, so this (1,-1) is the first.  The factors from it on are
+    factor_a0 of m_i = (1,) + w[i+1:], whose scan is the tail of w's, and
+    those before it are factor_a0 of a_i = w[:i] + (w[i] - 1,), that is
+    w[:i] + (-sig[i-1],): its prefix sums are w's before i, and its last
+    entry closes the factor that the cut at i ends.  factor_a0 recomposes,
+    so each side multiplies out to that word.  a_i ends in w[i] - 1 >= 1
+    after a negative entry and m_i puts 1 before the negative w[i+1], so
+    both are reduced and are built unchecked.
+
+    Case3 splits each diagonal cell as m_i* center_i m_i (its minimal
+    factor) and takes lam_i as the negative-start factor of the center.
+    Every diagonal cell has a center: each w_i has tau -top (the cells of
+    D1 have tau 0), so the minimal factor, w_i or (1) w_i, has tau -top or
+    1 - top, never 0.  The prefix sum at the middle of g_ii is minus that
+    tau, so the middle is not a zero cut, and the star-palindromic factor
+    sequence has odd length.
     """
     _require_tag(g, "D1")
     facts = factor_gram(g)
@@ -431,12 +459,10 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     if top == 0:
         a, m = [], []
         for w in vec:
-            factors = factor_a0(w)
-            cut = next((i for i, f in enumerate(factors) if f == UNIT_MINUS), len(factors))
-            head, tail = factors[:cut], factors[cut:]
-            # w starts negative, so its first factor is not (1,-1) and head is never empty
-            a.append(_fold(lambda x, y: x * y, head))
-            m.append(_fold(lambda x, y: x * y, tail) if tail else UNIT_PLUS)
+            # the first index with prefix sum 1, or 0 for none: sig[0] = w[0] < 0
+            i = next((i for i, s in enumerate(accumulate(w)) if s == 1), 0)
+            a.append(_trusted(w[:i] + (w[i] - 1,)) if i else w)
+            m.append(_trusted((1,) + w[i + 1 :]) if i else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 
     m, lam = [], []

@@ -24,11 +24,13 @@ a unit, ``hollow_depth``, is the sum of |e| - 1 over the entries e of w.
 Hollowing keeps D0 and D1, so no function here takes a tag to stay within.
 
 Selfadjointness is read off the halves of n (``Word.is_selfadjoint``), and
-membership of a selfadjoint n in D1 off its prefix sums alone: its tau is 0
-already, since tau(n*) = -tau(n).  (-1,1) fixes a word on the left exactly
-when the word starts negative: with w[0] < 0 the junction folds (-1,1,w[0])
-into w[0], and with w[0] > 0 the product (-1, 1 + w[0], ...) is one entry
-longer than w.  So ``upper_idempotent`` reads its answer off n[0].
+membership of a selfadjoint n in D1 off the prefix sums of its first half
+alone: its tau is 0 already, since tau(n*) = -tau(n), and its prefix sums
+mirror about the middle.  That one scan ends at tau(w*) for the minimal
+factor w, which the case analysis of ``structure`` reads.  (-1,1) fixes a
+word on the left exactly when the word starts negative: with w[0] < 0 the
+junction folds (-1,1,w[0]) into w[0], and with w[0] > 0 the product
+(-1, 1 + w[0], ...) is one entry longer than w.  So ``upper_idempotent`` reads its answer off n[0].
 """
 
 from itertools import accumulate
@@ -76,11 +78,23 @@ def unit_shift(u: Word) -> Word:
     return (GEN if u[0] < 0 else GEN_STAR) * u
 
 
-def _check_sa_d1(n: Word) -> None:
-    """Refuse n unless it is selfadjoint (checked first) and in D1."""
-    _sa_half(n)
-    if max(accumulate(n)) > 1:
+def _check_sa_d1(n: Word) -> tuple[int, int]:
+    """Refuse n unless it is selfadjoint (checked first) and in D1; return
+    h = len(n)/2 and t = sig[h-1] = tau(w*) for w = n[h:], the last prefix
+    sum of the first half, read off one scan of that half.
+
+    The half suffices.  With L = len(n), selfadjointness gives
+    n[L-1-j] = -n[j], so tau(n) = 0 = sig[L-1], and for 0 <= j <= L-2,
+    sig[L-2-j] = tau(n) - (n[L-1-j] + ... + n[L-1]) = n[0] + ... + n[j] =
+    sig[j].  Each index h <= r <= L-2 mirrors to L-2-r <= h-2, so
+    max(sig) = max(max(sig[:h]), 0), and as 0 <= 1 that is at most 1
+    exactly when max(sig[:h]) is.
+    """
+    h = _sa_half(n)
+    sig = list(accumulate(n[:h]))
+    if max(sig) > 1:
         raise DomainError("not in D1: %s" % _echo(n))
+    return h, sig[-1]
 
 
 def hollow_successors(n: Word) -> set[Word]:

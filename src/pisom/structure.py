@@ -17,11 +17,12 @@ their last entry.  Inside D0 every cut is a zero cut, so the factors of a
 D0 word are its slices between zero prefix sums (proof at
 :func:`factor_d0`).  The canonical form and the case tag of a selfadjoint
 element are read off its prefix sums, with no factor built: the tag off
-the first half, and the center and flank off the cuts nearest the middle
-(proof at :func:`sa_canonical_d1`).  The theorems
-they rest on (recomposition, minimality, plus-irreducible factors in D0,
-the star-palindromic factor sequence) are checked exhaustively on short
-words in the tests, against the cut-and-recurse form of the split.
+the first half, whose sum the D1 check returns from its one scan, and the
+center and flank off the cuts nearest the middle (proof at
+:func:`sa_canonical_d1`).  The theorems they rest on (recomposition,
+minimality, plus-irreducible factors in D0, the star-palindromic factor
+sequence) are checked exhaustively on short words in the tests, against
+the cut-and-recurse form of the split.
 
 Plus-irreducibles are graded by the positive-entry sum.  A grade is
 enumerated directly from the definition: the reduced words that start
@@ -234,7 +235,8 @@ def sa_canonical_d1(n: Word):
     r, to one at L-1-r.  The cuts are symmetric about the middle, and the
     factors after the middle multiply to the remainder there, whose scan is
     the tail of n's scan.  The case is read off t = sig[h-1] = tau(w*) for
-    w = n[h:], as in :func:`classify_sa`; in D1, t <= 1.
+    w = n[h:], as in :func:`classify_sa`; ``order._check_sa_d1`` returns it
+    with h, from the one scan of the first half that bounds it by 1.
 
     - t = 0: the middle is a zero cut, so the factors split evenly and the
       flank is w.
@@ -255,10 +257,8 @@ def sa_canonical_d1(n: Word):
     Every piece is a slice of n or one with its cut ends replaced by prefix
     sums of their sign, as in factor_a0, so it is built unchecked.
     """
-    _check_sa_d1(n)
+    h, t = _check_sa_d1(n)
     L = len(n)
-    h = L // 2
-    t = sum(n[:h])  # tau of w*
     if t == 0:
         return None, _trusted(n[h:])
     if t == 1:
@@ -280,10 +280,10 @@ def classify_sa(n: Word) -> str:
     CenterUnitPos: the hollowed idempotent (1,-1) sits at the center;
     Boundary: plain m*m with m fixed by the plus unit;
     CenterIrrNeg: an irreducible of D0 sits at the center.
-    The tag is read off tau(w*), the sum of the first half of n = w* w.
+    The tag is read off tau(w*), the sum of the first half of n = w* w,
+    which the D1 check returns.
     """
-    _check_sa_d1(n)
-    t = sum(n[: len(n) // 2])  # tau of w*
+    _, t = _check_sa_d1(n)
     if t == 1:
         return "CenterUnitPos"
     if t == 0:

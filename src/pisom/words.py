@@ -90,6 +90,11 @@ that re-validates every output on an exhaustive space:
   word: slices between its cuts, with the cut entries replaced by prefix
   sums): ``test_sa_canonical_matches_factor_and_fold`` (the 4,279 D1 words
   w* w with weight(w) <= 18, against the factor sequence and its product);
+- ``matrix.classify_matrix``'s Case2 split (an entry cut at its first
+  prefix sum 1, the cut entry shared out between the two pieces):
+  ``test_case2_matches_factor_and_fold`` (the 2,498 negative-start words
+  of tau 0, every prefix sum <= 1 and weight <= 22, against the factor
+  sequence cut at its first (1,-1) and multiplied out);
 - the words of ``structure._plus_irreducibles`` (a first entry, x and -m
   concatenated with one of the completions listed once per prefix state):
   ``test_enum_elements_meet_the_definition`` (every plus-irreducible of

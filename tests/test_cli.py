@@ -29,6 +29,12 @@ HMM_GRAM_JSON = (
     '["(-4,3,-2,3)", "(-4,3,-3,4)"]], "witness": ["(-2,3)", "(-3,4)"]}'
 )
 
+#: pisom gram '["(-2,3,-1)", "(-3,2,-2,3)"]'
+SPLIT_GRAM_JSON = (
+    '{"k": 2, "cells": [["(1,-3,2,-2,3,-1)", "(1,-3,2,-3,2,-2,3)"], '
+    '["(-3,2,-2,3,-2,3,-1)", "(-3,2,-2,3,-3,2,-2,3)"]], "witness": ["(-2,3,-1)", "(-3,2,-2,3)"]}'
+)
+
 GOLDEN_CASES = [
     ("reduce", ["reduce", "(2,-1,2,-1)"]),
     ("mul", ["mul", "(-3,3)", "(2,-2)"]),
@@ -60,6 +66,8 @@ GOLDEN_CASES = [
     ),
     ("classify_hmm", ["classify", HMM_GRAM_JSON]),
     ("classify_word", ["classify", "(-2,2,-2,2)"]),
+    # Case2 with a (1,-1) factor: the entry (-2,3,-1) splits as (-2,2) (1,-1)
+    ("classify_split", ["classify", SPLIT_GRAM_JSON]),
     ("partitions", ["partitions", "2", "3"]),
     ("iota_tau", ["iota-tau", '{"k": 1, "cells": [["(-3,2,-2,3)"]], "witness": ["(-2,3)"]}', "[2]"]),
     ("verify_rep", ["verify-rep", "--seed", "0", "--dim", "3", "--count", "20"]),
@@ -249,6 +257,26 @@ def test_malformed_json_under_optimize():
 def _src_env():
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+@pytest.mark.parametrize("argv", [["enum-irr", "8"], ["enum-irr", "8", "--json"], ["reduce", "(2,-1,2,-1)"]])
+def test_closed_stdout_is_exit_1_without_a_traceback(argv):
+    # the child's stdout is a pipe whose read end is already closed, so its
+    # first write fails: it ends with exit code 1 and nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pisom.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_numpy_is_imported_only_by_numeric_commands():
@@ -1090,6 +1118,7 @@ TRUSTED_CALLERS = {
     "_bracket": "test_maps.py::test_bracket_matches_the_products",
     "sa_canonical_d1": "test_structure.py::test_sa_canonical_matches_factor_and_fold",
     "_plus_irreducibles": "test_structure.py::test_enum_elements_meet_the_definition",
+    "classify_matrix": "test_matrix.py::test_case2_matches_factor_and_fold",
 }
 
 
@@ -1298,3 +1327,16 @@ def test_find_order_fixture_constraint_failure_is_one_error_line(monkeypatch, ca
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and stderr.startswith("error: %s fails: pi(" % constraint) and stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_code_lines_per_module_sum_to_the_total(monkeypatch, capsys):
+    script = load_script(monkeypatch, "code_lines")
+    source = '"""Module doc."""\n\n# a comment\ndef f(x):\n    """Doc\n    string."""\n    return (x,\n            x)  # tail\n'
+    assert script.code_lines(source) == 3
+    monkeypatch.setattr(sys, "argv", ["code_lines.py"])
+    assert script.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = {name: int(n) for name, n in rows[:-1]}
+    assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(counts.values())
+    assert set(counts) == {path.stem for path in (REPO / "src" / "pisom").glob("*.py")}
+    assert all(n > 0 for n in counts.values())

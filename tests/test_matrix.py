@@ -45,7 +45,7 @@ from pisom.words import (
     parse_word,
 )
 
-from conftest import hollow_choices, ref, words_upto
+from conftest import hollow_choices, passes_the_check, ref, words_upto
 
 W = parse_word
 
@@ -949,6 +949,56 @@ def test_classify_exhaustive_d1_small():
     assert mixed == 44 + 378
     assert case3 == 59
     assert min(cases.get(c, 0) for c in ("Case1", "Case2", "Case3")) > 0, cases
+
+
+def case2_by_factor_and_fold(w):
+    """classify_matrix's Case2 split of one entry as first written: the
+    factors of w before its first (1,-1) and from it on, each side
+    multiplied out, (-1,1) for an empty second side."""
+    factors = factor_a0(w)
+    cut = next((i for i, f in enumerate(factors) if f == UNIT_MINUS), len(factors))
+    head, tail = factors[:cut], factors[cut:]
+    # w starts negative, so its first factor is not (1,-1) and head is never empty
+    return functools.reduce(Word.__mul__, head), (functools.reduce(Word.__mul__, tail) if tail else UNIT_PLUS)
+
+
+def case2_entries(max_weight):
+    """Every word of weight <= max_weight that can be an entry of a Case2
+    factorization: it starts negative, has tau 0 and every prefix sum at
+    most 1.  Depth first, through the checked constructor."""
+    out = []
+
+    def extend(seq, s, used):
+        if s == 0:
+            out.append(Word(seq))
+        if len(seq) > 1 and abs(seq[-1]) == 1:
+            return
+        sign = 1 if seq[-1] < 0 else -1
+        top = max_weight - used if sign < 0 else min(max_weight - used, 1 - s)
+        for mag in range(1, top + 1):
+            extend(seq + (sign * mag,), s + sign * mag, used + mag)
+
+    for first in range(1, max_weight + 1):
+        extend((-first,), -first, first)
+    return out
+
+
+def test_case2_matches_factor_and_fold():
+    # on every possible Case2 entry of weight <= 22 the split read off the
+    # prefix sums equals the one folded from the factors, entry by entry in
+    # order, and each piece, built unchecked, is a Word the checked
+    # constructor accepts.  Any vector of such entries is a Case2 matrix
+    # (each entry starts negative, has tau 0 and prefix sums <= 1), so they
+    # go in six at a time
+    entries = case2_entries(22)
+    assert len(entries) == 2498
+    assert sum(1 in itertools.accumulate(w) for w in entries) == 1737  # the rest lie in D0
+    for start in range(0, len(entries), 6):
+        vec = tuple(entries[start : start + 6])
+        res = classify_matrix(gram(vec))
+        assert res.case == "Case2", vec
+        assert list(zip(res.a, res.m)) == [case2_by_factor_and_fold(w) for w in vec], vec
+        assert all(map(passes_the_check, res.a + res.m)), vec
 
 
 @pytest.mark.xfail(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pisom.order import (
+    _check_sa_d1,
     hollow_depth,
     hollow_successors,
     leq,
@@ -203,6 +204,30 @@ def test_order_refuses_a_word_that_is_not_selfadjoint(bad, other):
     for call in calls:
         with pytest.raises(DomainError, match=r"^not selfadjoint: %s$" % re.escape(bad)):
             call()
+
+
+def test_d1_check_reads_the_first_half():
+    # on every product w* w with weight(w) <= 12 the half scan agrees with
+    # the full one: a D1 word gives h and the sum of its first half, any
+    # other is refused as not in D1; a word that is not selfadjoint is
+    # refused as such first, also when its prefix sums pass 1
+    squares = [w.star * w for w in iter_words(12)]
+    assert len(squares) == 1216
+    in_d1 = 0
+    for n in squares:
+        h = len(n) // 2
+        if member(n, "D1"):
+            assert _check_sa_d1(n) == (h, sum(n[:h])), n
+            in_d1 += 1
+        else:
+            with pytest.raises(DomainError, match=r"^not in D1: "):
+                _check_sa_d1(n)
+    assert in_d1 == 488
+    others = [w for w in iter_words(12) if not w.is_selfadjoint()]
+    assert len(others) == 1176 and any(w[0] > 1 for w in others)
+    for w in others:
+        with pytest.raises(DomainError, match=r"^not selfadjoint: "):
+            _check_sa_d1(w)
 
 
 def hollow_depth_by_walk(n):
