@@ -259,10 +259,17 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["enum-irr", "8"], ["enum-irr", "8", "--json"], ["reduce", "(2,-1,2,-1)"]])
-def test_closed_stdout_is_exit_1_without_a_traceback(argv):
+def test_closed_stdout_is_exit_1_without_a_traceback(argv, buffered):
     # the child's stdout is a pipe whose read end is already closed, so its
-    # first write fails: it ends with exit code 1 and nothing on stderr
+    # first write fails: in print when stdout is unbuffered, in the flush
+    # that follows the command when it is buffered.  Either way the call
+    # ends with exit code 1 and nothing on stderr
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -271,7 +278,7 @@ def test_closed_stdout_is_exit_1_without_a_traceback(argv):
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=_src_env(),
+            env=env,
             timeout=60,
         )
     finally:
