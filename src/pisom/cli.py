@@ -157,34 +157,36 @@ def _verify_korder(args):
     return rpt.to_json()
 
 
-def _int(text: str) -> int:
-    """An integer argument as int reads it; argparse's refusal of any other
-    text echoes it as words._echo does."""
+class _Digits(str):
+    """An integer argument of more than 4,300 digits, as its text."""
+
+
+def _int(text: str):
+    """An integer argument as int reads it.  A decimal literal of more than
+    4,300 digits, past Python's limit on int/str conversion, comes back as
+    a _Digits, for run to refuse once parsing is done (exit 1), since
+    argparse makes a refusal here a usage error (exit 2).  Any other text
+    that int refuses is one, and argparse's echo of it is cut as
+    words._echo cuts it."""
     try:
         return int(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d{4301,}\s*", text):
+            return _Digits(text)
         raise argparse.ArgumentTypeError("invalid int value: %r" % _echo(text)) from None
 
 
-def _count(text: str) -> int:
-    """--count as _int reads it, save that a decimal literal of more than
-    4,300 digits, past Python's limit on int/str conversion, is read as its
-    first 4,300 significant digits.  A count past the limit so keeps its
-    sign and head and stays past every cap, and the command refuses it
-    (exit 1) as it refuses any count too large or negative, where int would
-    make it a usage error."""
-    m = re.fullmatch(r"\s*([+-]?)(\d+)\s*", text)
-    if m and len(m[2]) > 4300:
-        return int(m[1] + (m[2].lstrip("0")[:4300] or "0"))
-    return _int(text)
-
-
 def _reader(arg):
-    """The argparse type of an argument row: --count reads through _count,
-    any other int argument through _int."""
-    if arg[0] == "--count":
-        return _count
+    """The argparse type of an argument row: _int for an int argument."""
     return _int if arg[1] is int else arg[1]
+
+
+def _refuse_long_integers(args) -> None:
+    """Refuse the first integer argument of more than 4,300 digits, named as
+    argparse names it."""
+    for arg in next(row for row in COMMANDS if row[0] == args.command)[2:]:
+        if isinstance(arg, tuple) and type(getattr(args, arg[0].lstrip("-"))) is _Digits:
+            raise DomainError("argument %s: an integer has more than 4,300 digits" % arg[0])
 
 
 _SEED, _DIM, _TOL = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
@@ -297,6 +299,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _refuse_long_integers(args)
         _show(args, args.fn(args))
     except (WordError, DomainError, *_numeric_errors()) as exc:
         print("error: %s" % exc, file=sys.stderr)

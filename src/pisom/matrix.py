@@ -3,9 +3,19 @@ generate.
 
 A Gram matrix stores the cells w_i* w_j of a word vector and the vector
 itself, its witness.  ``gram`` makes the cells with one kernel,
-``words._star_products``: each entry is cut once into its star and the
-slices the junction lemma of ``words`` needs, and each cell is one
-concatenation of those pieces, with no word product and no star per cell.
+``words._star_products``: each entry is cut once into its star, a plain
+tuple, and the slices the junction lemma of ``words`` needs, and each cell
+is one tuple display of those pieces, with no word product and no star per
+cell.  The Gram paths keep to one rule: no Word that the call does not
+return.  ``gram`` makes its cells and no other Word; ``factor_gram`` the
+other factorization; ``matrix_successors`` strips only the entries with
+two choices and takes their block of cells from the kernel, each of them
+a cell of a successor; ``immediate_predecessors`` reads both vectors off
+the witness with no factorization built.  ``matrix_leq`` tries the
+witnesses themselves, and ``classify_matrix`` builds the all-negative
+factorization it reads only when the witness starts positive in every
+entry.
+
 Every matrix has a witness: the builders make the cells from it, and a
 matrix that comes in as cells alone gets it at the way in
 (``GramMatrix.from_cells``, which ``from_json`` calls for JSON without a
@@ -25,9 +35,10 @@ hollowing choices, its strip s_i and its shift, and cell (i, j) of a
 successor depends on the choices at i and j only.  Every cell that
 involves a shift is the cell of g (see ``matrix_successors``), and an entry
 whose strip is its shift has one choice, so only the m entries with two
-choices are multiplied: the Gram matrix of their strips, one kernel
-call, and each of the 2^m choice vectors is assembled from that block
-and the rows of g by lookup; a fixed cap, k <= K_CAP, bounds that
+choices, those whose first entry is no unit, are stripped and multiplied:
+the cells of their strips, one kernel call, and each of the 2^m choice
+vectors is assembled from that block and the rows of g by lookup; no two
+give one successor, and a fixed cap, k <= K_CAP, bounds that
 enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
 witness's prefix sums (``GramMatrix.tagged``), which takes no other tag.
 The order the steps generate needs no enumeration, at any rank: a chain
@@ -64,6 +75,7 @@ EXPANSION_CAP = 10**6  # cells in one iota_tau() result
 #: words times entries in all of a vector read from JSON: its Gram matrix has
 #: k^2 cells holding at most 2 k n entries, so 500 one-entry words at most
 VECTOR_CAP = 500**2
+_SQUARE, _SQUARE_STAR = Word((2,)), Word((-2,))  # the generator squared and its star
 
 
 class GramMatrix:
@@ -264,22 +276,38 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     Take the all-negative factorization w (the all-positive one is the
     mirror).  The choices of w_i are its strip s_i, with (-1) s_i = w_i,
     and its shift (1) w_i, which is the entry i of the other factorization;
-    they coincide when w_i starts with -1.  A shift leaves its row and its
-    column as they are in g: ((1) w_i)* c_j = w_i* (-1) c_j is w_i* w_j for
-    c_j = s_j, and w_i* (-1,1) w_j = w_i* w_j for c_j = (1) w_j; and
+    they coincide exactly when w_i starts with -1 (s_i is then w_i[1:], or
+    (1,-1) for w_i = (-1), and so is (1) w_i), so w_i has two choices
+    exactly when its first entry e has |e| >= 2, and no strip is made to
+    find that out.  A shift leaves its row and its column as they are in g:
+    ((1) w_i)* c_j = w_i* (-1) c_j is w_i* w_j for c_j = s_j, and
+    w_i* (-1,1) w_j = w_i* w_j for c_j = (1) w_j; and
     s_i* (1) w_j = ((-1) s_i)* w_j = w_i* w_j.  So cell (i, j) of a choice
     vector is cell (i, j) of gram(s) when both i and j strip, and that of g
-    otherwise.  An entry whose strip is its shift has one choice and takes
-    g's cells, so only the m entries with two choices are multiplied: the
-    block gram of their strips, one kernel call, and none when m = 0, as
-    the one choice vector is then the other factorization.  Each choice
-    vector is a flag per entry, 0 to strip and 1 to shift, and each of its
-    cells is looked up in a (block cell, g cell) pair.  The choice vectors
-    run in cartesian order, strip first, so a successor reached twice keeps
-    its first witness.  The last one shifts every entry and is g; it is the
-    only one that is: an entry with two choices starts with e, |e| >= 2, so
-    w_i* w_i is a plain concatenation of weight 2 weight(w_i), while
-    s_i* s_i weighs at most 2 weight(w_i) - 2.
+    otherwise.  An entry with one choice takes g's cells, so only the m
+    entries with two choices are stripped and multiplied: the block of
+    their strips' cells, one kernel call, and none when m = 0, as the one
+    choice vector is then the other factorization.  Each choice vector is
+    a flag per entry, 0 to strip and 1 to shift, and each of its cells is
+    looked up in a (block cell, g cell) pair.  The choice vectors run in
+    cartesian order, strip first.  The last one shifts every entry and is
+    g; it is the only one that is: an entry with two choices starts with
+    e, |e| >= 2, so w_i* w_i is a plain concatenation of weight
+    2 weight(w_i), while s_i* s_i weighs at most 2 weight(w_i) - 2.
+
+    No successor is reached twice, so g has 2^m - 1 successors from each
+    factorization, summed over both.  On one side, two choice vectors
+    differ at an entry with two choices, which differ.  Every choice of
+    w_i has tau(w_i) + 1, and every choice of the other factorization's
+    entry (1) w_i has tau(w_i): its strip s' has (1) s' = (1) w_i, and its
+    shift is (-1,1) w_i = w_i.  So the two sides share no choice vector.
+    Two distinct vectors with one Gram matrix are its two factorizations,
+    the negative-start one lower in tau by one in every entry, so a
+    successor reached twice would be reached from both sides, its
+    all-negative witness x from the positive side.  There each entry with
+    two choices starts with e >= 2 and its strip with e - 1 >= 1, so
+    every entry of x is a shift and x is the last choice vector, g, which
+    is left out.
     """
     if require:
         _require_tag(g, require)
@@ -291,11 +319,13 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
         return out
     rows = g.cells
     for vec, other in (facts, facts[::-1]):  # the shifts of vec are the entries of other
-        choices = tuple((unit_strip(w), o) for w, o in zip(vec, other))
-        two = [i for i, (s, o) in enumerate(choices) if s != o]
+        two = [i for i, w in enumerate(vec) if w[0] != 1 and w[0] != -1]
         if not two:
             continue
-        block = gram(tuple(choices[i][0] for i in two)).cells
+        choices = [(o, o) for o in other]  # choices[i][f]: entry i under flag f
+        for i in two:
+            choices[i] = (unit_strip(vec[i]), other[i])
+        block = _star_products([choices[i][0] for i in two])
         opts = [(1,)] * g.k
         pairs = [None] * g.k  # pairs[i][j][f]: cell (i, j) when entry i strips and entry j takes flag f
         for i, brow in zip(two, block):
@@ -305,7 +335,7 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
             for j, b in zip(two, brow):
                 p[j] = (b, row[j])
         for flags in islice(_cartesian(*opts), (1 << len(two)) - 1):
-            cells = tuple(row if f else tuple(map(getitem, p, flags)) for row, p, f in zip(rows, pairs, flags))
+            cells = tuple([row if f else tuple(map(getitem, p, flags)) for row, p, f in zip(rows, pairs, flags)])
             out.add(GramMatrix(cells, tuple(map(getitem, choices, flags))))
     return out
 
@@ -332,16 +362,20 @@ def matrix_leq(g1: GramMatrix, g2: GramMatrix) -> bool:
     sign, to gram(c) with u c_i == w_i: the hollowing choices of w_i are
     exactly those c_i.  So g1 <= g2 exactly when g1 == g2 or a factorization
     w of g1 is (E c_0, ..., E c_{k-1}) for a factorization c of g2 and a word
-    E, which is then a left quotient of w_0 by c_0.  Only the first
-    factorizations need trying: a second one is (1) times the first entry
-    by entry, and E (1) c_i = (E (1)) c_i, while (1) w_i = E c_i gives
-    w_i = (-1,1) w_i = ((-1) E) c_i, as every w_i starts negative.
+    E, which is then a left quotient of w_0 by c_0.  Any one factorization
+    of each serves, so the witnesses are tried and no other is built: an E
+    for one pair gives one for any other.  When g2 has two factorizations,
+    the all-negative c and (1) c, then for any vector v, v_i = E c_i gives
+    v_i = E (-1,1) c_i = (E (-1)) (1) c_i, and v_i = E (1) c_i gives
+    v_i = (E (1)) c_i.  When g1 has two, the all-negative x and (1) x, then
+    x_i = E c_i gives (1) x_i = ((1) E) c_i, and (1) x_i = E c_i gives
+    x_i = (-1,1) x_i = ((-1) E) c_i.
     """
     if g1.k != g2.k:
         raise DomainError("rank mismatch: %d vs %d" % (g1.k, g2.k))
     _require_tag(g1, "D1")
     _require_tag(g2, "D1")
-    w, c = factor_gram(g1)[0], factor_gram(g2)[0]
+    w, c = g1.witness, g2.witness
     return g1 == g2 or any(all(e * ci == wi for ci, wi in zip(c, w)) for e in _left_quotients(w[0], c[0]))
 
 
@@ -355,10 +389,19 @@ def immediate_predecessors(g: GramMatrix) -> tuple[GramMatrix, GramMatrix]:
     so the two vectors start with tau t - 1 and one more than the last: no
     factorization of g starts so.  With two factorizations w, (1) w the
     second matrix is gram((2) w).
+
+    Both vectors are read off the witness, with no factorization built:
+    (-1) w and (1) w for a witness w of mixed first signs, the one
+    factorization; (-1) w and (2) w for an all-negative one, the first; and
+    for an all-positive one u = (1) w, the last, (-2) u and (1) u, as
+    (-2) u = (-1)(-1,1) w = (-1) w.
     """
     _require_tag(g, "D1")
-    facts = factor_gram(g)
-    return gram(tuple(GEN_STAR * w for w in facts[0])), gram(tuple(GEN * w for w in facts[-1]))
+    w = g.witness
+    first = {e[0] > 0 for e in w}
+    lower = _SQUARE_STAR if first == {True} else GEN_STAR
+    upper = _SQUARE if first == {False} else GEN
+    return gram(tuple(lower * e for e in w)), gram(tuple(upper * e for e in w))
 
 
 # -- case analysis -----------------------------------------------------------
@@ -447,10 +490,10 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     sequence has odd length.
     """
     _require_tag(g, "D1")
-    facts = factor_gram(g)
-    if len(facts) == 1:
+    wit = g.witness
+    if len({e[0] > 0 for e in wit}) == 2:
         return MatrixClassification("Case3", True)
-    vec = facts[0]
+    vec = wit if wit[0][0] < 0 else tuple(GEN_STAR * e for e in wit)  # factor_gram(g)[0], built alone
     top = -vec[0].tau  # tau of w* is -tau of w
 
     if top == 1:

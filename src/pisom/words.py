@@ -60,7 +60,9 @@ that re-validates every output on an exhaustive space:
   weight <= 8, and every star), ``test_mul_matches_oracle_small_weights``
   (the all-orders oracle, weight <= 6) and ``test_mul_matches_full_reduction``;
 - the Gram cells v_i* v_j of :func:`_star_products` (the same lemma, with
-  the pieces of each entry cut once): ``test_star_products_pass_the_check``
+  the pieces of each entry, its star among them, cut once as plain tuples,
+  so that the cells are the only Words the kernel makes):
+  ``test_star_products_pass_the_check``
   (every pair of words of weight <= 7) and
   ``test_star_products_match_the_reference`` (seeded vectors of rank <= 6
   with long entries and big magnitudes);
@@ -282,26 +284,30 @@ def _star_products(v) -> tuple[tuple[Word, ...], ...]:
     lemma (module docstring) reads its case off a = v_i[0] and b = v_j[0]
     alone: the last entry of s_i is -a, the one before it is -v_i[1], and
     s_i[:-1] is the star of v_i[1:].  So each entry w is cut once, into its
-    star s, its first entry, w[1:] and s[:-1], and, when it starts with a
-    unit and has more than one entry, w[2:], s[:-2] and the sum of its first
-    two entries; each cell is then one concatenation of these pieces, with
-    no product and no star:
+    star s (a plain tuple, reversed and negated as ``Word.star`` does, but
+    not wrapped), its first entry, w[1:] and s[:-1], and, when it starts
+    with a unit and has more than one entry, w[2:], s[:-2] and the sum of
+    its first two entries; each cell is then one tuple display of these
+    pieces, with no product and no star:
 
     - a and b of opposite signs (-a and b merge):
-      s_i[:-1] + (b - a,) + w_j[1:];
+      (*s_i[:-1], b - a, *w_j[1:]);
     - else, v_i starts with a unit and len(v_i) > 1:
-      s_i[:-2] + (b - a - v_i[1],) + w_j[1:];
+      (*s_i[:-2], b - a - v_i[1], *w_j[1:]);
     - else, v_j starts with a unit and len(v_j) > 1:
-      s_i[:-1] + (b - a + v_j[1],) + w_j[2:];
+      (*s_i[:-1], b - a + v_j[1], *w_j[2:]);
     - else the plain concatenation s_i + w_j.
 
     These are the cases of ``Word.__mul__`` on (s_i, w_j) in order, so each
-    cell equals ``v[i].star * v[j]``.  An entry that is not a Word has no
-    star and raises before any cell is made.
+    cell equals ``v[i].star * v[j]``.  The cells are the only Words made,
+    and the call returns every one.  An entry that is not a Word is a
+    TypeError, raised before any cell is made.
     """
     left, right = [], []  # the pieces of each entry as v_i* and as v_j
     for w in v:
-        s = w.star
+        if type(w) is not Word:
+            raise TypeError("a Gram entry must be a Word, not %s" % type(w).__name__)
+        s = tuple([-e for e in w[::-1]])
         b = w[0]
         pos = b > 0
         if len(w) > 1 and (b == 1 or b == -1):
@@ -316,11 +322,11 @@ def _star_products(v) -> tuple[tuple[Word, ...], ...]:
         row = []
         for w, b, bpos, tail, tail2, d in right:
             if bpos is not pos:
-                cell = head + (b - a,) + tail
+                cell = (*head, b - a, *tail)
             elif head2 is not None:
-                cell = head2 + (b - c,) + tail
+                cell = (*head2, b - c, *tail)
             elif tail2 is not None:
-                cell = head + (d - a,) + tail2
+                cell = (*head, d - a, *tail2)
             else:
                 cell = s + w
             row.append(_trusted(cell))

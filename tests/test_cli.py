@@ -478,13 +478,9 @@ TRACEBACK_TEXT = {
         "fixture %s... is not JSON: Expecting value: line 1 column 1 (char 0)" % ("j" * 20)
     ),
     "work_past_the_limit": "--count 99999999999999999999... at --k 8 exceeds the cap of 5120 on --count times 2^k",
-    "count_past_the_limit": (
-        "--count 99999999999999999999... at --dim 4 exceeds the cap of 131072 on --count times --dim"
-    ),
-    "negative_count_past_the_limit": (
-        "a sample of -9999999999999999999... relations is negative or exceeds the cap of 100000"
-    ),
-    "negative_korder_count_past_the_limit": "--count must be nonnegative, got -9999999999999999999...",
+    "count_past_the_limit": "argument --count: an integer has more than 4,300 digits",
+    "negative_count_past_the_limit": "argument --count: an integer has more than 4,300 digits",
+    "negative_korder_count_past_the_limit": "argument --count: an integer has more than 4,300 digits",
     "literal_past_the_limit": "word literal must be parenthesized: '99999999999999999999...'",
     "malformed_literal_past_the_limit": "malformed word literal: '(1,,9999999999999999...'",
 }
@@ -525,21 +521,33 @@ def test_traceback_reproducers_are_one_error_line(monkeypatch, tmp_path, name):
 
 
 def test_integer_arguments_past_the_digit_limit():
-    # a --count of more than 4,300 digits is read as its first 4,300
-    # significant digits, so a count with fewer reads exactly; any other
-    # integer argument past the limit stays a usage error, as does text that
-    # is no integer, and argparse's echo of it is cut
-    assert cli._count("9" * 4301) == int("9" * 4300)
-    assert cli._count(" -%s " % ("12" * 2200)) == -int(("12" * 2200)[:4300])
-    assert cli._count("0" * 4300 + "5") == 5 and cli._count("0" * 4301) == 0
-    with pytest.raises(argparse.ArgumentTypeError, match=r"^invalid int value: 'xxxxxxxxxxxxxxxxxxxx\.\.\.'$"):
-        cli._count("x" * 81)
-    code, out, err = invoke(["verify-korder", "--count", "0" * 4300 + "3"])
+    # every integer argument of more than 4,300 digits, past Python's limit
+    # on int/str conversion, --seed and --count included, ends in exit 1
+    # with one error line that names it, as a JSON integer does; 4,300
+    # digits read as int reads them, leading zeros counted, and text that is
+    # no integer stays a usage error whose echo is cut
+    for argv, name in (
+        (["random-pi", "9" * 4301], "n"),
+        (["random-pi", "2", "--seed", "9" * 4301], "--seed"),
+        (["sigma", "(1)", "-" + "9" * 4310], "r"),
+        (["partitions", "2", " %s " % ("12" * 2200)], "k"),
+        (["verify-rep", "--count", "9" * 4301], "--count"),
+        (["verify-korder", "--k", "1", "--count", "0" * 4300 + "3"], "--count"),
+        (["verify-korder", "--k", "+" + "0" * 4301, "--count", "x"], None),
+    ):
+        code, out, err = invoke(argv)
+        if name is None:  # a usage error comes first
+            assert code == 2 and err.endswith("error: argument --count: invalid int value: 'x'\n"), err
+        else:
+            assert (code, out, err) == (1, "", "error: argument %s: an integer has more than 4,300 digits\n" % name)
+    code, out, err = invoke(["verify-korder", "--count", "0" * 4299 + "3"])
     assert code == 0 and json.loads(out)["total"] == 3 and err == ""
-    code, out, err = invoke(["random-pi", "9" * 4301])
-    assert code == 2 and err.endswith("error: argument n: invalid int value: '99999999999999999999...'\n"), err
+    code, out, err = invoke(["random-pi", "x" * 81])
+    assert code == 2 and err.endswith("error: argument n: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...'\n"), err
     code, out, err = invoke(["verify-rep", "--count", "x" * 80])
     assert code == 2 and err.endswith("error: argument --count: invalid int value: '%s'\n" % ("x" * 80)), err
+    code, out, err = invoke(["verify-rep", "--count", "1" * 4301 + "x"])
+    assert code == 2 and err.endswith("error: argument --count: invalid int value: '%s...'\n" % ("1" * 20)), err
 
 
 @pytest.mark.parametrize("command", ["order-succ", "order-leq", "tau-plus", "irr", "beta-omega"])

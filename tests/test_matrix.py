@@ -1,3 +1,4 @@
+import collections
 import functools
 import io
 import itertools
@@ -393,17 +394,39 @@ def immediate_predecessors_by_push(g):
     return push(GEN_STAR, Word((-2,))), push(GEN, Word((2,)))
 
 
+def mirror(g):
+    """g with its other factorization as the witness; g must have two."""
+    negative, positive = factor_gram(g)
+    return gram(positive if g.witness == negative else negative)
+
+
+def with_both_witnesses(grams):
+    """Each matrix and, when it has two factorizations, after it the same
+    matrix with the mirror witness."""
+    return [h for g in grams for h in ((g, mirror(g)) if len(factor_gram(g)) == 2 else (g,))]
+
+
+def witness_signs(g):
+    """The first signs of g's witness: mixed, negative or positive."""
+    first = {w[0] > 0 for w in g.witness}
+    return "mixed" if len(first) == 2 else "positive" if True in first else "negative"
+
+
 def test_shifts_leave_the_cells_of_g():
     # on every D1 matrix of the small space the predecessors are those of
-    # the reference that builds gram((1) w); on the 227 with two
-    # factorizations the second is (1) times the first entry by entry, and
-    # a shifted entry of a choice vector leaves its row and its column as
-    # they are in g
+    # the reference that builds gram((1) w), with the witness that
+    # d1_grams_small kept and with the mirror one, so that all-negative and
+    # all-positive witnesses both occur; on the 227 with two factorizations
+    # the second is (1) times the first entry by entry, and a shifted entry
+    # of a choice vector leaves its row and its column as they are in g
+    grams = with_both_witnesses(d1_grams_small())
+    assert collections.Counter(map(witness_signs, grams)) == {"mixed": 422, "negative": 227, "positive": 227}
+    for h in grams:
+        got = immediate_predecessors(h)
+        want = immediate_predecessors_by_push(h)
+        assert [(p.cells, p.witness) for p in got] == [(p.cells, p.witness) for p in want], h
     two = shifted = 0
     for g in d1_grams_small():
-        got = immediate_predecessors(g)
-        want = immediate_predecessors_by_push(g)
-        assert [(h.cells, h.witness) for h in got] == [(h.cells, h.witness) for h in want], g
         facts = factor_gram(g)
         if len(facts) == 1:
             continue
@@ -418,6 +441,20 @@ def test_shifts_leave_the_cells_of_g():
                         assert h[i] == g.cells[i], (g, choice)
                         assert all(h[j][i] == g.cells[j][i] for j in range(g.k)), (g, choice)
     assert (two, shifted) == (227, 2327)
+
+
+def test_every_choice_vector_gives_its_own_successor():
+    # no successor is reached twice (proof at matrix_successors): on every
+    # D1 matrix of the small space the successors number 2^m - 1 from each
+    # factorization, summed over both, m the entries of that factorization
+    # with two hollowing choices; a mixed-sign matrix has none
+    total = 0
+    for g in d1_grams_small():
+        facts = factor_gram(g)
+        want = sum(2 ** sum(len(hollow_choices(w)) == 2 for w in vec) - 1 for vec in facts) if len(facts) == 2 else 0
+        assert len(matrix_successors(g)) == want, g
+        total += want
+    assert total == 813
 
 
 def draw_d1_vector(rng, pool, compat, k, uniform):
@@ -584,6 +621,16 @@ def test_matrix_leq_matches_search():
     verdicts = [matrix_leq(a, b) for a, b in pairs]
     assert len(pairs) == 2056 and sum(verdicts) == 111
     assert verdicts == [matrix_leq_by_search(a, b) for a, b in pairs]
+    # the same verdicts with either witness of each matrix, all-negative
+    # and all-positive witnesses alike
+    verdict = {(a.cells, b.cells): v for (a, b), v in zip(pairs, verdicts)}
+    both = [with_both_witnesses(gs) for gs in by_rank]
+    signs = collections.Counter(witness_signs(g) for gs in both for g in gs)
+    assert signs == {"mixed": 30, "negative": 34, "positive": 34}
+    for gs in both:
+        for a in gs:
+            for b in gs:
+                assert matrix_leq(a, b) == verdict[a.cells, b.cells], (a.witness, b.witness)
 
 
 def test_left_quotients_exhaustive():
@@ -923,6 +970,8 @@ def test_classify_exhaustive_d1_small():
     mixed, case3, cases = 0, 0, {}
     for g, vec in d1_grams_small().items():
         res = classify_matrix(g)
+        if len(factor_gram(g)) == 2:  # the other witness gives the same answer
+            assert classify_matrix(mirror(g)) == res, g
         cases[res.case] = cases.get(res.case, 0) + 1
         if len({w[0] > 0 for w in vec}) > 1:
             mixed += 1

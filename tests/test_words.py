@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pisom import words
+from pisom.matrix import gram
 from pisom.words import (
     GEN,
     UNIT_MINUS,
@@ -293,8 +294,9 @@ def test_star_products_match_the_reference():
 
 
 def test_star_products_refuse_a_plain_tuple(monkeypatch):
-    # an entry that is not a Word has no star: the kernel raises before it
-    # makes any cell, so nothing built from that entry is wrapped unchecked
+    # an entry that is not a Word is refused, wherever it stands in the
+    # vector, before the kernel makes any cell, so nothing built from that
+    # entry is wrapped unchecked
     made = []
     real = words._trusted
 
@@ -304,11 +306,13 @@ def test_star_products_refuse_a_plain_tuple(monkeypatch):
 
     monkeypatch.setattr(words, "_trusted", record)
     w = Word((-2, 3))
-    for vec, want in ((((2, 2), w), []), ((w, (2, 2)), [(-3, 2)])):
+    for vec in (((2, 2), w), (w, (2, 2))):
         made.clear()
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError, match=r"^a Gram entry must be a Word, not tuple$"):
             _star_products(vec)
-        assert made == want, vec
+        with pytest.raises(TypeError, match=r"^a Gram entry must be a Word, not tuple$"):
+            gram(vec)
+        assert made == [], vec
 
 
 def test_mul_by_plain_tuple():
