@@ -1,4 +1,3 @@
-import argparse
 import ast
 import importlib.util
 import io
