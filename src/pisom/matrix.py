@@ -53,7 +53,7 @@ from itertools import accumulate, combinations, islice
 from itertools import product as _cartesian
 from operator import getitem
 
-from .order import sa_factorizations, unit_shift, unit_strip
+from .order import sa_factor_min, sa_factorizations, unit_shift, unit_strip
 from .structure import sa_canonical_d1
 from .words import (
     GEN,
@@ -482,8 +482,8 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     both are reduced and are built unchecked.
 
     Case3 splits each diagonal cell as m_i* center_i m_i (its minimal
-    factor) and takes lam_i as the negative-start factor of the center.
-    Every diagonal cell has a center: each w_i has tau -top (the cells of
+    factor) and takes lam_i as the negative-start factor of the center:
+    its minimal factor w, or (-1) w when w starts positive.  Every diagonal cell has a center: each w_i has tau -top (the cells of
     D1 have tau 0), so the minimal factor, w_i or (1) w_i, has tau -top or
     1 - top, never 0.  The prefix sum at the middle of g_ii is minus that
     tau, so the middle is not a zero cut, and the star-palindromic factor
@@ -512,7 +512,8 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
     for i in range(g.k):
         center, flank = sa_canonical_d1(g.cells[i][i])
         m.append(flank if flank is not None else UNIT_PLUS)
-        lam.append(sa_factorizations(center)[0])
+        w = sa_factor_min(center)
+        lam.append(w if w[0] < 0 else GEN_STAR * w)  # sa_factorizations(center)[0], built alone
     return MatrixClassification("Case3", False, m=tuple(m), lam=tuple(lam))
 
 

@@ -50,13 +50,19 @@ Certification.  All four verify calls run through one loop,
 ``_certified``: it refuses a call whose matrix order exceeds DIM_CAP, the
 bound the rounding analysis above assumes, before any word is evaluated,
 and certifies the whole batch at once, in one stack per matrix order that
-occurs in it.  The order and Schwarz relations and the k-order relations
-are PSD tests; the conjugation identity bounds the spectral norm of each
-residual v* eval(n) v - eval(alpha(n)).  Its words are evaluated
-against one memo, dropped when the call returns: the powers v^j, grown
-by repeated multiplication, their conjugate transposes (v*)^j, and the
-image of every word, suffix and half met in the call; a word or slice
-goes to its half exactly when ``Word.is_selfadjoint`` holds.  So the two
+occurs in it.  Finite inputs make a value that is not finite only by an
+overflow, and the loop runs under numpy's errstate with overflow and
+invalid operations raised, so such a value is a DomainError, not a
+warning: a generator assignment, or a v that is no partial isometry, may
+have images large enough for it.  The order and Schwarz relations and the
+k-order relations are PSD tests; the conjugation identity bounds the
+spectral norm of each residual v* eval(n) v - eval(alpha(n)).  Its
+words are evaluated against one memo, dropped when the call returns: the
+powers v^j, grown by repeated multiplication, and their conjugate
+transposes (v*)^j, each kept as the image of the one-entry word (j) or
+(-j), and the image of every word, suffix and half met in the call; a
+word or slice goes to its half exactly when ``Word.is_selfadjoint``
+holds.  A word already in the memo is returned as it is.  So the two
 sides of a basic step, w* w <= c* c with c = w less one unit at the
 front, share the image of w[1:] and take about len(w) + 2 products
 between them.  Each word the call reads is evaluated once.  A difference m
@@ -114,10 +120,13 @@ The skew test first takes the Frobenius norm, which is never below the
 spectral norm: a skew part whose Frobenius norm is within tol (less a
 relative 1e-12, far above the rounding of either norm, so that near-ties
 go to the SVD) has spectral norm within tol, and every other one gets the
-exact SVD norm.  So acceptance is exactly the per-matrix
-SVD-and-eigensolve check; the conjugation identity uses the same
-prefilter for its residuals.  Batches are cut so that one stack holds at
-most 2^18 entries.
+exact SVD norm.  The prefilter compares squared norms, so it takes no
+square root: the sum of squares against the square of tol less the slack.
+Squaring moves the threshold by a few ulps, far inside the relative
+1e-12, so the argument holds as it stands.  So acceptance is exactly the
+per-matrix SVD-and-eigensolve check; the conjugation identity uses the
+same prefilter for its residuals.  Batches are cut so that one stack holds
+at most 2^18 entries.
 
 Also houses generator assignments: multiplicative *-maps on the
 prefix-sum-nonpositive subsemigroup given by images of its free
@@ -131,7 +140,6 @@ cannot exist; see scripts/find_order_fixture.py.
 
 import json
 import random
-from contextlib import contextmanager
 from functools import cache, reduce as _fold
 
 import numpy as np
@@ -233,16 +241,20 @@ class _Images:
         self.memo = {}
 
     def power(self, e: int):
-        """v^e, or for e < 0 the conjugate transpose of v^-e."""
-        if e < 0:
-            out = self.memo.get((e,))
-            if out is None:
-                out = self.memo[(e,)] = self.power(-e).conj().T
-            return out
-        table = self.up
-        while len(table) <= e:
-            table.append(table[-1].dot(table[1]))
-        return table[e]
+        """v^e, or for e < 0 the conjugate transpose of v^-e; memoized, both
+        signs, as the image of the one-entry word (e,)."""
+        memo = self.memo
+        out = memo.get((e,))
+        if out is None:
+            if e < 0:
+                out = self.power(-e).conj().T
+            else:
+                table = self.up
+                while len(table) <= e:
+                    table.append(table[-1].dot(table[1]))
+                out = table[e]
+            memo[(e,)] = out
+        return out
 
     def image(self, w):
         """X* X, X the image of x, for a selfadjoint w = star(x) x; for any
@@ -251,8 +263,10 @@ class _Images:
         The chain runs from w down to the first half or suffix in the memo,
         or to a single entry; the images are then built back up it."""
         memo = self.memo
-        chain = []
         out = memo.get(w)
+        if out is not None:
+            return out
+        chain = []
         while out is None and len(w) > 1:
             half = Word.is_selfadjoint(w)  # w may be a plain tuple slice
             chain.append((w, half))
@@ -289,11 +303,17 @@ _BATCH_ENTRIES = 1 << 18
 
 def _norms_over(stack, tol: float):
     """(i, ||stack[i]||_2) for every i whose spectral norm exceeds tol; the
-    SVD runs only where the Frobenius norm does not already settle it."""
+    SVD runs only where the Frobenius norm does not already settle it, and
+    not at all when it settles every matrix."""
     parts = stack.reshape(len(stack), -1).view(float)
-    fro = np.sqrt(np.einsum("ki,ki->k", parts, parts))
+    bound = tol * _FRO_SLACK
+    # squared norms against the signed square of the bound: a negative tol
+    # still settles nothing
+    unsettled = np.flatnonzero(~(np.einsum("ki,ki->k", parts, parts) <= bound * abs(bound)))
+    if not unsettled.size:
+        return []
     out = []
-    for i in np.flatnonzero(~(fro <= tol * _FRO_SLACK)):
+    for i in unsettled:
         norm = opnorm(stack[i])
         if norm > tol:
             out.append((i, norm))
@@ -306,7 +326,7 @@ def _cholesky_certifies(herm, tol: float) -> bool:
     of herm + (tol/2) I within the rounding bound.  The shift is made in
     place, and undone exactly."""
     d = herm.shape[1]
-    diagonal = np.einsum("kii->ki", herm)  # a view: writing it writes herm
+    diagonal = herm.reshape(len(herm), -1)[:, :: d + 1]  # a view: writing it writes herm
     saved = diagonal.copy()
     diagonal += tol / 2
     try:
@@ -358,19 +378,6 @@ def _batches(items, dim: int, diff):
         yield start, stack
 
 
-@contextmanager
-def _in_double_precision():
-    """Finite inputs make a value that is not finite only by an overflow,
-    which is a DomainError here rather than a numpy warning: a generator
-    assignment, or a matrix v that is no partial isometry, may have images
-    large enough for it."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
-
-
 def _psd_failures(stack, tol: float):
     """(i, min_eig) for every matrix of the stack that _certify refuses."""
     ok, eigs = _certify(stack, tol)
@@ -395,12 +402,15 @@ def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures,
     items = list(items)
     orders = [dim] * len(items) if orders is None else orders
     failed = {}
-    with _in_double_precision():
-        for order in dict.fromkeys(filter(None, orders)):
-            wheres = [j for j, o in enumerate(orders) if o == order]
-            for start, stack in _batches(wheres, order, lambda j, out: diff(items[j], out)):
-                for i, value in check(stack, tol):
-                    failed[wheres[start + i]] = value if order == dim else min(value, 0.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for order in dict.fromkeys(filter(None, orders)):
+                wheres = [j for j, o in enumerate(orders) if o == order]
+                for start, stack in _batches(wheres, order, lambda j, out: diff(items[j], out)):
+                    for i, value in check(stack, tol):
+                        failed[wheres[start + i]] = value if order == dim else min(value, 0.0)
+    except FloatingPointError as exc:  # an overflow; see the module docstring
+        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
     return Report(len(items), [{"relation": describe(x), key: failed[j]} for j, x in enumerate(items) if j in failed])
 
 
@@ -495,7 +505,7 @@ def verify_schwarz(rep: PartialIsometryRep, samples, tol: float = PSD_TOL) -> Re
 
     def diff(a, out):
         img = ev(alpha(a))
-        np.subtract(ev(alpha(a.star * a)), img.conj().T @ img, out=out)
+        np.subtract(ev(alpha(a.star * a)), img.conj().T.dot(img), out=out)
 
     return _certified(samples, rep.n, diff, lambda a: "schwarz at %s" % format_word(a), tol)
 
@@ -509,7 +519,7 @@ def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
     return _certified(
         samples,
         rep.n,
-        lambda n_word, out: np.subtract(vs @ ev(n_word) @ v, ev(alpha(n_word)), out=out),
+        lambda n_word, out: np.subtract(vs.dot(ev(n_word)).dot(v), ev(alpha(n_word)), out=out),
         lambda n_word: "conjugation at %s" % format_word(n_word),
         CONJUGATION_TOL,
         _norms_over,

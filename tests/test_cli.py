@@ -1354,3 +1354,11 @@ def test_code_lines_per_module_sum_to_the_total(monkeypatch, capsys):
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(counts.values())
     assert set(counts) == {path.stem for path in (REPO / "src" / "pisom").glob("*.py")}
     assert all(n > 0 for n in counts.values())
+
+
+def test_numeric_fingerprint_is_reproducible(monkeypatch):
+    script = load_script(monkeypatch, "numeric_fingerprint")
+    inputs = dict(dims=(1, 3), ks=(1, 2), scalar_count=12, matrix_count=4)
+    digest, failures = script.fingerprint(**inputs)
+    assert script.fingerprint(**inputs) == (digest, failures)
+    assert len(digest) == 64 and failures > 0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -665,7 +666,7 @@ def test_batched_certify_matches_per_matrix(n):
             assert abs(eig - ref.min_eig(m)) <= 1e-12
 
 
-def test_frobenius_prefilter_leaves_near_ties_to_the_svd():
+def test_frobenius_prefilter_leaves_near_ties_to_the_svd(monkeypatch):
     tol = PSD_TOL
     # Frobenius norm above tol, spectral norm below: the SVD accepts
     m = np.eye(3, dtype=complex) + 1j * (0.999 * tol / 2) * np.eye(3)
@@ -676,6 +677,14 @@ def test_frobenius_prefilter_leaves_near_ties_to_the_svd():
     for s in (1 - 1e-13, 1 + 1e-13):
         m = np.array([[1.0 + 1j * s * tol / 2]])
         assert psd_check(m, tol) == _per_matrix_verdict(m, tol)
+    # the prefilter settles a skew part just within tol less the relative
+    # slack, and leaves one just beyond it to the SVD, which accepts it
+    svd = _calls(monkeypatch, numeric, "opnorm")
+    for s, norms in ((1 - 1e-14, 0), (1 + 1e-14, 1)):
+        m = np.array([[1.0 + 1j * s * tol * numeric._FRO_SLACK / 2]])
+        svd.clear()
+        assert psd_check(m, tol) == _per_matrix_verdict(m, tol) is True
+        assert len(svd) == norms
 
 
 def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
@@ -803,6 +812,18 @@ def test_norm_guard_skips_the_prefilter(monkeypatch, fixture_assignment):
         cholesky.clear()
         assert psd_check(np.eye(64) * scale * limit / 64)
         assert len(cholesky) == tried
+    # a bound that overflows fails the guard: the Hermitian part is finite,
+    # its trace is not, and no overflow is raised, warned or reported
+    huge = np.diag([0.8e308] * 3).astype(complex)
+    cholesky.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psd_check(huge)
+        ok, eigs = _certify(huge[None], PSD_TOL)
+        assert ok[0] and eigs[0] == np.linalg.eigvalsh(huge)[0] == pytest.approx(0.8e308)
+        images = GeneratorAssignment(n=3, images={W("(-2,2)"): huge})
+        assert verify_order_rep(images, [(W("(-3,3)"), W("(-2,2)"))]) == Report(1, [])
+    assert cholesky == []
 
 
 def test_passing_batch_runs_no_eigensolve(monkeypatch):
