@@ -685,6 +685,11 @@ def test_frobenius_prefilter_leaves_near_ties_to_the_svd(monkeypatch):
         svd.clear()
         assert psd_check(m, tol) == _per_matrix_verdict(m, tol) is True
         assert len(svd) == norms
+    # under a negative tol the prefilter settles nothing, not even a zero
+    # skew part, so the SVD refuses it
+    svd.clear()
+    assert psd_check(np.eye(2), -tol) == _per_matrix_verdict(np.eye(2), -tol) is False
+    assert len(svd) == 1
 
 
 def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):
