@@ -483,8 +483,9 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
 
     Case3 splits each diagonal cell as m_i* center_i m_i (its minimal
     factor) and takes lam_i as the negative-start factor of the center:
-    its minimal factor w, or (-1) w when w starts positive.  Every diagonal cell has a center: each w_i has tau -top (the cells of
-    D1 have tau 0), so the minimal factor, w_i or (1) w_i, has tau -top or
+    its minimal factor w, or (-1) w when w starts positive.  Every
+    diagonal cell has a center: each w_i has tau -top (the cells of D1
+    have tau 0), so the minimal factor, w_i or (1) w_i, has tau -top or
     1 - top, never 0.  The prefix sum at the middle of g_ii is minus that
     tau, so the middle is not a zero cut, and the star-palindromic factor
     sequence has odd length.
