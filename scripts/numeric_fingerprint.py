@@ -12,9 +12,12 @@ order, and the failures are counted:
 - at the order-but-not-2-order fixture, its D0 order pairs and its
   displayed 2 x 2 block relation.
 
-Two trees whose verdicts and reported ``min_eig``/``residual`` agree bit
-for bit print the same digest, so a change meant to keep the numeric
-layer's output can be checked against its parent:
+Then the ``eval_word`` image of both words of each of those scalar pairs
+at each ``random_partial_isometry`` is hashed, byte for byte, with the
+``psd_check`` verdict of their difference.  Two trees whose verdicts,
+reported ``min_eig``/``residual`` and images agree bit for bit print the
+same digest, so a change meant to keep the numeric layer's output can be
+checked against its parent:
 
     python3 scripts/numeric_fingerprint.py
 
@@ -30,7 +33,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from pisom.numeric import (  # noqa: E402
     DIM_CAP,
     displayed_block_relation,
+    eval_word,
     matrix_relations,
+    psd_check,
     random_partial_isometry,
     sa_depth_fixture,
     scalar_relations,
@@ -69,12 +74,26 @@ def reports(dims=DIMS, ks=KS, scalar_count=SCALAR_COUNT, matrix_count=MATRIX_COU
     yield verify_k_order(fixture, 2, [displayed_block_relation()])
 
 
-def fingerprint(**inputs) -> tuple[str, int]:
-    """The SHA-256 of the reports' JSON, one line each, and the failures."""
+def images(dims=DIMS, scalar_count=SCALAR_COUNT, seed=SEED):
+    """The images of both words of every scalar pair at every rep, and the
+    psd_check verdict of their difference, as bytes, in order."""
+    pairs = _and_reversed(scalar_relations(scalar_count, seed))
+    for n in dims:
+        rep = random_partial_isometry(n, 100 + n)
+        for lower, upper in pairs:
+            low, up = eval_word(rep, lower), eval_word(rep, upper)
+            yield low.tobytes() + up.tobytes() + (b"1" if psd_check(up - low) else b"0")
+
+
+def fingerprint(dims=DIMS, ks=KS, scalar_count=SCALAR_COUNT, matrix_count=MATRIX_COUNT, seed=SEED) -> tuple[str, int]:
+    """The SHA-256 of the reports' JSON, one line each, then of the images,
+    and the failures of the verify calls."""
     digest, failures = hashlib.sha256(), 0
-    for report in reports(**inputs):
+    for report in reports(dims, ks, scalar_count, matrix_count, seed):
         digest.update(report.to_json().encode() + b"\n")
         failures += len(report.failures)
+    for chunk in images(dims, scalar_count, seed):
+        digest.update(chunk)
     return digest.hexdigest(), failures
 
 

@@ -116,8 +116,9 @@ def _verify_rep(args):
         )
     pairs = numeric.scalar_relations(args.count, args.seed)
     rpt = numeric.verify_order_rep(rep, pairs, tol)
-    rpt = rpt.merge(numeric.verify_schwarz(rep, [p[0] for p in pairs[: args.count // 2]], tol))
-    rpt = rpt.merge(numeric.verify_conjugation(rep, [p[0] for p in pairs[: args.count // 2]]))
+    samples = [p[0] for p in pairs[: args.count // 2]]
+    rpt = rpt.merge(numeric.verify_schwarz(rep, samples, tol))
+    rpt = rpt.merge(numeric.verify_conjugation(rep, samples))
     return rpt.to_json()
 
 

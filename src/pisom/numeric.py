@@ -50,25 +50,30 @@ Certification.  All four verify calls run through one loop,
 ``_certified``: it refuses a call whose matrix order exceeds DIM_CAP, the
 bound the rounding analysis above assumes, before any word is evaluated,
 and certifies the whole batch at once, in one stack per matrix order that
-occurs in it.  Finite inputs make a value that is not finite only by an
-overflow, and the loop runs under numpy's errstate with overflow and
-invalid operations raised, so such a value is a DomainError, not a
-warning: a generator assignment, or a v that is no partial isometry, may
-have images large enough for it.  The order and Schwarz relations and the
-k-order relations are PSD tests; the conjugation identity bounds the
-spectral norm of each residual v* eval(n) v - eval(alpha(n)).  Its
-words are evaluated against one memo, dropped when the call returns: the
-powers v^j, grown by repeated multiplication, and their conjugate
-transposes (v*)^j, each kept as the image of the one-entry word (j) or
-(-j), and the image of every word, suffix and half met in the call; a
-word or slice goes to its half exactly when ``Word.is_selfadjoint``
-holds.  A word already in the memo is returned as it is.  So the two
-sides of a basic step, w* w <= c* c with c = w less one unit at the
-front, share the image of w[1:] and take about len(w) + 2 products
-between them.  Each word the call reads is evaluated once.  A difference m
-passes when its skew part has spectral norm ||m - m*||_2 <= tol and the
-Hermitian part H = (m + m*)/2 has minimum eigenvalue >= -tol, as the
-eigensolve reports it.
+occurs in it.  It cuts those stacks itself: the items of one order, in
+input order, in runs of at most 2^18 entries a stack, each difference
+written by the verify call straight into its slot.  Finite inputs make a
+value that is not finite only by an overflow, and the loop runs under
+numpy's errstate with overflow and invalid operations raised, so such a
+value is a DomainError, not a warning: a generator assignment, or a v
+that is no partial isometry, may have images large enough for it.
+``psd_check`` certifies its one matrix under the same errstate, so a
+finite matrix whose Hermitian or skew part overflows is a DomainError
+there too.  The order and Schwarz relations and the k-order relations
+are PSD tests; the conjugation identity bounds the spectral norm of each
+residual v* eval(n) v - eval(alpha(n)), with v and v* the images of the
+words (1) and (-1).  A call's words are evaluated against one memo,
+dropped when the call returns: the powers v^j, grown by repeated
+multiplication, and their conjugate transposes (v*)^j, each kept as the
+image of the one-entry word (j) or (-j), and the image of every word,
+suffix and half met in the call; a word or slice goes to its half
+exactly when ``Word.is_selfadjoint`` holds.  A word already in the memo
+is returned as it is.  So the two sides of a basic step, w* w <= c* c
+with c = w less one unit at the front, share the image of w[1:] and take
+about len(w) + 2 products between them.  Each word the call reads is
+evaluated once.  A difference m passes when its skew part has spectral
+norm ||m - m*||_2 <= tol and the Hermitian part H = (m + m*)/2 has
+minimum eigenvalue >= -tol, as the eigensolve reports it.
 
 Support.  A k-order relation G <= G' is certified on its support S, the
 block rows i where the cells of G and G' differ as words.  Both matrices
@@ -125,8 +130,7 @@ square root: the sum of squares against the square of tol less the slack.
 Squaring moves the threshold by a few ulps, far inside the relative
 1e-12, so the argument holds as it stands.  So acceptance is exactly the
 per-matrix SVD-and-eigensolve check; the conjugation identity uses the
-same prefilter for its residuals.  Batches are cut so that one stack holds
-at most 2^18 entries.
+same prefilter for its residuals.
 
 Also houses generator assignments: multiplicative *-maps on the
 prefix-sum-nonpositive subsemigroup given by images of its free
@@ -149,6 +153,8 @@ from .maps import alpha, is_irr_plus
 from .order import hollow_depth, hollow_successors, square_hollow
 from .structure import factor_d0
 from .words import (
+    GEN,
+    GEN_STAR,
     UNIT_MINUS,
     UNIT_PLUS,
     DomainError,
@@ -287,10 +293,12 @@ def eval_word(rep, w: Word):
     image of the rest; (v*)^j is the conjugate transpose of v^j.  Each image
     is a function of the word alone, so it does not depend on what else the
     memo holds: a verify call, which shares one memo across its words, gets
-    the images this returns.  A v with an entry that is not finite is a
-    DomainError.
+    the images this returns.  A generator assignment evaluates w as the
+    verify calls evaluate it, multiplicatively over the factors of a D0
+    word.  A v with an entry that is not finite, or anything but a rep or
+    an assignment, is a DomainError.
     """
-    return _Images(rep.v).image(w)
+    return _evaluator(rep)(w)
 
 
 # Relative slack on the Frobenius prefilter; see the module docstring.
@@ -365,19 +373,6 @@ def _certify(diffs, tol: float):
     return ok, eigs
 
 
-def _batches(items, dim: int, diff):
-    """(start, stack) over items[start : start + size], in order, where
-    diff(item, out) writes the dim x dim matrix of item into its slot of
-    the stack; cut so that a stack stays within _BATCH_ENTRIES."""
-    size = max(1, _BATCH_ENTRIES // (dim * dim))
-    for start in range(0, len(items), size):
-        batch = items[start : start + size]
-        stack = np.empty((len(batch), dim, dim), dtype=complex)
-        for r, item in enumerate(batch):
-            diff(item, stack[r])
-        yield start, stack
-
-
 def _psd_failures(stack, tol: float):
     """(i, min_eig) for every matrix of the stack that _certify refuses."""
     ok, eigs = _certify(stack, tol)
@@ -386,7 +381,9 @@ def _psd_failures(stack, tol: float):
 
 def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures, key="min_eig", orders=None):
     """Certify the dim x dim difference of every item, one stack per order
-    and batch, and report the failures in input order.
+    and batch, and report the failures in input order.  A batch is the
+    next run of at most _BATCH_ENTRIES / order^2 (at least one) of the
+    items of one order, in input order, written straight into its stack.
 
     diff(item, out) writes an orders[i] x orders[i] principal submatrix
     outside of which the difference of items[i] is 0 (every order is dim
@@ -406,22 +403,33 @@ def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures,
         with np.errstate(over="raise", invalid="raise"):
             for order in dict.fromkeys(filter(None, orders)):
                 wheres = [j for j, o in enumerate(orders) if o == order]
-                for start, stack in _batches(wheres, order, lambda j, out: diff(items[j], out)):
+                size = max(1, _BATCH_ENTRIES // (order * order))
+                for start in range(0, len(wheres), size):
+                    batch = wheres[start : start + size]
+                    stack = np.empty((len(batch), order, order), dtype=complex)
+                    for j, out in zip(batch, stack):
+                        diff(items[j], out)
                     for i, value in check(stack, tol):
-                        failed[wheres[start + i]] = value if order == dim else min(value, 0.0)
+                        failed[batch[i]] = value if order == dim else min(value, 0.0)
     except FloatingPointError as exc:  # an overflow; see the module docstring
         raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
     return Report(len(items), [{"relation": describe(x), key: failed[j]} for j, x in enumerate(items) if j in failed])
 
 
 def psd_check(m, tol: float = PSD_TOL) -> bool:
-    """Hermitian within tol and minimum eigenvalue >= -tol."""
+    """Hermitian within tol and minimum eigenvalue >= -tol.  A finite m
+    whose Hermitian or skew part overflows is a DomainError, as in the
+    verify calls."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("psd_check needs a square matrix")
     if not np.isfinite(m).all():
         raise DomainError("psd_check needs a finite matrix")
-    return bool(_certify(m[None], tol)[0][0])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return bool(_certify(m[None], tol)[0][0])
+    except FloatingPointError as exc:
+        raise DomainError("psd_check: the matrix does not evaluate in double precision: %s" % exc) from None
 
 
 # -- reports ------------------------------------------------------------------
@@ -462,16 +470,6 @@ def verify_order_rep(rep_or_assign, pairs, tol: float = PSD_TOL) -> Report:
     )
 
 
-def _block_diff(ev, lower: GramMatrix, upper: GramMatrix, n: int, support, out) -> None:
-    """Write the support x support block submatrix of eval(upper) -
-    eval(lower), in n x n blocks, into out."""
-    for a, i in enumerate(support):
-        lo, up = lower.cells[i], upper.cells[i]
-        rows = out[a * n : (a + 1) * n]
-        for b, j in enumerate(support):
-            np.subtract(ev(up[j]), ev(lo[j]), out=rows[:, b * n : (b + 1) * n])
-
-
 def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Report:
     """PSD-check the k n x k n block differences of basic matrix relations.
 
@@ -489,10 +487,17 @@ def verify_k_order(rep_or_assign, k: int, relations, tol: float = PSD_TOL) -> Re
             raise DomainError("relation rank differs from k = %d" % k)
         support = [i for i, (lo, up) in enumerate(zip(lower.cells, upper.cells)) if lo != up]
         items.append((lower, upper, support))
+
+    def diff(r, out):  # the S x S block submatrix, in n x n blocks
+        for a, i in enumerate(r[2]):
+            lo, up, rows = r[0].cells[i], r[1].cells[i], out[a * n : (a + 1) * n]
+            for b, j in enumerate(r[2]):
+                np.subtract(ev(up[j]), ev(lo[j]), out=rows[:, b * n : (b + 1) * n])
+
     return _certified(
         items,
         k * n,
-        lambda r, out: _block_diff(ev, r[0], r[1], n, r[2], out),
+        diff,
         lambda r: {"lower": json.loads(r[0].to_json()), "upper": json.loads(r[1].to_json())},
         tol,
         orders=[len(r[2]) * n for r in items],
@@ -513,13 +518,13 @@ def verify_schwarz(rep: PartialIsometryRep, samples, tol: float = PSD_TOL) -> Re
 def verify_conjugation(rep: PartialIsometryRep, samples) -> Report:
     """Check v* eval(n) v agrees with eval of the conjugated word, to
     CONJUGATION_TOL in spectral norm."""
-    ev = _evaluator(rep, PartialIsometryRep)
-    v = np.asarray(rep.v, dtype=complex)
-    vs = v.conj().T
+    if not isinstance(rep, PartialIsometryRep):
+        raise DomainError("verify_conjugation needs a partial isometry rep")
+    ev = _evaluator(rep)
     return _certified(
         samples,
         rep.n,
-        lambda n_word, out: np.subtract(vs.dot(ev(n_word)).dot(v), ev(alpha(n_word)), out=out),
+        lambda n_word, out: np.subtract(ev(GEN_STAR).dot(ev(n_word)).dot(ev(GEN)), ev(alpha(n_word)), out=out),
         lambda n_word: "conjugation at %s" % format_word(n_word),
         CONJUGATION_TOL,
         _norms_over,
@@ -576,15 +581,15 @@ class GeneratorAssignment:
         return _fold(lambda a, b: a @ b, (self.image(f) for f in factor_d0(d)))
 
 
-def _evaluator(rep_or_assign, kinds=(PartialIsometryRep, GeneratorAssignment)):
+def _evaluator(rep_or_assign):
     """Per-call memoized evaluation; relation batches reuse many cells.  At
     a partial isometry all words share the one memo of powers, suffixes and
     halves of an _Images; a generator assignment gets a cache of its own.
-    Anything but an instance of ``kinds`` is refused."""
-    if not isinstance(rep_or_assign, kinds):
-        raise DomainError("expected a partial isometry rep or a generator assignment")
+    Anything else is refused."""
     if isinstance(rep_or_assign, GeneratorAssignment):
         return cache(rep_or_assign)
+    if not isinstance(rep_or_assign, PartialIsometryRep):
+        raise DomainError("expected a partial isometry rep or a generator assignment")
     return _Images(rep_or_assign.v).image
 
 

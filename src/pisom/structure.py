@@ -109,8 +109,12 @@ def factor_d0(d: Word) -> list[Word]:
 
 # -- graded enumeration ------------------------------------------------------
 
-#: most elements one grade may hold; grade 20 (424,748) is the last allowed
+#: most elements one grade may hold, and the last grade within it.  Grade
+#: k >= 2 holds a(k-2) of the Stein-Waterman sequence a(0) = 1,
+#: a(n) = a(n-1) + sum_{j=1}^{n-2} a(j) a(n-2-j), which never decreases;
+#: a(18) = 424,748 <= IRR_CAP < a(19) = 1,032,004
 IRR_CAP = 10**6
+MAX_GRADE = 20
 
 
 class IrrTable:
@@ -124,20 +128,6 @@ class IrrTable:
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "elements": [format_word(w) for w in self.elements]})
-
-
-def _grade_size(k: int) -> int:
-    """Number of plus-irreducibles of grade k, or some number above IRR_CAP.
-
-    Grade k >= 2 holds a(k-2) of the Stein-Waterman sequence a(0) = 1,
-    a(n) = a(n-1) + sum_{j=1}^{n-2} a(j) a(n-2-j).  The sequence never
-    decreases, so the recurrence stops at its first term above the cap.
-    """
-    a = [1]
-    while len(a) <= k - 2 and a[-1] <= IRR_CAP:
-        n = len(a)
-        a.append(a[n - 1] + sum(a[j] * a[n - 2 - j] for j in range(1, n - 1)))
-    return a[-1]
 
 
 def _completions(s: int, b: int, memo: dict) -> list[tuple]:
@@ -205,11 +195,12 @@ def _plus_irreducibles(k: int) -> list[Word]:
 def enum_irr(k: int) -> IrrTable:
     """All plus-irreducibles of grade k (positive-entry sum k).
 
-    A grade of more than IRR_CAP elements is refused before any is made.
+    A grade past MAX_GRADE, the last of at most IRR_CAP elements, is
+    refused before any element is made.
     """
     if k < 1:
         raise DomainError("grades start at 1")
-    if _grade_size(k) > IRR_CAP:
+    if k > MAX_GRADE:
         raise DomainError("plus-irreducibles of grade %s exceed the cap of %d elements" % (_echo(k), IRR_CAP))
     return IrrTable(k, tuple(_plus_irreducibles(k)))
 

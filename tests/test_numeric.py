@@ -479,6 +479,11 @@ NUMERIC_REFUSALS = {
     "psd_check_not_a_matrix": (lambda tmp: psd_check(np.zeros(3)), "psd_check needs a square matrix"),
     "psd_check_nan": (lambda tmp: psd_check(np.array([[np.nan]])), "psd_check needs a finite matrix"),
     "psd_check_inf": (lambda tmp: psd_check(np.array([[1.0, np.inf], [0.0, 1.0]])), "psd_check needs a finite matrix"),
+    # finite, but its skew part overflows
+    "psd_check_overflow": (
+        lambda tmp: psd_check(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])),
+        "psd_check: the matrix does not evaluate in double precision: overflow encountered in subtract",
+    ),
     "relation_rank": (
         lambda tmp: verify_k_order(random_partial_isometry(2, 0), 2, [(_ONE_CELL, _ONE_CELL)]),
         "relation rank differs from k = 2",
@@ -487,9 +492,13 @@ NUMERIC_REFUSALS = {
         lambda tmp: verify_order_rep(np.eye(2), []),
         "expected a partial isometry rep or a generator assignment",
     ),
+    "eval_word_of_a_matrix": (
+        lambda tmp: eval_word(np.eye(2), W("(-2,2)")),
+        "expected a partial isometry rep or a generator assignment",
+    ),
     "conjugation_of_an_assignment": (
         lambda tmp: verify_conjugation(GeneratorAssignment(n=1), [UNIT_MINUS]),
-        "expected a partial isometry rep or a generator assignment",
+        "verify_conjugation needs a partial isometry rep",
     ),
     "order_rep_past_the_cap": (
         lambda tmp: verify_order_rep(_REP_65, scalar_relations(3, 1)),
@@ -536,7 +545,9 @@ def test_numeric_refusals(monkeypatch, tmp_path, name):
     monkeypatch.setattr(numeric._Images, "image", evaluated)
     monkeypatch.setattr(GeneratorAssignment, "image", evaluated)
     call, message = NUMERIC_REFUSALS[name]
-    with pytest.raises(DomainError) as exc:
+    # and with no warning on the way
+    with warnings.catch_warnings(), pytest.raises(DomainError) as exc:
+        warnings.simplefilter("error")
         call(tmp_path)
     assert str(exc.value) == message
 
@@ -566,6 +577,12 @@ def test_fixture_key_values(fixture_assignment):
     assert val("(-3,3)") > val("(-3,2,-2,3)") > 0
     assert val("(-3,2,-3,4)") == 0.0
     assert fx.image(W("(-4,3,-2,3)"))[0, 0] == 0.0
+
+
+def test_eval_word_at_an_assignment_is_the_assignment(fixture_assignment):
+    for pair in scalar_relations(20, 5, within="D0"):
+        for d in pair:
+            assert np.array_equal(eval_word(fixture_assignment, d), fixture_assignment(d))
 
 
 def test_fixture_is_order_rep_on_samples(fixture_assignment):

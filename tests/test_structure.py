@@ -11,6 +11,7 @@ import pisom.structure as structure
 from pisom.maps import alpha, is_irr_plus
 from pisom.structure import (
     IRR_CAP,
+    MAX_GRADE,
     classify_sa,
     enum_irr,
     factor_a0,
@@ -281,8 +282,9 @@ def test_enum_cap_refuses_before_enumerating(monkeypatch):
         raise AssertionError("enumerated grade %d" % k)
 
     monkeypatch.setattr(structure, "_plus_irreducibles", boom)
+    # grade k >= 2 holds a[k - 2] words
     a = ref.stein_waterman(19)
-    assert a[18] <= IRR_CAP < a[19]
+    assert a[MAX_GRADE - 2] <= IRR_CAP < a[MAX_GRADE - 1]
     for k in (21, 30, 10**9):
         with pytest.raises(DomainError, match="cap"):
             enum_irr(k)
