@@ -14,10 +14,15 @@ order, and the failures are counted:
 
 Then the ``eval_word`` image of both words of each of those scalar pairs
 at each ``random_partial_isometry`` is hashed, byte for byte, with the
-``psd_check`` verdict of their difference.  Two trees whose verdicts,
-reported ``min_eig``/``residual`` and images agree bit for bit print the
-same digest, so a change meant to keep the numeric layer's output can be
-checked against its parent:
+``psd_check`` verdict of their difference.  Then the JSON of every relation
+``matrix_relations`` samples, witnesses included, at entry weights 3, 4
+and 5 and ranks 1, 2, 3, 4, 6 and 8 (seed + k at rank k); then the
+``PartialIsometryRep.checked`` verdict, "ok" or the refusal's text, of
+each rep's matrix v and of (1 + e) v for e = 2^-42, 2^-40 and 0.3, whose
+defects lie below, just above and far above the tolerance.  Two trees
+whose verdicts, reported ``min_eig``/``residual``, images, relations and
+rep checks agree bit for bit print the same digest, so a change meant to
+keep the numeric layer's output can be checked against its parent:
 
     python3 scripts/numeric_fingerprint.py
 
@@ -32,6 +37,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pisom.numeric import (  # noqa: E402
     DIM_CAP,
+    InvalidRepError,
+    PartialIsometryRep,
     displayed_block_relation,
     eval_word,
     matrix_relations,
@@ -50,6 +57,9 @@ KS = (1, 2, 3)
 SCALAR_COUNT = 100
 MATRIX_COUNT = 24
 SEED = 38
+RELATION_KS = (1, 2, 3, 4, 6, 8)
+ENTRY_WEIGHTS = (3, 4, 5)
+SCALES = (1.0, 1 + 2.0**-42, 1 + 2.0**-40, 1.3)
 
 
 def _and_reversed(pairs):
@@ -85,15 +95,40 @@ def images(dims=DIMS, scalar_count=SCALAR_COUNT, seed=SEED):
             yield low.tobytes() + up.tobytes() + (b"1" if psd_check(up - low) else b"0")
 
 
+def relations(matrix_count=MATRIX_COUNT, seed=SEED):
+    """The JSON of every sampled matrix relation, both matrices with their
+    witnesses, one line each, in order."""
+    for weight in ENTRY_WEIGHTS:
+        for k in RELATION_KS:
+            for lower, upper in matrix_relations(matrix_count, seed + k, ks=(k,), entry_weight=weight):
+                yield lower.to_json() + " " + upper.to_json()
+
+
+def rep_checks(dims=DIMS):
+    """The ``PartialIsometryRep.checked`` verdict of every scaled rep matrix,
+    in order."""
+    for n in dims:
+        v = random_partial_isometry(n, 100 + n).v
+        for scale in SCALES:
+            try:
+                PartialIsometryRep.checked(scale * v)
+                yield "ok"
+            except InvalidRepError as exc:
+                yield str(exc)
+
+
 def fingerprint(dims=DIMS, ks=KS, scalar_count=SCALAR_COUNT, matrix_count=MATRIX_COUNT, seed=SEED) -> tuple[str, int]:
     """The SHA-256 of the reports' JSON, one line each, then of the images,
-    and the failures of the verify calls."""
+    the sampled relations and the rep checks, and the failures of the
+    verify calls."""
     digest, failures = hashlib.sha256(), 0
     for report in reports(dims, ks, scalar_count, matrix_count, seed):
         digest.update(report.to_json().encode() + b"\n")
         failures += len(report.failures)
     for chunk in images(dims, scalar_count, seed):
         digest.update(chunk)
+    for line in (*relations(matrix_count, seed), *rep_checks(dims)):
+        digest.update(line.encode() + b"\n")
     return digest.hexdigest(), failures
 
 

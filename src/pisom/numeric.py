@@ -132,6 +132,15 @@ Squaring moves the threshold by a few ulps, far inside the relative
 per-matrix SVD-and-eigensolve check; the conjugation identity uses the
 same prefilter for its residuals.
 
+The rep check.  ``PartialIsometryRep.checked`` refuses a v that is not
+finite, then runs the same prefilter on the residual v v* v - v against
+IDENTITY_TOL: a residual it settles is accepted with no SVD, and any
+other one is accepted or refused by its exact spectral norm, which a
+refusal prints.  By Cauchy-Schwarz the absolute terms of an entry of
+v v* sum to at most ||v||^2, and those of v v* v to at most ||v||^3, so
+a finite v whose residual overflows has ||v||^3 past the largest double;
+as ||v v* v - v||_2 >= ||v||^3 - ||v||, its defect is reported as inf.
+
 Also houses generator assignments: multiplicative *-maps on the
 prefix-sum-nonpositive subsemigroup given by images of its free
 generators, the plus-irreducibles; ``structure.factor_d0`` cuts a word
@@ -148,7 +157,7 @@ from functools import cache, reduce as _fold
 
 import numpy as np
 
-from .matrix import GramMatrix, _json_int, gram, matrix_successors
+from .matrix import K_CAP, GramMatrix, _json_int, gram, matrix_successors
 from .maps import alpha, is_irr_plus
 from .order import hollow_depth, hollow_successors, square_hollow
 from .structure import factor_d0
@@ -203,13 +212,27 @@ class PartialIsometryRep:
     def n(self) -> int:
         return self.v.shape[0]
 
-    def defect(self) -> float:
+    def _residual(self):
+        """v v* v - v; an overflow leaves inf or nan in it, with no warning."""
         v = np.asarray(self.v, dtype=complex)
-        return opnorm(v @ v.conj().T @ v - v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v @ v.conj().T @ v - v
+
+    def defect(self) -> float:
+        """||v v* v - v||_2, inf when the residual is not finite."""
+        d = self._residual()
+        return opnorm(d) if np.isfinite(d).all() else float("inf")
 
     @classmethod
     def checked(cls, v) -> "PartialIsometryRep":
+        """The rep of v, refused unless v is finite and its defect is at most
+        IDENTITY_TOL.  The Frobenius norm of the residual settles most
+        verdicts; the SVD runs only when it does not."""
         rep = cls(np.asarray(v, dtype=complex))
+        if not np.isfinite(rep.v).all():
+            raise InvalidRepError("a partial isometry needs a finite matrix")
+        if _frobenius_within(rep._residual()[None], IDENTITY_TOL)[0]:
+            return rep
         defect = rep.defect()
         if not defect <= IDENTITY_TOL:
             raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (defect, IDENTITY_TOL))
@@ -309,15 +332,21 @@ _CHOLESKY_GUARD = 8
 _BATCH_ENTRIES = 1 << 18
 
 
-def _norms_over(stack, tol: float):
-    """(i, ||stack[i]||_2) for every i whose spectral norm exceeds tol; the
-    SVD runs only where the Frobenius norm does not already settle it, and
-    not at all when it settles every matrix."""
+def _frobenius_within(stack, tol: float):
+    """Per matrix of the stack, whether its Frobenius norm shows its spectral
+    norm to be within tol; see the module docstring."""
     parts = stack.reshape(len(stack), -1).view(float)
     bound = tol * _FRO_SLACK
     # squared norms against the signed square of the bound: a negative tol
     # still settles nothing
-    unsettled = np.flatnonzero(~(np.einsum("ki,ki->k", parts, parts) <= bound * abs(bound)))
+    return np.einsum("ki,ki->k", parts, parts) <= bound * abs(bound)
+
+
+def _norms_over(stack, tol: float):
+    """(i, ||stack[i]||_2) for every i whose spectral norm exceeds tol; the
+    SVD runs only where the Frobenius norm does not already settle it, and
+    not at all when it settles every matrix."""
+    unsettled = np.flatnonzero(~_frobenius_within(stack, tol))
     if not unsettled.size:
         return []
     out = []
@@ -728,6 +757,26 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     the bounds on 1 + t that gram((u,)) and gram((v,)) in D1 give hold.  So
     each word, not the whole vector, is uniform.  A vector with no successor
     is drawn again, up to 100 draws a relation (at least 100,000 in all).
+
+    Draws repeat: at entry weight 4 the 15 diagonal words fall into classes
+    of at most 3 words per tau and first sign.  So a dict local to the call
+    maps each drawn vector whose entries all start with one sign to its
+    Gram matrix and sorted successors, or to None when it has none, and
+    each such vector is built once a call.  A vector whose entries start
+    with both signs is the only factorization of its Gram matrix (see
+    ``factor_gram``), so it has no successor (see ``matrix_successors``):
+    it is drawn again with no Gram matrix built and nothing stored.  Past
+    ``matrix.K_CAP`` it is built all the same, so that
+    ``matrix_successors`` refuses its rank as it refuses every draw of it.
+    The table changes no call of the random stream, so the relations and
+    their witnesses are those of building every draw afresh.
+
+    Memory.  A stored vector with successors was accepted when it was first
+    drawn, so the dict holds at most ``count`` successor lists, each of at
+    most 2 (2^k - 1) matrices, the successors of its two factorizations.
+    Every other entry is a key of k words of the diagonal and None.  The
+    CLI caps count times 2^k at ``cli.KORDER_WORK_CAP`` = 5,120, so there
+    the lists hold at most 10,240 successors.
     """
     _check_count(count)
     if not ks:
@@ -739,16 +788,24 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
     diagonal = [w for w in iter_words(entry_weight) if member(w.star * w, "D1")]
     classes = {t: [w for w in diagonal if w.tau == t] for t in {w.tau for w in diagonal}}
     rng = random.Random(seed)
+    drawn = {}  # vector -> (gram, sorted successors), or None when it has none
     out = []
     attempts, draws = 0, max(100000, 100 * count)
     while len(out) < count and attempts < draws:
         attempts += 1
         k = rng.choice(ks)
         u = rng.choice(diagonal)
-        g = gram([u] + [rng.choice(classes[u.tau]) for _ in range(k - 1)])
-        succ = sorted(matrix_successors(g), key=lambda x: x.cells)
-        if not succ:
+        vec = (u, *[rng.choice(classes[u.tau]) for _ in range(k - 1)])
+        if vec not in drawn:
+            if k <= K_CAP and len({w[0] > 0 for w in vec}) == 2:
+                continue
+            g = gram(vec)
+            succ = sorted(matrix_successors(g), key=lambda x: x.cells)
+            drawn[vec] = (g, succ) if succ else None
+        entry = drawn[vec]
+        if entry is None:
             continue
+        g, succ = entry
         out.append((g, rng.choice(succ)))
     if len(out) < count:
         raise DomainError("could not sample enough matrix relations")

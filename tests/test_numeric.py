@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import types
 import warnings
 
 import numpy as np
@@ -349,17 +350,85 @@ def test_relation_samples_refuse_bad_counts(count):
 
 
 def test_matrix_relations_draw_in_proportion_to_the_count(monkeypatch):
-    # with three draws in four maximal, 30,000 relations take about 120,000
-    # draws: more than a fixed 100,000, within 100 a relation; with every
-    # draw maximal the sampler gives up after 100,000
-    calls = itertools.count()
-    monkeypatch.setattr(numeric, "matrix_successors", lambda g: set() if next(calls) % 4 else {g})
-    got = matrix_relations(30000, 0, ks=(1,))
-    assert len(got) == 30000 and all(lo == hi for lo, hi in got)
-    assert next(calls) == 4 * 30000 - 3
+    # with four diagonal words of fifteen having a successor, 30,000
+    # relations take more than a fixed 100,000 draws, within 100 a
+    # relation; with no draw having one the sampler gives up after exactly
+    # 100,000.  A draw starts with the choice of its rank, and a relation
+    # ends with the choice of its successor
+    ks = (1,)
+    draws, picks = itertools.count(), itertools.count()
+
+    class Counted(random.Random):
+        def choice(self, seq):
+            if seq is ks:
+                next(draws)
+            elif isinstance(seq[0], GramMatrix):
+                next(picks)
+            return super().choice(seq)
+
+    monkeypatch.setattr(numeric, "random", types.SimpleNamespace(Random=Counted))
+    diagonal = [w for w in iter_words(4) if member(w.star * w, "D1")]
+    assert len(diagonal) == 15
+    upward = set(diagonal[:4])
+    monkeypatch.setattr(numeric, "matrix_successors", lambda g: {g} if g.witness[0] in upward else set())
+    got = matrix_relations(30000, 0, ks=ks)
+    assert len(got) == 30000 and all(lo == hi and lo.witness[0] in upward for lo, hi in got)
+    assert next(picks) == 30000 and 100000 < next(draws) - 1 <= 100 * 30000
+    draws = itertools.count()
     monkeypatch.setattr(numeric, "matrix_successors", lambda g: set())
     with pytest.raises(DomainError, match="^could not sample enough matrix relations$"):
-        matrix_relations(1, 0, ks=(1,))
+        matrix_relations(1, 0, ks=ks)
+    assert next(draws) == 100000
+
+
+def sampled_afresh(count, seed, ks, entry_weight=4, drawn=None):
+    """The sampling loop of matrix_relations with every draw built afresh,
+    its Gram matrix and sorted successors, mixed first signs included; each
+    drawn vector is appended to ``drawn``."""
+    diagonal = [w for w in iter_words(entry_weight) if member(w.star * w, "D1")]
+    classes = {t: [w for w in diagonal if w.tau == t] for t in {w.tau for w in diagonal}}
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.choice(ks)
+        u = rng.choice(diagonal)
+        vec = (u, *[rng.choice(classes[u.tau]) for _ in range(k - 1)])
+        if drawn is not None:
+            drawn.append(vec)
+        g = gram(vec)
+        succ = sorted(matrix_successors(g), key=lambda x: x.cells)
+        if succ:
+            out.append((g, rng.choice(succ)))
+    return out
+
+
+@pytest.mark.parametrize("ks", [(1,), (2,), (3,), (2, 3), (4,), (1, 2, 3)])
+def test_matrix_relations_draw_as_if_afresh(ks):
+    # the table of the call changes no draw: equal relations and witnesses
+    for entry_weight in (3, 4, 5):
+        for seed in range(60):
+            got = matrix_relations(6, seed, ks=ks, entry_weight=entry_weight)
+            want = sampled_afresh(6, seed, ks, entry_weight)
+            assert got == want
+            assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
+
+
+def test_matrix_relations_build_each_uniform_sign_draw_once(monkeypatch):
+    # a vector whose entries start with one sign gets its Gram matrix once
+    # a call, however often it is drawn; a mixed-sign one never gets one
+    built = []
+    monkeypatch.setattr(numeric, "gram", lambda v: built.append(tuple(v)) or gram(v))
+    repeats = mixed = 0
+    for ks in ((1,), (2,), (3,), (1, 2, 3)):
+        for seed in range(10):
+            built.clear()
+            drawn = []
+            assert matrix_relations(48, seed, ks=ks) == sampled_afresh(48, seed, ks, drawn=drawn)
+            uniform = [v for v in drawn if len({w[0] > 0 for w in v}) == 1]
+            assert sorted(built) == sorted(set(uniform))
+            repeats += len(uniform) - len(built)
+            mixed += len(drawn) - len(uniform)
+    assert repeats > 0 and mixed > 0
 
 
 def test_verify_k_order_dim_cap():
@@ -483,6 +552,13 @@ NUMERIC_REFUSALS = {
     "psd_check_overflow": (
         lambda tmp: psd_check(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])),
         "psd_check: the matrix does not evaluate in double precision: overflow encountered in subtract",
+    ),
+    "rep_nan": (lambda tmp: PartialIsometryRep.checked([[np.nan]]), "a partial isometry needs a finite matrix"),
+    "rep_inf": (lambda tmp: PartialIsometryRep.checked([[np.inf]]), "a partial isometry needs a finite matrix"),
+    # finite, but v v* v overflows
+    "rep_overflow": (
+        lambda tmp: PartialIsometryRep.checked([[1e200, 0], [0, 0]]),
+        "||v v* v - v|| = inf exceeds 1.0e-12",
     ),
     "relation_rank": (
         lambda tmp: verify_k_order(random_partial_isometry(2, 0), 2, [(_ONE_CELL, _ONE_CELL)]),
