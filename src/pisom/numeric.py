@@ -798,15 +798,13 @@ def matrix_relations(count: int, seed: int, ks=(2, 3), entry_weight: int = 4):
         vec = (u, *[rng.choice(classes[u.tau]) for _ in range(k - 1)])
         if vec not in drawn:
             if k <= K_CAP and len({w[0] > 0 for w in vec}) == 2:
-                continue
+                continue  # mixed first signs: no successor
             g = gram(vec)
             succ = sorted(matrix_successors(g), key=lambda x: x.cells)
             drawn[vec] = (g, succ) if succ else None
-        entry = drawn[vec]
-        if entry is None:
-            continue
-        g, succ = entry
-        out.append((g, rng.choice(succ)))
+        if drawn[vec]:
+            g, succ = drawn[vec]
+            out.append((g, rng.choice(succ)))
     if len(out) < count:
         raise DomainError("could not sample enough matrix relations")
     return out

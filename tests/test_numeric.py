@@ -413,6 +413,23 @@ def test_matrix_relations_draw_as_if_afresh(ks):
             assert [(lo.witness, hi.witness) for lo, hi in got] == [(lo.witness, hi.witness) for lo, hi in want]
 
 
+def test_matrix_relations_refuse_a_rank_past_the_cap():
+    # the first draw of a rank past K_CAP is refused, whatever the signs of
+    # its entries, as when every draw is built afresh
+    refused = 0
+    for seed in range(40):
+        try:
+            want = sampled_afresh(1, seed, (1, 9))
+        except DomainError as exc:
+            assert str(exc) == "successor enumeration capped at k = 8"
+            refused += 1
+            with pytest.raises(DomainError, match="^successor enumeration capped at k = 8$"):
+                matrix_relations(1, seed, ks=(1, 9))
+        else:
+            assert matrix_relations(1, seed, ks=(1, 9)) == want
+    assert 0 < refused < 40
+
+
 def test_matrix_relations_build_each_uniform_sign_draw_once(monkeypatch):
     # a vector whose entries start with one sign gets its Gram matrix once
     # a call, however often it is drawn; a mixed-sign one never gets one
