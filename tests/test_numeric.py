@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import types
@@ -352,19 +351,19 @@ def test_relation_samples_refuse_bad_counts(count):
 def test_matrix_relations_draw_in_proportion_to_the_count(monkeypatch):
     # with four diagonal words of fifteen having a successor, 30,000
     # relations take more than a fixed 100,000 draws, within 100 a
-    # relation; with no draw having one the sampler gives up after exactly
-    # 100,000.  A draw starts with the choice of its rank, and a relation
-    # ends with the choice of its successor
+    # relation, and the sampler stops at the draw of the 30,000th; with no
+    # draw having one it gives up after exactly 100,000.  At k = 1 a draw
+    # is the choice of its rank, then of its word, then, when the word has
+    # a successor, of that successor
     ks = (1,)
-    draws, picks = itertools.count(), itertools.count()
+    drawn, picks = [], []
 
     class Counted(random.Random):
         def choice(self, seq):
-            if seq is ks:
-                next(draws)
-            elif isinstance(seq[0], GramMatrix):
-                next(picks)
-            return super().choice(seq)
+            pick = super().choice(seq)
+            if seq is not ks:
+                (picks if isinstance(pick, GramMatrix) else drawn).append(pick)
+            return pick
 
     monkeypatch.setattr(numeric, "random", types.SimpleNamespace(Random=Counted))
     diagonal = [w for w in iter_words(4) if member(w.star * w, "D1")]
@@ -372,13 +371,14 @@ def test_matrix_relations_draw_in_proportion_to_the_count(monkeypatch):
     upward = set(diagonal[:4])
     monkeypatch.setattr(numeric, "matrix_successors", lambda g: {g} if g.witness[0] in upward else set())
     got = matrix_relations(30000, 0, ks=ks)
-    assert len(got) == 30000 and all(lo == hi and lo.witness[0] in upward for lo, hi in got)
-    assert next(picks) == 30000 and 100000 < next(draws) - 1 <= 100 * 30000
-    draws = itertools.count()
+    assert [lo.witness for lo, _ in got] == [(w,) for w in drawn if w in upward]
+    assert all(lo == hi for lo, hi in got) and [hi for _, hi in got] == picks
+    assert len(got) == 30000 and drawn[-1] in upward and 100000 < len(drawn) <= 100 * 30000
+    drawn.clear()
     monkeypatch.setattr(numeric, "matrix_successors", lambda g: set())
     with pytest.raises(DomainError, match="^could not sample enough matrix relations$"):
         matrix_relations(1, 0, ks=ks)
-    assert next(draws) == 100000
+    assert len(drawn) == 100000
 
 
 def sampled_afresh(count, seed, ks, entry_weight=4, drawn=None):
