@@ -2,15 +2,15 @@
 generate.
 
 A Gram matrix stores the cells w_i* w_j of a word vector and the vector
-itself, its witness.  ``gram`` makes the cells with one kernel,
-``words._star_products``: each entry is cut once into its star, a plain
-tuple, and the slices the junction lemma of ``words`` needs, and each cell
-is one tuple display of those pieces, with no word product and no star per
-cell.  The Gram paths keep to one rule: no Word that the call does not
-return.  ``gram`` makes its cells and no other Word; ``factor_gram`` the
-other factorization; ``matrix_successors`` strips only the entries with
-two choices and takes their block of cells from the kernel, each of them
-a cell of a successor; ``immediate_predecessors`` reads both vectors off
+itself, its witness.  ``gram`` is the one kernel that makes cells from
+entries: each entry is cut once into its star, a plain tuple, and the
+slices the junction lemma of ``words`` needs, and each cell is one tuple
+display of those pieces, with no word product and no star per cell.  The
+Gram paths keep to one rule: no Word that the call does not return.
+``gram`` makes its cells and no other Word; ``factor_gram`` the other
+factorization; ``matrix_successors`` strips only the entries with two
+choices and takes their block of cells from one ``gram`` call, each of
+them a cell of a successor; ``immediate_predecessors`` reads both vectors off
 the witness with no factorization built.  ``matrix_leq`` tries the
 witnesses themselves, and ``classify_matrix`` builds the all-negative
 factorization it reads only when the witness starts positive in every
@@ -36,7 +36,7 @@ successor depends on the choices at i and j only.  Every cell that
 involves a shift is the cell of g (see ``matrix_successors``), and an entry
 whose strip is its shift has one choice, so only the m entries with two
 choices, those whose first entry is no unit, are stripped and multiplied:
-the cells of their strips, one kernel call, and each of the 2^m choice
+the cells of their strips, one ``gram`` call, and each of the 2^m choice
 vectors is assembled from that block and the rows of g by lookup; no two
 give one successor, and a fixed cap, k <= K_CAP, bounds that
 enumeration.  Membership of a Gram matrix in D0 or D1 is read off the
@@ -63,7 +63,6 @@ from .words import (
     Word,
     WordError,
     _echo,
-    _star_products,
     _trusted,
     format_word,
     parse_word,
@@ -228,17 +227,65 @@ def vector_from_json(text: str) -> tuple[Word, ...]:
 
 
 def gram(v) -> GramMatrix:
-    """Gram matrix of a word vector.
+    """Gram matrix of a word vector: the k x k cells v_i* v_j, and v.
 
-    The cells come from ``words._star_products``: each entry is cut once
-    into its star and the slices the junction lemma needs, and each cell
-    v_i* v_j is one concatenation of those pieces, with no word product and
-    no star per cell.
+    This is the one kernel that builds Gram cells from entries.  Cell
+    (i, j) is s_i * w_j for s_i = v_i* and w_j = v_j, and the junction
+    lemma (``words`` module docstring) reads its case off a = v_i[0] and
+    b = v_j[0] alone: the last entry of s_i is -a, the one before it is
+    -v_i[1], and s_i[:-1] is the star of v_i[1:].  So each entry w is cut
+    once, into its star s (a plain tuple, reversed and negated as
+    ``Word.star`` does, but not wrapped), its first entry, w[1:] and
+    s[:-1], and, when it starts with a unit and has more than one entry,
+    w[2:], s[:-2] and the sum of its first two entries; each cell is then
+    one tuple display of these pieces, with no product and no star:
+
+    - a and b of opposite signs (-a and b merge):
+      (*s_i[:-1], b - a, *w_j[1:]);
+    - else, v_i starts with a unit and len(v_i) > 1:
+      (*s_i[:-2], b - a - v_i[1], *w_j[1:]);
+    - else, v_j starts with a unit and len(v_j) > 1:
+      (*s_i[:-1], b - a + v_j[1], *w_j[2:]);
+    - else the plain concatenation s_i + w_j.
+
+    These are the cases of ``Word.__mul__`` on (s_i, w_j) in order, so each
+    cell equals ``v[i].star * v[j]``.  The cells are the only Words made,
+    and the matrix holds every one.  An empty vector is a DomainError, and
+    an entry that is not a Word a TypeError, raised before any cell is
+    made.
     """
     v = tuple(v)
     if not v:
         raise DomainError("empty word vector")
-    return GramMatrix(_star_products(v), v)
+    left, right = [], []  # the pieces of each entry as v_i* and as v_j
+    for w in v:
+        if type(w) is not Word:
+            raise TypeError("a Gram entry must be a Word, not %s" % type(w).__name__)
+        s = tuple([-e for e in w[::-1]])
+        b = w[0]
+        pos = b > 0
+        if len(w) > 1 and (b == 1 or b == -1):
+            c = b + w[1]
+            left.append((s, b, pos, s[:-1], s[:-2], c))
+            right.append((w, b, pos, w[1:], w[2:], c))
+        else:
+            left.append((s, b, pos, s[:-1], None, None))
+            right.append((w, b, pos, w[1:], None, None))
+    rows = []
+    for s, a, pos, head, head2, c in left:
+        row = []
+        for w, b, bpos, tail, tail2, d in right:
+            if bpos is not pos:
+                cell = (*head, b - a, *tail)
+            elif head2 is not None:
+                cell = (*head2, b - c, *tail)
+            elif tail2 is not None:
+                cell = (*head, d - a, *tail2)
+            else:
+                cell = s + w
+            row.append(_trusted(cell))
+        rows.append(tuple(row))
+    return GramMatrix(tuple(rows), v)
 
 
 def _require_tag(g: GramMatrix, tag: str) -> None:
@@ -286,7 +333,7 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
     vector is cell (i, j) of gram(s) when both i and j strip, and that of g
     otherwise.  An entry with one choice takes g's cells, so only the m
     entries with two choices are stripped and multiplied: the block of
-    their strips' cells, one kernel call, and none when m = 0, as the one
+    their strips' cells, one ``gram`` call, and none when m = 0, as the one
     choice vector is then the other factorization.  Each choice vector is
     a flag per entry, 0 to strip and 1 to shift, and each of its cells is
     looked up in a (block cell, g cell) pair.  The choice vectors run in
@@ -325,7 +372,7 @@ def matrix_successors(g: GramMatrix, require: str | None = "D1") -> set[GramMatr
         choices = [(o, o) for o in other]  # choices[i][f]: entry i under flag f
         for i in two:
             choices[i] = (unit_strip(vec[i]), other[i])
-        block = _star_products([choices[i][0] for i in two])
+        block = gram([choices[i][0] for i in two]).cells
         opts = [(1,)] * g.k
         pairs = [None] * g.k  # pairs[i][j][f]: cell (i, j) when entry i strips and entry j takes flag f
         for i, brow in zip(two, block):

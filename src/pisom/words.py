@@ -59,12 +59,11 @@ that re-validates every output on an exhaustive space:
   ``test_products_and_stars_pass_the_check`` (every product of two words of
   weight <= 8, and every star), ``test_mul_matches_oracle_small_weights``
   (the all-orders oracle, weight <= 6) and ``test_mul_matches_full_reduction``;
-- the Gram cells v_i* v_j of :func:`_star_products` (the same lemma, with
-  the pieces of each entry, its star among them, cut once as plain tuples,
-  so that the cells are the only Words the kernel makes):
-  ``test_star_products_pass_the_check``
-  (every pair of words of weight <= 7) and
-  ``test_star_products_match_the_reference`` (seeded vectors of rank <= 6
+- the Gram cells v_i* v_j of ``matrix.gram`` (the same lemma, with the
+  pieces of each entry, its star among them, cut once as plain tuples, so
+  that the cells are the only Words the kernel makes):
+  ``test_gram_cells_pass_the_check`` (every pair of words of weight <= 7)
+  and ``test_gram_cells_match_the_reference`` (seeded vectors of rank <= 6
   with long entries and big magnitudes);
 - the factors of ``structure.factor_a0`` (pieces of a reduced word between
   cuts, with the cut entries replaced by prefix sums of the right sign):
@@ -175,27 +174,6 @@ def _trusted(entries) -> "Word":
     return tuple.__new__(Word, entries)
 
 
-def _reduce_entries(raw) -> list[int]:
-    """Normalize a nonzero-integer sequence with a single stack pass.
-
-    Each push settles in one step by the junction lemma (module docstring),
-    so the stack is reduced after every push.
-    """
-    out: list[int] = []
-    for v in raw:
-        v = int(v)
-        if v == 0:
-            raise WordError("zero entry in word")
-        if out and (out[-1] > 0) == (v > 0):
-            out[-1] += v
-        elif len(out) > 1 and abs(out[-1]) == 1:
-            e = out.pop()
-            out[-1] += e + v
-        else:
-            out.append(v)
-    return out
-
-
 class Word(tuple):
     """An immutable reduced word.
 
@@ -277,66 +255,26 @@ class Word(tuple):
         return self[h:] == tuple([-e for e in self[h - 1 :: -1]])
 
 
-def _star_products(v) -> tuple[tuple[Word, ...], ...]:
-    """The k x k rows of the products v_i* v_j of a word vector.
-
-    Cell (i, j) is s_i * w_j for s_i = v_i* and w_j = v_j, and the junction
-    lemma (module docstring) reads its case off a = v_i[0] and b = v_j[0]
-    alone: the last entry of s_i is -a, the one before it is -v_i[1], and
-    s_i[:-1] is the star of v_i[1:].  So each entry w is cut once, into its
-    star s (a plain tuple, reversed and negated as ``Word.star`` does, but
-    not wrapped), its first entry, w[1:] and s[:-1], and, when it starts
-    with a unit and has more than one entry, w[2:], s[:-2] and the sum of
-    its first two entries; each cell is then one tuple display of these
-    pieces, with no product and no star:
-
-    - a and b of opposite signs (-a and b merge):
-      (*s_i[:-1], b - a, *w_j[1:]);
-    - else, v_i starts with a unit and len(v_i) > 1:
-      (*s_i[:-2], b - a - v_i[1], *w_j[1:]);
-    - else, v_j starts with a unit and len(v_j) > 1:
-      (*s_i[:-1], b - a + v_j[1], *w_j[2:]);
-    - else the plain concatenation s_i + w_j.
-
-    These are the cases of ``Word.__mul__`` on (s_i, w_j) in order, so each
-    cell equals ``v[i].star * v[j]``.  The cells are the only Words made,
-    and the call returns every one.  An entry that is not a Word is a
-    TypeError, raised before any cell is made.
-    """
-    left, right = [], []  # the pieces of each entry as v_i* and as v_j
-    for w in v:
-        if type(w) is not Word:
-            raise TypeError("a Gram entry must be a Word, not %s" % type(w).__name__)
-        s = tuple([-e for e in w[::-1]])
-        b = w[0]
-        pos = b > 0
-        if len(w) > 1 and (b == 1 or b == -1):
-            c = b + w[1]
-            left.append((s, b, pos, s[:-1], s[:-2], c))
-            right.append((w, b, pos, w[1:], w[2:], c))
-        else:
-            left.append((s, b, pos, s[:-1], None, None))
-            right.append((w, b, pos, w[1:], None, None))
-    rows = []
-    for s, a, pos, head, head2, c in left:
-        row = []
-        for w, b, bpos, tail, tail2, d in right:
-            if bpos is not pos:
-                cell = (*head, b - a, *tail)
-            elif head2 is not None:
-                cell = (*head2, b - c, *tail)
-            elif tail2 is not None:
-                cell = (*head, d - a, *tail2)
-            else:
-                cell = s + w
-            row.append(_trusted(cell))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def reduce_word(raw) -> Word:
-    """Normal form of an arbitrary nonzero-integer sequence."""
-    return _checked(_reduce_entries(raw))
+    """Normal form of an arbitrary nonzero-integer sequence.
+
+    One stack pass: each push settles in one step by the junction lemma
+    (module docstring), so the stack is reduced after every push.  The
+    result still goes through :func:`_checked`, the check on outside input.
+    """
+    out: list[int] = []
+    for v in raw:
+        v = int(v)
+        if v == 0:
+            raise WordError("zero entry in word")
+        if out and (out[-1] > 0) == (v > 0):
+            out[-1] += v
+        elif len(out) > 1 and abs(out[-1]) == 1:
+            e = out.pop()
+            out[-1] += e + v
+        else:
+            out.append(v)
+    return _checked(out)
 
 
 def parse_word(text: str) -> Word:

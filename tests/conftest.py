@@ -112,6 +112,22 @@ def passes_the_check(w):
     return type(w) is Word and Word(tuple(w)) == w
 
 
+def random_word(rng, max_len, max_mag):
+    """A reduced word with up to max_len entries; interior magnitudes up to
+    max_mag, and ends that are units about half the time."""
+    n = rng.randint(1, max_len)
+    sign = rng.choice((1, -1))
+    out = []
+    for i in range(n):
+        if i in (0, n - 1):
+            mag = rng.choice((1, rng.randint(1, max_mag)))
+        else:
+            mag = rng.randint(2, max_mag)
+        out.append(sign * mag)
+        sign = -sign
+    return Word(out)
+
+
 # -- irreducible pools ---------------------------------------------------------
 
 

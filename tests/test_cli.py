@@ -1123,6 +1123,7 @@ def test_package_has_no_assert_statements():
 #: the only functions outside words.py that build a Word unchecked, each
 #: with the exhaustive test that holds its output
 TRUSTED_CALLERS = {
+    "gram": "test_matrix.py::test_gram_cells_pass_the_check",
     "factor_a0": "test_structure.py::test_factor_exhaustive_small",
     "factor_d0": "test_structure.py::test_factor_d0_exhaustive_small",
     "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
@@ -1362,3 +1363,11 @@ def test_numeric_fingerprint_is_reproducible(monkeypatch):
     digest, failures = script.fingerprint(**inputs)
     assert script.fingerprint(**inputs) == (digest, failures)
     assert len(digest) == 64 and failures > 0
+
+
+def test_gram_fingerprint_is_reproducible(monkeypatch):
+    script = load_script(monkeypatch, "gram_fingerprint")
+    inputs = dict(max_rank=2, ranks=(4, 8), count=3)
+    digest, d1 = script.fingerprint(**inputs)
+    assert script.fingerprint(**inputs) == (digest, d1)
+    assert len(digest) == 64 and d1 > 0

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from pisom import matrix
 from pisom.cli import run
 from pisom.matrix import (
     K_CAP,
@@ -41,12 +42,13 @@ from pisom.words import (
     DomainError,
     Word,
     WordError,
+    _checked,
     iter_words,
     member,
     parse_word,
 )
 
-from conftest import hollow_choices, passes_the_check, ref, words_upto
+from conftest import hollow_choices, passes_the_check, random_word, ref, words_upto
 
 W = parse_word
 
@@ -74,6 +76,54 @@ def test_gram_stars_the_upper_triangle():
             g = gram(vec)
             assert g.cells == tuple(tuple(a.star * b for b in vec) for a in vec), vec
             assert g.witness == vec
+
+
+def test_gram_cells_pass_the_check():
+    # the kernel wraps every cell unchecked; on the vector of all 106 words
+    # of weight <= 7 its 11,236 cells are every pair of them, and each must
+    # equal a.star * b and satisfy the invariants
+    pool = list(words_upto(7))
+    assert len(pool) == 106
+    rows = gram(pool).cells
+    assert type(rows) is tuple and len(rows) == len(pool)
+    for a, row in zip(pool, rows):
+        assert type(row) is tuple and len(row) == len(pool)
+        s = a.star
+        for b, c in zip(pool, row):
+            assert type(c) is Word and _checked(tuple(c)) == c == s * b, (a, b)
+
+
+def test_gram_cells_match_the_reference():
+    # 5,000 seeded vectors of rank 1..6 drawn from 120 seeded words with up
+    # to 30 entries, magnitudes up to 10^20 and a unit at each end about
+    # half the time, against the reference's cells; the 14,400 pairs of the
+    # pool fit the reference's cell cache, which keeps the test near 1 s
+    rng = random.Random(2028)
+    pool = [random_word(rng, 30, 10**20) for _ in range(120)]
+    assert 40 < sum(abs(w[0]) == 1 for w in pool) < 80
+    for _ in range(5000):
+        vec = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+        assert gram(vec).cells == ref.gram_cells(vec), vec
+
+
+def test_gram_refuses_a_plain_tuple(monkeypatch):
+    # an entry that is not a Word is refused, wherever it stands in the
+    # vector, before the kernel makes any cell, so nothing built from that
+    # entry is wrapped unchecked
+    made = []
+    real = matrix._trusted
+
+    def record(entries):
+        made.append(tuple(entries))
+        return real(entries)
+
+    monkeypatch.setattr(matrix, "_trusted", record)
+    w = Word((-2, 3))
+    for vec in (((2, 2), w), (w, (2, 2))):
+        made.clear()
+        with pytest.raises(TypeError, match=r"^a Gram entry must be a Word, not tuple$"):
+            gram(vec)
+        assert made == [], vec
 
 
 def test_gram_selfadjoint_and_tagged():

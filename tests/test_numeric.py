@@ -800,6 +800,17 @@ def test_frobenius_prefilter_leaves_near_ties_to_the_svd(monkeypatch):
     svd.clear()
     assert psd_check(np.eye(2), -tol) == _per_matrix_verdict(np.eye(2), -tol) is False
     assert len(svd) == 1
+    # the rep check's prefilter: at (1 + e) I_4 the residual v v* v - v has
+    # Frobenius norm 4 e (1 + O(e)) and spectral norm half that, so at
+    # e = 4.5e-13 the Frobenius norm 1.8e-12 settles nothing and one SVD
+    # accepts the 9.0e-13; at e = 5.2e-13 one SVD refuses the 1.040e-12
+    svd.clear()
+    assert isinstance(PartialIsometryRep.checked((1 + 4.5e-13) * np.eye(4)), PartialIsometryRep)
+    assert len(svd) == 1
+    svd.clear()
+    with pytest.raises(InvalidRepError, match=r"^\|\|v v\* v - v\|\| = 1\.040e-12 exceeds 1\.0e-12$"):
+        PartialIsometryRep.checked((1 + 5.2e-13) * np.eye(4))
+    assert len(svd) == 1
 
 
 def test_verify_reports_the_per_matrix_min_eig(fixture_assignment):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pisom import words
-from pisom.matrix import gram
 from pisom.words import (
     GEN,
     UNIT_MINUS,
@@ -15,7 +14,6 @@ from pisom.words import (
     Word,
     WordError,
     _checked,
-    _star_products,
     format_word,
     iter_words,
     member,
@@ -23,7 +21,7 @@ from pisom.words import (
     reduce_word,
 )
 
-from conftest import oracle_normal_forms, raw_sequences, ref, words_upto
+from conftest import oracle_normal_forms, random_word, raw_sequences, ref, words_upto
 
 entries_st = st.lists(
     st.integers(-5, 5).filter(lambda x: x != 0), min_size=1, max_size=7
@@ -235,84 +233,15 @@ def test_products_and_stars_pass_the_check():
             assert type(p) is Word and _checked(tuple(p)) == p == reduce_word(tuple(a) + tuple(b)), (a, b)
 
 
-def _random_word(rng, max_len, max_mag):
-    # a reduced word with up to max_len entries; interior magnitudes up to
-    # max_mag, and ends that are units about half the time
-    n = rng.randint(1, max_len)
-    sign = rng.choice((1, -1))
-    out = []
-    for i in range(n):
-        if i in (0, n - 1):
-            mag = rng.choice((1, rng.randint(1, max_mag)))
-        else:
-            mag = rng.randint(2, max_mag)
-        out.append(sign * mag)
-        sign = -sign
-    return Word(out)
-
-
 def test_long_products_with_big_entries():
     # the closed form's slices a[:-2] and b[2:] on long words with big
     # entries, against the reference's fixpoint reducer
     rng = random.Random(2026)
     for _ in range(20000):
-        a = _random_word(rng, 30, 10**20)
-        b = _random_word(rng, 30, 10**20)
+        a = random_word(rng, 30, 10**20)
+        b = random_word(rng, 30, 10**20)
         p = a * b
         assert type(p) is Word and tuple(p) == ref.prod(a, b), (a, b)
-
-
-# -- the Gram kernel --------------------------------------------------------------
-
-
-def test_star_products_pass_the_check():
-    # the kernel wraps every cell unchecked; on the vector of all 106 words
-    # of weight <= 7 its 11,236 cells are every pair of them, and each must
-    # equal a.star * b and satisfy the invariants
-    pool = list(words_upto(7))
-    assert len(pool) == 106
-    rows = _star_products(pool)
-    assert type(rows) is tuple and len(rows) == len(pool)
-    for a, row in zip(pool, rows):
-        assert type(row) is tuple and len(row) == len(pool)
-        s = a.star
-        for b, c in zip(pool, row):
-            assert type(c) is Word and _checked(tuple(c)) == c == s * b, (a, b)
-
-
-def test_star_products_match_the_reference():
-    # 5,000 seeded vectors of rank 1..6 drawn from 120 seeded words with up
-    # to 30 entries, magnitudes up to 10^20 and a unit at each end about
-    # half the time, against the reference's cells; the 14,400 pairs of the
-    # pool fit the reference's cell cache, which keeps the test near 1 s
-    rng = random.Random(2028)
-    pool = [_random_word(rng, 30, 10**20) for _ in range(120)]
-    assert 40 < sum(abs(w[0]) == 1 for w in pool) < 80
-    for _ in range(5000):
-        vec = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
-        assert _star_products(vec) == ref.gram_cells(vec), vec
-
-
-def test_star_products_refuse_a_plain_tuple(monkeypatch):
-    # an entry that is not a Word is refused, wherever it stands in the
-    # vector, before the kernel makes any cell, so nothing built from that
-    # entry is wrapped unchecked
-    made = []
-    real = words._trusted
-
-    def record(entries):
-        made.append(tuple(entries))
-        return real(entries)
-
-    monkeypatch.setattr(words, "_trusted", record)
-    w = Word((-2, 3))
-    for vec in (((2, 2), w), (w, (2, 2))):
-        made.clear()
-        with pytest.raises(TypeError, match=r"^a Gram entry must be a Word, not tuple$"):
-            _star_products(vec)
-        with pytest.raises(TypeError, match=r"^a Gram entry must be a Word, not tuple$"):
-            gram(vec)
-        assert made == [], vec
 
 
 def test_mul_by_plain_tuple():
