@@ -54,10 +54,6 @@ WIDE_COUNT = 20
 SEED = 41
 
 
-def _vec(v) -> str:
-    return ",".join(map(format_word, v))
-
-
 def _without_witness(g: GramMatrix) -> str:
     obj = json.loads(g.to_json())
     del obj["witness"]
@@ -66,7 +62,7 @@ def _without_witness(g: GramMatrix) -> str:
 
 def order_lines(g: GramMatrix):
     """The order data of a D1 matrix, one line each."""
-    yield "factor " + " ".join(map(_vec, factor_gram(g)))
+    yield "factor " + " ".join(",".join(map(format_word, v)) for v in factor_gram(g))
     for s in sorted(matrix_successors(g), key=lambda x: x.cells):
         yield "succ " + s.to_json()
     for p in immediate_predecessors(g):

@@ -10,8 +10,8 @@ Gram paths keep to one rule: no Word that the call does not return.
 ``gram`` makes its cells and no other Word; ``factor_gram`` the other
 factorization; ``matrix_successors`` strips only the entries with two
 choices and takes their block of cells from one ``gram`` call, each of
-them a cell of a successor; ``immediate_predecessors`` reads both vectors off
-the witness with no factorization built.  ``matrix_leq`` tries the
+them a cell of a successor; ``immediate_predecessors`` reads both vectors
+off the witness with no factorization built.  ``matrix_leq`` tries the
 witnesses themselves, and ``classify_matrix`` builds the all-negative
 factorization it reads only when the witness starts positive in every
 entry.
