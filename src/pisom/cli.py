@@ -177,11 +177,6 @@ def _int(text: str):
         raise argparse.ArgumentTypeError("invalid int value: %r" % _echo(text)) from None
 
 
-def _reader(arg):
-    """The argparse type of an argument row: _int for an int argument."""
-    return _int if arg[1] is int else arg[1]
-
-
 def _refuse_long_integers(args) -> None:
     """Refuse the first integer argument of more than 4,300 digits, named as
     argparse names it."""
@@ -190,18 +185,19 @@ def _refuse_long_integers(args) -> None:
             raise DomainError("argument %s: an integer has more than 4,300 digits" % arg[0])
 
 
-_SEED, _DIM, _TOL = ("--seed", int, 0), ("--dim", int, 4), ("--tol", float, None)
+_SEED, _DIM, _TOL = ("--seed", _int, 0), ("--dim", _int, 4), ("--tol", float, None)
 
 #: one row per subcommand, in the order the usage lists them: its name, the
 #: function that returns the result _show prints, and its arguments.  An
 #: argument is a positional name or (name, type) pair, a "--flag" switch, or
-#: a (flag, type, default) option.
+#: a (flag, type, default) option; the type is argparse's, _int for an
+#: integer.
 COMMANDS = (
     ("reduce", lambda a: parse_word(a.word), "word"),
     ("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right"),
     ("star", lambda a: parse_word(a.word).star, "word"),
     ("tau", lambda a: parse_word(a.word).tau, "word"),
-    ("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", int)),
+    ("sigma", lambda a: parse_word(a.word).sigma(a.r), "word", ("r", _int)),
     ("tau-plus", lambda a: parse_word(a.word).tau_plus(), "word"),
     ("member", lambda a: member(parse_word(a.word), a.tag), "word", "tag"),
     ("irr", lambda a: pisom.is_irreducible(parse_word(a.word)), "word"),
@@ -211,7 +207,7 @@ COMMANDS = (
         "word",
         "--in-d0",
     ),
-    ("enum-irr", _enum_irr, ("k", int)),
+    ("enum-irr", _enum_irr, ("k", _int)),
     ("alpha", lambda a: pisom.alpha(parse_word(a.word)), "word"),
     ("omega", lambda a: pisom.omega(parse_word(a.word)), "word"),
     ("beta-omega", lambda a: pisom.beta_omega(parse_word(a.word)), "word"),
@@ -237,23 +233,23 @@ COMMANDS = (
     ),
     ("matrix-pred", lambda a: _grams_json(pisom.immediate_predecessors(_gram_arg(a.gram))), "gram"),
     ("classify", _classify, "target"),
-    ("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", int), ("k", int)),
+    ("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", _int), ("k", _int)),
     (
         "iota-tau",
         lambda a: pisom.iota_tau(_gram_arg(a.gram), _partition_arg(a.partition)).to_json(),
         "gram",
         "partition",
     ),
-    ("random-pi", _random_pi, ("n", int), _SEED),
-    ("verify-rep", _verify_rep, _SEED, _DIM, ("--count", int, 50), _TOL),
+    ("random-pi", _random_pi, ("n", _int), _SEED),
+    ("verify-rep", _verify_rep, _SEED, _DIM, ("--count", _int, 50), _TOL),
     # --count defaults to 20, or to the one displayed relation at --fixture --k 2
     (
         "verify-korder",
         _verify_korder,
-        ("--k", int, 2),
+        ("--k", _int, 2),
         _SEED,
         _DIM,
-        ("--count", int, None),
+        ("--count", _int, None),
         _TOL,
         ("--fixture", None, None),
     ),
@@ -279,9 +275,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             elif isinstance(arg, str):
                 sp.add_argument(arg)
             elif len(arg) == 2:
-                sp.add_argument(arg[0], type=_reader(arg))
+                sp.add_argument(arg[0], type=arg[1])
             else:
-                sp.add_argument(arg[0], type=_reader(arg), default=arg[2])
+                sp.add_argument(arg[0], type=arg[1], default=arg[2])
         sp.set_defaults(fn=fn)
     return p
 

@@ -57,23 +57,25 @@ value that is not finite only by an overflow, and the loop runs under
 numpy's errstate with overflow and invalid operations raised, so such a
 value is a DomainError, not a warning: a generator assignment, or a v
 that is no partial isometry, may have images large enough for it.
-``psd_check`` certifies its one matrix under the same errstate, so a
-finite matrix whose Hermitian or skew part overflows is a DomainError
-there too.  The order and Schwarz relations and the k-order relations
-are PSD tests; the conjugation identity bounds the spectral norm of each
-residual v* eval(n) v - eval(alpha(n)), with v and v* the images of the
-words (1) and (-1).  A call's words are evaluated against one memo,
-dropped when the call returns: the powers v^j, grown by repeated
-multiplication, and their conjugate transposes (v*)^j, each kept as the
-image of the one-entry word (j) or (-j), and the image of every word,
-suffix and half met in the call; a word or slice goes to its half
-exactly when ``Word.is_selfadjoint`` holds.  A word already in the memo
-is returned as it is.  So the two sides of a basic step, w* w <= c* c
-with c = w less one unit at the front, share the image of w[1:] and take
-about len(w) + 2 products between them.  Each word the call reads is
-evaluated once.  A difference m passes when its skew part has spectral
-norm ||m - m*||_2 <= tol and the Hermitian part H = (m + m*)/2 has
-minimum eigenvalue >= -tol, as the eigensolve reports it.
+``psd_check`` certifies its one matrix, and ``eval_word`` evaluates its
+one word, under the same errstate (``_in_double``), so a finite matrix
+whose Hermitian or skew part overflows, and a word whose image does, is
+a DomainError there too.  The order and Schwarz relations and the
+k-order relations are PSD tests; the conjugation identity bounds the
+spectral norm of each residual v* eval(n) v - eval(alpha(n)), with v and
+v* the images of the words (1) and (-1).  A call's words are evaluated
+against one memo, dropped when the call returns: the powers v^j, grown
+by repeated multiplication, and their conjugate transposes (v*)^j, each
+kept as the image of the one-entry word (j) or (-j), and the image of
+every word, suffix and half met in the call; a word or slice goes to its
+half exactly when ``Word.is_selfadjoint`` holds.  A word already in the
+memo is returned as it is.  So the two sides of a basic step,
+w* w <= c* c with c = w less one unit at the front, share the image of
+w[1:] and take about len(w) + 2 products between them.  Each word the
+call reads is evaluated once.  A difference m passes when its skew part
+has spectral norm ||m - m*||_2 <= tol and the Hermitian part
+H = (m + m*)/2 has minimum eigenvalue >= -tol, as the eigensolve reports
+it.
 
 Support.  A k-order relation G <= G' is certified on its support S, the
 block rows i where the cells of G and G' differ as words.  Both matrices
@@ -153,6 +155,7 @@ cannot exist; see scripts/find_order_fixture.py.
 
 import json
 import random
+from contextlib import contextmanager
 from functools import cache, reduce as _fold
 
 import numpy as np
@@ -193,7 +196,9 @@ def matrix_to_json(m) -> str:
 
 
 def opnorm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """||m||_2, inf when m is not finite."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else float("inf")
 
 
 class PartialIsometryRep:
@@ -218,24 +223,18 @@ class PartialIsometryRep:
         with np.errstate(over="ignore", invalid="ignore"):
             return v @ v.conj().T @ v - v
 
-    def defect(self) -> float:
-        """||v v* v - v||_2, inf when the residual is not finite."""
-        d = self._residual()
-        return opnorm(d) if np.isfinite(d).all() else float("inf")
-
     @classmethod
     def checked(cls, v) -> "PartialIsometryRep":
-        """The rep of v, refused unless v is finite and its defect is at most
-        IDENTITY_TOL.  The Frobenius norm of the residual settles most
-        verdicts; the SVD runs only when it does not."""
+        """The rep of v, refused unless v is finite and its defect
+        ||v v* v - v||_2 is at most IDENTITY_TOL.  The Frobenius norm of the
+        residual settles most verdicts; the SVD runs only when it does not,
+        and reads inf for a residual that overflowed."""
         rep = cls(np.asarray(v, dtype=complex))
         if not np.isfinite(rep.v).all():
             raise InvalidRepError("a partial isometry needs a finite matrix")
-        if _frobenius_within(rep._residual()[None], IDENTITY_TOL)[0]:
-            return rep
-        defect = rep.defect()
-        if not defect <= IDENTITY_TOL:
-            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (defect, IDENTITY_TOL))
+        over = _norms_over(rep._residual()[None], IDENTITY_TOL)
+        if over:
+            raise InvalidRepError("||v v* v - v|| = %.3e exceeds %.1e" % (over[0][1], IDENTITY_TOL))
         return rep
 
 
@@ -318,10 +317,11 @@ def eval_word(rep, w: Word):
     memo holds: a verify call, which shares one memo across its words, gets
     the images this returns.  A generator assignment evaluates w as the
     verify calls evaluate it, multiplicatively over the factors of a D0
-    word.  A v with an entry that is not finite, or anything but a rep or
-    an assignment, is a DomainError.
+    word.  A v with an entry that is not finite, a word whose image
+    overflows, or anything but a rep or an assignment, is a DomainError.
     """
-    return _evaluator(rep)(w)
+    with _in_double("eval_word: the word does not evaluate in double precision: %s"):
+        return _evaluator(rep)(w)
 
 
 # Relative slack on the Frobenius prefilter; see the module docstring.
@@ -330,6 +330,18 @@ _FRO_SLACK = 1 - 1e-12
 # for the eigensolve; see the module docstring.
 _CHOLESKY_GUARD = 8
 _BATCH_ENTRIES = 1 << 18
+
+
+@contextmanager
+def _in_double(refusal: str):
+    """Run the block under numpy's errstate with overflow and invalid
+    operations raised, and refuse such an operation with the DomainError
+    refusal % numpy's message; see the module docstring."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(refusal % exc) from None
 
 
 def _frobenius_within(stack, tol: float):
@@ -428,20 +440,17 @@ def _certified(items, dim: int, diff, describe, tol: float, check=_psd_failures,
     items = list(items)
     orders = [dim] * len(items) if orders is None else orders
     failed = {}
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for order in dict.fromkeys(filter(None, orders)):
-                wheres = [j for j, o in enumerate(orders) if o == order]
-                size = max(1, _BATCH_ENTRIES // (order * order))
-                for start in range(0, len(wheres), size):
-                    batch = wheres[start : start + size]
-                    stack = np.empty((len(batch), order, order), dtype=complex)
-                    for j, out in zip(batch, stack):
-                        diff(items[j], out)
-                    for i, value in check(stack, tol):
-                        failed[batch[i]] = value if order == dim else min(value, 0.0)
-    except FloatingPointError as exc:  # an overflow; see the module docstring
-        raise DomainError("the relations do not evaluate in double precision: %s" % exc) from None
+    with _in_double("the relations do not evaluate in double precision: %s"):
+        for order in dict.fromkeys(filter(None, orders)):
+            wheres = [j for j, o in enumerate(orders) if o == order]
+            size = max(1, _BATCH_ENTRIES // (order * order))
+            for start in range(0, len(wheres), size):
+                batch = wheres[start : start + size]
+                stack = np.empty((len(batch), order, order), dtype=complex)
+                for j, out in zip(batch, stack):
+                    diff(items[j], out)
+                for i, value in check(stack, tol):
+                    failed[batch[i]] = value if order == dim else min(value, 0.0)
     return Report(len(items), [{"relation": describe(x), key: failed[j]} for j, x in enumerate(items) if j in failed])
 
 
@@ -454,11 +463,8 @@ def psd_check(m, tol: float = PSD_TOL) -> bool:
         raise DomainError("psd_check needs a square matrix")
     if not np.isfinite(m).all():
         raise DomainError("psd_check needs a finite matrix")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return bool(_certify(m[None], tol)[0][0])
-    except FloatingPointError as exc:
-        raise DomainError("psd_check: the matrix does not evaluate in double precision: %s" % exc) from None
+    with _in_double("psd_check: the matrix does not evaluate in double precision: %s"):
+        return bool(_certify(m[None], tol)[0][0])
 
 
 # -- reports ------------------------------------------------------------------
@@ -590,9 +596,9 @@ class GeneratorAssignment:
                 raise DomainError("%s is not a non-unit plus-irreducible" % _echo(g))
         for g, m in self.images.items():
             other = self.image(g.star)
-            with np.errstate(over="ignore"):  # an overflowed gap is not finite, so refused
+            with np.errstate(over="ignore"):  # an overflowed gap has norm inf, so is refused
                 gap = other - m.conj().T
-            if not (np.isfinite(gap).all() and opnorm(gap) <= IDENTITY_TOL):
+            if _norms_over(gap[None], IDENTITY_TOL):
                 raise DomainError("star-incompatible images at %s" % _echo(g))
 
     def image(self, g: Word):

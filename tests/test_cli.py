@@ -1035,7 +1035,7 @@ def _fuzz_json(rng, depth):
 def _fuzz_arg(rng, name, kind, fixtures):
     """A value for the argument of this name and type: mostly of its own
     kind, sometimes of any."""
-    if kind is int:
+    if kind is cli._int:
         return _fuzz_int(rng)
     if kind is float:
         return rng.choice(("1e-9", "0", "-1", "nan", "inf", "1e400", "x", _digits(rng, 4301)))
@@ -1357,17 +1357,27 @@ def test_code_lines_per_module_sum_to_the_total(monkeypatch, capsys):
     assert all(n > 0 for n in counts.values())
 
 
-def test_numeric_fingerprint_is_reproducible(monkeypatch):
-    script = load_script(monkeypatch, "numeric_fingerprint")
-    inputs = dict(dims=(1, 3), ks=(1, 2), scalar_count=12, matrix_count=4)
-    digest, failures = script.fingerprint(**inputs)
-    assert script.fingerprint(**inputs) == (digest, failures)
-    assert len(digest) == 64 and failures > 0
+#: a reduced input set per layer of scripts/fingerprint.py
+FINGERPRINT_INPUTS = {
+    "words": dict(max_weight=4),
+    "maps": dict(max_weight=6),
+    "structure": dict(max_weight=6, max_grade=6),
+    "order": dict(max_weight=6),
+    "matrix": dict(max_rank=2, ranks=(4, 8), count=3),
+    "numeric": dict(dims=(1, 3), ks=(1, 2), scalar_count=12, matrix_count=4),
+}
 
 
-def test_gram_fingerprint_is_reproducible(monkeypatch):
-    script = load_script(monkeypatch, "gram_fingerprint")
-    inputs = dict(max_rank=2, ranks=(4, 8), count=3)
-    digest, d1 = script.fingerprint(**inputs)
-    assert script.fingerprint(**inputs) == (digest, d1)
-    assert len(digest) == 64 and d1 > 0
+def test_fingerprint_is_reproducible(monkeypatch):
+    script = load_script(monkeypatch, "fingerprint")
+    assert [layer.__name__ for layer in script.LAYERS] == list(FINGERPRINT_INPUTS)
+    for layer in script.LAYERS:
+        inputs = FINGERPRINT_INPUTS[layer.__name__]
+        digest, count = script.digest(layer(**inputs))
+        assert script.digest(layer(**inputs)) == (digest, count)
+        assert len(digest) == 64 and count > 0, layer.__name__
+    # the reduced sets still reach the order data of a D1 matrix and a
+    # failing verify call
+    assert any(line.startswith("factor ") for line in script.matrix(**FINGERPRINT_INPUTS["matrix"]))
+    lines = script.numeric(**FINGERPRINT_INPUTS["numeric"])
+    assert any(isinstance(line, str) and '"failures": [{' in line for line in lines)
