@@ -74,7 +74,7 @@ BAD_WORDS = (
     (reduce_word, (1, 0, 2)), (reduce_word, ()),
     (parse_word, ""), (parse_word, "1,2"), (parse_word, "()"), (parse_word, "(1,,2)"), (parse_word, "(x)"),
     (parse_word, "(01)"), (parse_word, "(+1)"), (parse_word, "(1,0)"), (parse_word, "(%s)" % ("9" * 4001)),
-    (parse_word, "(%s)" % ",".join(["2", "-2"] * 30)),
+    (parse_word, "(%s,)" % ",".join(["2", "-2"] * 30)),
     (member, Word((1,)), "XX"), (member, Word((1,)), ""),
     (Word.sigma, Word((1,)), -1), (Word.tau_plus, Word((-3,))),
 )
