@@ -13,10 +13,11 @@ iota-tau, random-pi, verify-rep and verify-korder always print JSON.
 
 A call loads only the layers its command uses: the handlers reach them
 through the package's lazily resolved names, or import them when they run.
+It imports json only when it reads or writes JSON, so a words, maps,
+structure or order command without --json never does.
 """
 
 import argparse
-import json
 import math
 import os
 import re
@@ -51,18 +52,27 @@ def _grams_json(grams) -> str:
     return "[%s]" % ", ".join(g.to_json() for g in grams)
 
 
+def _dumps(obj) -> str:
+    import json
+
+    return json.dumps(obj)
+
+
 def _show(args, result) -> None:
-    """Print a command's result by its kind, as the module docstring states."""
+    """Print a command's result by its kind, as the module docstring states.
+    A bool or an int prints as json.dumps writes it, in both forms."""
     if isinstance(result, Word):
         text = format_word(result)
-        print(json.dumps(text) if args.json else text)
+        print(_dumps(text) if args.json else text)
     elif isinstance(result, (list, tuple)):
         texts = [format_word(w) for w in result]
-        print(json.dumps(texts) if args.json else " ".join(texts))
+        print(_dumps(texts) if args.json else " ".join(texts))
     elif isinstance(result, str):
         print(result)
+    elif isinstance(result, bool):
+        print("true" if result else "false")
     else:
-        print(json.dumps(result))  # a bool or an int: alike in both forms
+        print(result)
 
 
 def _enum_irr(args):
@@ -222,7 +232,7 @@ COMMANDS = (
     ("gram", _gram, "vector"),
     (
         "factor-gram",
-        lambda a: json.dumps([[format_word(w) for w in v] for v in pisom.factor_gram(_gram_arg(a.gram))]),
+        lambda a: _dumps([[format_word(w) for w in v] for v in pisom.factor_gram(_gram_arg(a.gram))]),
         "gram",
     ),
     ("matrix-leq", lambda a: pisom.matrix_leq(_gram_arg(a.lower), _gram_arg(a.upper)), "lower", "upper"),
@@ -233,7 +243,7 @@ COMMANDS = (
     ),
     ("matrix-pred", lambda a: _grams_json(pisom.immediate_predecessors(_gram_arg(a.gram))), "gram"),
     ("classify", _classify, "target"),
-    ("partitions", lambda a: json.dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", _int), ("k", _int)),
+    ("partitions", lambda a: _dumps([list(p) for p in pisom.partitions(a.d, a.k)]), ("d", _int), ("k", _int)),
     (
         "iota-tau",
         lambda a: pisom.iota_tau(_gram_arg(a.gram), _partition_arg(a.partition)).to_json(),

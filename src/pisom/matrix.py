@@ -46,6 +46,10 @@ of steps takes one word off the front of every entry (``matrix_leq``).
 The case analysis reads every decomposition off the witness or the
 diagonal with no factor list and no product: Case2 cuts each entry at its
 first prefix sum 1 (proof at ``classify_matrix``).
+
+Only ``GramMatrix.from_cells`` and the Case3 branch of ``classify_matrix``
+read ``order`` and ``structure``, and each imports what it reads when it
+runs, so loading this module loads ``words`` alone.
 """
 
 import json
@@ -53,8 +57,6 @@ from itertools import accumulate, combinations, islice
 from itertools import product as _cartesian
 from operator import getitem
 
-from .order import sa_factor_min, sa_factorizations, unit_shift, unit_strip
-from .structure import sa_canonical_d1
 from .words import (
     GEN,
     GEN_STAR,
@@ -66,6 +68,8 @@ from .words import (
     _trusted,
     format_word,
     parse_word,
+    unit_shift,
+    unit_strip,
 )
 
 K_CAP = 8  # rank of the largest Gram matrix whose successors are enumerated
@@ -155,6 +159,8 @@ class GramMatrix:
         all-positive one has the all-negative mirror, which starts with the
         negative-start w_0.
         """
+        from .order import sa_factorizations
+
         k = len(cells)
         if not all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k)):
             raise DomainError("gram matrix is not selfadjoint")
@@ -303,7 +309,7 @@ def factor_gram(g: GramMatrix) -> tuple[tuple[Word, ...], ...]:
     two factorizations of a cell is the negative-start one; every entry of
     w would start with one sign.  An all-negative w comes with (1) w, entry
     by entry, and an all-positive one with (-1) w, each entry's
-    ``order.unit_shift``: ((1) w_i)* (1) w_j = w_i* (-1,1) w_j = w_i* w_j,
+    ``words.unit_shift``: ((1) w_i)* (1) w_j = w_i* (-1,1) w_j = w_i* w_j,
     as (-1,1) fixes a negative-start word, and (1,-1) a positive-start one.
     """
     w = g.witness
@@ -555,6 +561,9 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
             a.append(_trusted(w[:i] + (w[i] - 1,)) if i else w)
             m.append(_trusted((1,) + w[i + 1 :]) if i else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
+
+    from .order import sa_factor_min
+    from .structure import sa_canonical_d1
 
     m, lam = [], []
     for i in range(g.k):

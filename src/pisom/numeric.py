@@ -596,7 +596,8 @@ class GeneratorAssignment:
                 raise DomainError("%s is not a non-unit plus-irreducible" % _echo(g))
         for g, m in self.images.items():
             other = self.image(g.star)
-            with np.errstate(over="ignore"):  # an overflowed gap has norm inf, so is refused
+            # an overflowed gap (inf) or a non-finite image's (nan) is refused
+            with np.errstate(over="ignore", invalid="ignore"):
                 gap = other - m.conj().T
             if _norms_over(gap[None], IDENTITY_TOL):
                 raise DomainError("star-incompatible images at %s" % _echo(g))

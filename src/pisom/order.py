@@ -35,7 +35,7 @@ junction folds (-1,1,w[0]) into w[0], and with w[0] > 0 the product
 
 from itertools import accumulate
 
-from .words import GEN, GEN_STAR, UNIT_MINUS, UNIT_PLUS, DomainError, Word, _echo, _trusted
+from .words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, _echo, _trusted, unit_shift
 
 
 def _sa_half(n: Word) -> int:
@@ -56,26 +56,6 @@ def sa_factorizations(n: Word) -> tuple[Word, Word]:
     w = sa_factor_min(n)
     other = unit_shift(w)
     return (w, other) if w[0] < 0 else (other, w)
-
-
-def unit_strip(u: Word) -> Word:
-    """The hollowing choice: remove one unit from the front of u.
-
-    For u = (-1) this is forced to (1,-1), mirrored for (1).
-    """
-    e0 = u[0]
-    if e0 < 0:
-        if e0 == -1:
-            return UNIT_MINUS if len(u) == 1 else _trusted(u[1:])
-        return _trusted((e0 + 1,) + u[1:])
-    if e0 == 1:
-        return UNIT_PLUS if len(u) == 1 else _trusted(u[1:])
-    return _trusted((e0 - 1,) + u[1:])
-
-
-def unit_shift(u: Word) -> Word:
-    """The inert choice: prepend the opposite unit (same recomposition)."""
-    return (GEN if u[0] < 0 else GEN_STAR) * u
 
 
 def _check_sa_d1(n: Word) -> tuple[int, int]:

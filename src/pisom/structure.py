@@ -39,7 +39,6 @@ and the depth-first search that lists each prefix's completions afresh
 are checked against it in the tests.
 """
 
-import json
 from itertools import accumulate
 
 from .order import _check_sa_d1
@@ -127,6 +126,8 @@ class IrrTable:
         self.elements = elements
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"k": self.k, "elements": [format_word(w) for w in self.elements]})
 
 

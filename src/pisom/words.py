@@ -75,7 +75,7 @@ that re-validates every output on an exhaustive space:
   ``test_factor_d0_matches_factor_a0_on_products`` (seeded products of up
   to four plus-irreducibles of grade <= 16);
 - ``order.sa_factor_min`` (the second half of a selfadjoint word) and
-  ``order.unit_strip`` (a reduced word with a unit taken off its front):
+  ``words.unit_strip`` (a reduced word with a unit taken off its front):
   ``test_trusted_slices_pass_the_check`` (the 176 selfadjoint words of
   weight <= 18);
 - ``order.hollow_successors`` (the middle pair of a selfadjoint word moved
@@ -360,3 +360,23 @@ UNIT_PLUS = Word((-1, 1))   # unit of the plus-bracketed subsemigroups
 UNIT_MINUS = Word((1, -1))  # the other idempotent
 GEN = Word((1,))
 GEN_STAR = Word((-1,))
+
+
+def unit_strip(u: Word) -> Word:
+    """The hollowing choice: remove one unit from the front of u.
+
+    For u = (-1) this is forced to (1,-1), mirrored for (1).
+    """
+    e0 = u[0]
+    if e0 < 0:
+        if e0 == -1:
+            return UNIT_MINUS if len(u) == 1 else _trusted(u[1:])
+        return _trusted((e0 + 1,) + u[1:])
+    if e0 == 1:
+        return UNIT_PLUS if len(u) == 1 else _trusted(u[1:])
+    return _trusted((e0 - 1,) + u[1:])
+
+
+def unit_shift(u: Word) -> Word:
+    """The inert choice: prepend the opposite unit (same recomposition)."""
+    return (GEN if u[0] < 0 else GEN_STAR) * u

@@ -315,17 +315,51 @@ def test_no_module_imports_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_a_words_command_loads_only_words():
-    script = (
-        "import io, sys, contextlib\n"
-        "import pisom.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert pisom.cli.run(['reduce', '(2,-1,2,-1)']) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'pisom')\n"
-        "assert loaded == ['pisom', 'pisom.cli', 'pisom.words'], loaded\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
+#: runs one call in a fresh interpreter, its arguments on the command line,
+#: and prints its exit code, whether json was imported, and the layers loaded
+LOADS_SCRIPT = (
+    "import contextlib, io, sys\n"
+    "import pisom.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = pisom.cli.run(sys.argv[1:])\n"
+    "layers = sorted(m for m in sys.modules if m.startswith('pisom.') and m != 'pisom.cli')\n"
+    "print(code, 'json' in sys.modules, *layers)\n"
+)
+#: the malformed inputs the cli-session benchmark sends in every round
+FIXED_GRAM_JSON = '{"k": 1, "cells": [["(-3,2,-2,3)"]], "witness": ["(-2,3)"]}'
+_WORDS, _MATRIX = ["pisom.words"], ["pisom.matrix", "pisom.words"]
+#: (argv, exit code, json imported, the layers loaded)
+LOADS = [
+    (["reduce", "(2,-1,2,-1)"], 0, False, _WORDS),
+    (["mul", "(-3,3)", "(2,-2)"], 0, False, _WORDS),
+    (["member", "(-2,3,-3,2)", "D0"], 0, False, _WORDS),
+    (["alpha", "(1,-1)"], 0, False, ["pisom.maps", "pisom.words"]),
+    (["order-leq", "(-5,5)", "(-1,1)"], 0, False, ["pisom.order", "pisom.words"]),
+    (["reduce", "(1,0,2)"], 1, False, _WORDS),
+    (["gram", '["(-2,3)","(-3,4)"]'], 0, True, _MATRIX),
+    (["factor-gram", HMM_GRAM_JSON], 0, True, _MATRIX),
+    (["matrix-succ", HMM_GRAM_JSON], 0, True, _MATRIX),
+    (["matrix-pred", HMM_GRAM_JSON], 0, True, _MATRIX),
+    (["iota-tau", HMM_GRAM_JSON, "[2,1]"], 0, True, _MATRIX),
+    (["gram", "[3]"], 1, True, _MATRIX),
+    (["factor-gram", "[1,2]"], 1, True, _MATRIX),
+    (["iota-tau", FIXED_GRAM_JSON, '["x"]'], 1, True, _MATRIX),
+    # Case3 with a core: the one branch of classify that reads order and structure
+    (["classify", HMM_GRAM_JSON], 0, True, ["pisom.matrix", "pisom.order", "pisom.structure", "pisom.words"]),
+]
+
+
+def test_a_call_loads_only_what_its_command_runs():
+    # a words, maps or order command imports no json; a matrix command loads
+    # neither order nor structure unless it classifies a Case3 core
+    classified = json.loads(invoke(["classify", HMM_GRAM_JSON])[1])
+    assert (classified["case"], classified["maximal"]) == ("Case3", False)
+    for argv, code, uses_json, layers in LOADS:
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADS_SCRIPT, *argv], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(code), str(uses_json), *layers], argv
 
 
 def test_every_exported_name_resolves():
@@ -1127,7 +1161,6 @@ TRUSTED_CALLERS = {
     "factor_a0": "test_structure.py::test_factor_exhaustive_small",
     "factor_d0": "test_structure.py::test_factor_d0_exhaustive_small",
     "sa_factor_min": "test_order.py::test_trusted_slices_pass_the_check",
-    "unit_strip": "test_order.py::test_trusted_slices_pass_the_check",
     "hollow_successors": "test_order.py::test_hollow_step_matches_the_product",
     "beta_omega": "test_maps.py::test_beta_omega_lands_in_d0",
     "_bracket": "test_maps.py::test_bracket_matches_the_products",
@@ -1253,22 +1286,29 @@ def test_no_unused_imports():
 
 
 def test_no_library_code_only_the_tests_call():
-    # every module-level function and class of the package, and every
-    # non-dunder method of such a class, is exported or named somewhere in
-    # the package, so no code lives on for the tests alone
+    # every module-level function and class of the package is exported or
+    # named somewhere in the package, and every non-dunder method of such a
+    # class is called or read as an attribute in the package or in its other
+    # consumer, perfbench/, so no code lives on for the tests alone.  A
+    # local variable of the method's name does not count.
     import pisom
 
     paths = sorted((REPO / "src" / "pisom").glob("*.py"))
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
     named = set(pisom.__all__) | {"__getattr__"}
+    attributes = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        attributes.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     defs = [
         (name, node) for name, tree in trees.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -1277,7 +1317,8 @@ def test_no_library_code_only_the_tests_call():
         (name, node) for name, cls in defs if isinstance(cls, ast.ClassDef)
         for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     ]
-    unused = ["%s:%s" % (name, node.name) for name, node in defs + methods if node.name not in named]
+    unused = ["%s:%s" % (name, node.name) for name, node in defs if node.name not in named]
+    unused += ["%s:%s" % (name, node.name) for name, node in methods if node.name not in attributes]
     assert unused == []
 
 

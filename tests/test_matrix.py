@@ -31,7 +31,7 @@ from pisom.matrix import (
 )
 from pisom.maps import alpha, conj
 from pisom.numeric import PSD_TOL, eval_word, random_partial_isometry
-from pisom.order import leq, sa_factor_min, sa_factorizations, unit_shift
+from pisom.order import leq, sa_factor_min, sa_factorizations
 from pisom.structure import factor_a0, is_irreducible, sa_canonical_d1
 from pisom.words import (
     GEN,
@@ -46,6 +46,7 @@ from pisom.words import (
     iter_words,
     member,
     parse_word,
+    unit_shift,
 )
 
 from conftest import hollow_choices, passes_the_check, random_word, ref, words_upto

@@ -528,6 +528,20 @@ def test_assignment_star_compat_enforced():
     assert ga(g * g.star)[0, 0] == 0.0
 
 
+def test_star_check_refuses_a_non_finite_image_without_a_warning():
+    # the gap of an infinite selfadjoint image to its adjoint is inf - inf,
+    # nan; NUMERIC_REFUSALS cannot hold these, as it fails any call that
+    # looks up a generator's image, and the star check looks up g*'s
+    g = W("(-2,2)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+            with pytest.raises(DomainError, match=r"^star-incompatible images at \(-2,2\)$"):
+                GeneratorAssignment(n=1, images={g: np.array([[entry]])})
+        # a finite image whose gap squared overflows is still accepted
+        GeneratorAssignment(n=1, images={g: np.array([[1e308]])})
+
+
 def test_assignment_rejects_non_generators():
     with pytest.raises(DomainError):
         GeneratorAssignment(n=1, images={W("(-2,3,-3,2)"): np.array([[1.0]])})

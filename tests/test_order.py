@@ -10,10 +10,19 @@ from pisom.order import (
     leq,
     sa_factor_min,
     sa_factorizations,
-    unit_strip,
     upper_idempotent,
 )
-from pisom.words import UNIT_MINUS, UNIT_PLUS, DomainError, Word, iter_words, member, parse_word, reduce_word
+from pisom.words import (
+    UNIT_MINUS,
+    UNIT_PLUS,
+    DomainError,
+    Word,
+    iter_words,
+    member,
+    parse_word,
+    reduce_word,
+    unit_strip,
+)
 
 from conftest import hollow_choices, passes_the_check, sa_words_upto, words_upto
 
