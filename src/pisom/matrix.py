@@ -48,8 +48,10 @@ diagonal with no factor list and no product: Case2 cuts each entry at its
 first prefix sum 1 (proof at ``classify_matrix``).
 
 Only ``GramMatrix.from_cells`` and the Case3 branch of ``classify_matrix``
-read ``order`` and ``structure``, and each imports what it reads when it
-runs, so loading this module loads ``words`` alone.
+read ``order`` and ``structure``, and each imports them when it runs, so
+loading this module loads ``words`` alone.  ``from . import`` binds the
+layer itself: ``from .order import`` inside a function costs a few µs per
+call, as it looks for a package ``__path__`` on the module.
 """
 
 import json
@@ -159,12 +161,12 @@ class GramMatrix:
         all-positive one has the all-negative mirror, which starts with the
         negative-start w_0.
         """
-        from .order import sa_factorizations
+        from . import order
 
         k = len(cells)
         if not all(cells[j][i] == cells[i][j].star for i in range(k) for j in range(i, k)):
             raise DomainError("gram matrix is not selfadjoint")
-        diag = [sa_factorizations(cells[i][i]) for i in range(k)]
+        diag = [order.sa_factorizations(cells[i][i]) for i in range(k)]
         for first in diag[0]:
             t = first.tau
             g = gram(tuple(a if a.tau == t + c.tau else b for (a, b), c in zip(diag, cells[0])))
@@ -562,14 +564,13 @@ def classify_matrix(g: GramMatrix) -> MatrixClassification:
             m.append(_trusted((1,) + w[i + 1 :]) if i else UNIT_PLUS)
         return MatrixClassification("Case2", False, a=tuple(a), m=tuple(m))
 
-    from .order import sa_factor_min
-    from .structure import sa_canonical_d1
+    from . import order, structure
 
     m, lam = [], []
     for i in range(g.k):
-        center, flank = sa_canonical_d1(g.cells[i][i])
+        center, flank = structure.sa_canonical_d1(g.cells[i][i])
         m.append(flank if flank is not None else UNIT_PLUS)
-        w = sa_factor_min(center)
+        w = order.sa_factor_min(center)
         lam.append(w if w[0] < 0 else GEN_STAR * w)  # sa_factorizations(center)[0], built alone
     return MatrixClassification("Case3", False, m=tuple(m), lam=tuple(lam))
 

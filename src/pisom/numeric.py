@@ -596,7 +596,7 @@ class GeneratorAssignment:
                 raise DomainError("%s is not a non-unit plus-irreducible" % _echo(g))
         for g, m in self.images.items():
             other = self.image(g.star)
-            # an overflowed gap (inf) or a non-finite image's (nan) is refused
+            # an overflowed gap (inf) and a non-finite image's (inf - inf is nan) have norm inf, so are refused
             with np.errstate(over="ignore", invalid="ignore"):
                 gap = other - m.conj().T
             if _norms_over(gap[None], IDENTITY_TOL):
