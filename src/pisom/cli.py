@@ -15,13 +15,19 @@ A call loads only the layers its command uses: the handlers reach them
 through the package's lazily resolved names, or import them when they run.
 It imports json only when it reads or writes JSON, so a words, maps,
 structure or order command without --json never does.
+
+A call that names each option once, in full, with its value as the next
+argument and not starting with "-", is read without argparse, and imports
+none of it, even when it ends in a domain error.  Every other call, and
+every request for help, goes to argparse, so help, usage and usage errors
+are argparse's, unchanged.
 """
 
-import argparse
 import math
 import os
 import re
 import sys
+import types
 
 import pisom
 
@@ -184,6 +190,8 @@ def _int(text: str):
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d{4301,}\s*", text):
             return _Digits(text)
+        import argparse
+
         raise argparse.ArgumentTypeError("invalid int value: %r" % _echo(text)) from None
 
 
@@ -201,7 +209,7 @@ _SEED, _DIM, _TOL = ("--seed", _int, 0), ("--dim", _int, 4), ("--tol", float, No
 #: function that returns the result _show prints, and its arguments.  An
 #: argument is a positional name or (name, type) pair, a "--flag" switch, or
 #: a (flag, type, default) option; the type is argparse's, _int for an
-#: integer.
+#: integer.  build_parser and _parse both read it.
 COMMANDS = (
     ("reduce", lambda a: parse_word(a.word), "word"),
     ("mul", lambda a: parse_word(a.left) * parse_word(a.right), "left", "right"),
@@ -266,10 +274,12 @@ COMMANDS = (
 )
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command=None):
     """The pisom parser.  It holds only the named command's subparser when
     command names one, and every subparser otherwise; argparse matches
     subcommand names exactly, so both parse a call to that command alike."""
+    import argparse
+
     rows = [row for row in COMMANDS if row[0] == command] or COMMANDS
     p = argparse.ArgumentParser(prog="pisom", description=__doc__)
     # the usage lists every command either way; given only when one is built,
@@ -292,6 +302,54 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     return p
 
 
+def _parse(argv):
+    """The attributes parse_args sets for argv, read off COMMANDS, when argv
+    is a command's name and then its arguments in the one plain shape: each
+    positional a token that does not start with "-", as many as the command
+    takes, each option its exact name given at most once, a value option
+    followed by a value that does not start with "-", and each value
+    accepted by its type.  argparse reads that shape the same way.  None for
+    any other argv, which goes to argparse."""
+    row = next((row for row in COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    args = types.SimpleNamespace(command=row[0], fn=row[1])
+    # a flag's type is None for a switch; a value or positional without a
+    # type is kept as its text
+    flags, positionals, texts, values = {}, [], [], []
+    for arg in ("--json", *row[2:]):
+        if isinstance(arg, str) and arg.startswith("--"):
+            flags[arg] = None
+            setattr(args, arg[2:].replace("-", "_"), False)
+        elif isinstance(arg, str) or len(arg) == 2:
+            positionals.append((arg, str) if isinstance(arg, str) else arg)
+        else:
+            flags[arg[0]] = arg[1] or str
+            setattr(args, arg[0][2:], arg[2])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+        elif token not in flags:
+            return None
+        elif (kind := flags.pop(token)) is None:
+            setattr(args, token[2:].replace("-", "_"), True)
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            values.append((token[2:], kind, value))
+    if len(texts) != len(positionals):
+        return None
+    values += [(name, kind, text) for (name, kind), text in zip(positionals, texts)]
+    try:
+        for dest, kind, text in values:
+            setattr(args, dest, kind(text))
+    except Exception:  # float's ValueError or _int's ArgumentTypeError: argparse words it
+        return None
+    return args
+
+
 def _numeric_errors() -> tuple:
     """numpy's LinAlgError, once a command has imported numpy; the except
     clause evaluates this when it matches."""
@@ -300,11 +358,12 @@ def _numeric_errors() -> tuple:
 
 
 def run(argv) -> int:
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         _refuse_long_integers(args)
         _show(args, args.fn(args))

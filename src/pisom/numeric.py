@@ -65,7 +65,8 @@ k-order relations are PSD tests; the conjugation identity bounds the
 spectral norm of each residual v* eval(n) v - eval(alpha(n)), with v and
 v* the images of the words (1) and (-1).  A call's words are evaluated
 against one memo, dropped when the call returns: the powers v^j, grown
-by repeated multiplication, and their conjugate transposes (v*)^j, each
+by repeated multiplication below j = 64 and by repeated squaring from
+there on, and their conjugate transposes (v*)^j, each
 kept as the image of the one-entry word (j) or (-j), and the image of
 every word, suffix and half met in the call; a word or slice goes to its
 half exactly when ``Word.is_selfadjoint`` holds.  A word already in the
@@ -256,10 +257,10 @@ def random_partial_isometry(n: int, seed: int) -> PartialIsometryRep:
 
 
 class _Images:
-    """The images of words at v within one call: the powers v^j, grown by
-    repeated multiplication, and a memo of the images of words, their
-    suffixes and their halves.  Products are ndarray.dot: the BLAS product
-    of @, with less overhead per call on small matrices."""
+    """The images of words at v within one call: the powers v^j below 64,
+    grown by repeated multiplication, and a memo of the images of words,
+    their suffixes and their halves.  Products are ndarray.dot: the BLAS
+    product of @, with less overhead per call on small matrices."""
 
     def __init__(self, v):
         v = np.asarray(v, dtype=complex)
@@ -270,17 +271,27 @@ class _Images:
 
     def power(self, e: int):
         """v^e, or for e < 0 the conjugate transpose of v^-e; memoized, both
-        signs, as the image of the one-entry word (e,)."""
+        signs, as the image of the one-entry word (e,).  From e = 64 on, v^e
+        is taken by repeated squaring, with no power but v^e kept, so a huge
+        exponent costs about log2(e) products and no table."""
         memo = self.memo
         out = memo.get((e,))
         if out is None:
             if e < 0:
                 out = self.power(-e).conj().T
-            else:
+            elif e < 64:
                 table = self.up
                 while len(table) <= e:
                     table.append(table[-1].dot(table[1]))
                 out = table[e]
+            else:
+                square, rest = self.up[1], e
+                while rest:
+                    if rest & 1:
+                        out = square if out is None else out.dot(square)
+                    rest >>= 1
+                    if rest:
+                        square = square.dot(square)
             memo[(e,)] = out
         return out
 

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -316,50 +317,63 @@ def test_no_module_imports_dataclasses():
 
 
 #: runs one call in a fresh interpreter, its arguments on the command line,
-#: and prints its exit code, whether json was imported, and the layers loaded
+#: and prints its exit code, whether json was imported, which of argparse,
+#: gettext and locale were ("-" for none) and the layers loaded, then on the
+#: next lines what the call printed to stdout and stderr
 LOADS_SCRIPT = (
     "import contextlib, io, sys\n"
     "import pisom.cli\n"
-    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
     "    code = pisom.cli.run(sys.argv[1:])\n"
     "layers = sorted(m for m in sys.modules if m.startswith('pisom.') and m != 'pisom.cli')\n"
-    "print(code, 'json' in sys.modules, *layers)\n"
+    "parser = ','.join(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules) or '-'\n"
+    "print(code, 'json' in sys.modules, parser, *layers)\n"
+    "print(out.getvalue(), end='')\n"
 )
 #: the malformed inputs the cli-session benchmark sends in every round
 FIXED_GRAM_JSON = '{"k": 1, "cells": [["(-3,2,-2,3)"]], "witness": ["(-2,3)"]}'
 _WORDS, _MATRIX = ["pisom.words"], ["pisom.matrix", "pisom.words"]
-#: (argv, exit code, json imported, the layers loaded)
+#: (argv, exit code, json imported, argparse imported, the layers loaded)
 LOADS = [
-    (["reduce", "(2,-1,2,-1)"], 0, False, _WORDS),
-    (["mul", "(-3,3)", "(2,-2)"], 0, False, _WORDS),
-    (["member", "(-2,3,-3,2)", "D0"], 0, False, _WORDS),
-    (["alpha", "(1,-1)"], 0, False, ["pisom.maps", "pisom.words"]),
-    (["order-leq", "(-5,5)", "(-1,1)"], 0, False, ["pisom.order", "pisom.words"]),
-    (["reduce", "(1,0,2)"], 1, False, _WORDS),
-    (["gram", '["(-2,3)","(-3,4)"]'], 0, True, _MATRIX),
-    (["factor-gram", HMM_GRAM_JSON], 0, True, _MATRIX),
-    (["matrix-succ", HMM_GRAM_JSON], 0, True, _MATRIX),
-    (["matrix-pred", HMM_GRAM_JSON], 0, True, _MATRIX),
-    (["iota-tau", HMM_GRAM_JSON, "[2,1]"], 0, True, _MATRIX),
-    (["gram", "[3]"], 1, True, _MATRIX),
-    (["factor-gram", "[1,2]"], 1, True, _MATRIX),
-    (["iota-tau", FIXED_GRAM_JSON, '["x"]'], 1, True, _MATRIX),
+    (["reduce", "(2,-1,2,-1)"], 0, False, False, _WORDS),
+    (["mul", "(-3,3)", "(2,-2)"], 0, False, False, _WORDS),
+    (["member", "(-2,3,-3,2)", "D0"], 0, False, False, _WORDS),
+    (["alpha", "(1,-1)"], 0, False, False, ["pisom.maps", "pisom.words"]),
+    (["order-leq", "(-5,5)", "(-1,1)"], 0, False, False, ["pisom.order", "pisom.words"]),
+    (["reduce", "(1,0,2)"], 1, False, False, _WORDS),
+    (["gram", '["(-2,3)","(-3,4)"]'], 0, True, False, _MATRIX),
+    (["factor-gram", HMM_GRAM_JSON], 0, True, False, _MATRIX),
+    (["matrix-succ", HMM_GRAM_JSON], 0, True, False, _MATRIX),
+    (["matrix-pred", HMM_GRAM_JSON], 0, True, False, _MATRIX),
+    (["iota-tau", HMM_GRAM_JSON, "[2,1]"], 0, True, False, _MATRIX),
+    (["gram", "[3]"], 1, True, False, _MATRIX),
+    (["factor-gram", "[1,2]"], 1, True, False, _MATRIX),
+    (["iota-tau", FIXED_GRAM_JSON, '["x"]'], 1, True, False, _MATRIX),
     # Case3 with a core: the one branch of classify that reads order and structure
-    (["classify", HMM_GRAM_JSON], 0, True, ["pisom.matrix", "pisom.order", "pisom.structure", "pisom.words"]),
+    (["classify", HMM_GRAM_JSON], 0, True, False, ["pisom.matrix", "pisom.order", "pisom.structure", "pisom.words"]),
+    # a usage error and a help request: argparse and its gettext and locale
+    (["reduce"], 2, False, True, _WORDS),
+    (["reduce", "-h"], 0, False, True, _WORDS),
 ]
 
 
 def test_a_call_loads_only_what_its_command_runs():
     # a words, maps or order command imports no json; a matrix command loads
-    # neither order nor structure unless it classifies a Case3 core
+    # neither order nor structure unless it classifies a Case3 core; only a
+    # call that ends in argparse's help or usage imports argparse, and it
+    # prints what the same call prints in this process
     classified = json.loads(invoke(["classify", HMM_GRAM_JSON])[1])
     assert (classified["case"], classified["maximal"]) == ("Case3", False)
-    for argv, code, uses_json, layers in LOADS:
+    for argv, code, uses_json, uses_argparse, layers in LOADS:
         proc = subprocess.run(
             [sys.executable, "-c", LOADS_SCRIPT, *argv], capture_output=True, text=True, env=_src_env(), timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(code), str(uses_json), *layers], argv
+        first, printed = proc.stdout.split("\n", 1)
+        parser = "argparse,gettext,locale" if uses_argparse else "-"
+        assert first.split() == [str(code), str(uses_json), parser, *layers], argv
+        assert printed == "".join(invoke(argv)[1:]), argv
 
 
 def test_every_exported_name_resolves():
@@ -894,10 +908,79 @@ def test_a_call_builds_only_its_own_subparser(monkeypatch):
         return parser
 
     monkeypatch.setattr(cli, "build_parser", recording)
-    for argv in (["reduce", "(1)"], ["-h"], [], ["bogus"]):
+    # a call _parse reads builds no parser; a usage error of one command
+    # builds that command's subparser
+    for argv in (["reduce", "(1)"], ["reduce"], ["-h"], [], ["bogus"]):
         invoke(argv)
     assert built == [1] + [len(cli.COMMANDS)] * 3
     assert len(cli.COMMANDS) == 27 and _subparser_count(build_parser()) == 27
+
+
+def _attrs(namespace):
+    """The attributes of a namespace, a nan replaced by a marker equal to
+    itself, since --tol reads "nan" as a nan."""
+    return {k: ("nan",) if isinstance(v, float) and math.isnan(v) else v for k, v in vars(namespace).items()}
+
+
+def parse_agrees(argv) -> bool:
+    """Whether _parse reads argv; where it does, the full parser's
+    parse_args must accept argv and set the same attributes."""
+    ours = cli._parse(argv)
+    if ours is not None:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            theirs = build_parser().parse_args(argv)
+        assert _attrs(ours) == _attrs(theirs), argv
+    return ours is not None
+
+
+#: (argv, whether _parse reads it): every form it leaves to argparse, and
+#: edges of the one shape it reads
+PARSE_CASES = [
+    (["sigma", "(1,2)", "--json", "1"], True),  # an option between positionals
+    (["verify-rep", "--seed", "3", "--json", "--dim", "2"], True),
+    (["verify-korder", "--tol", "nan", "--fixture", ORDER_FIXTURE, "--k", "1"], True),
+    (["factor", "--in-d0", "(1)"], True),
+    (["reduce", ""], True),  # an empty positional
+    (["enum-irr", "9" * 4301], True),  # a _Digits, refused after parsing
+    (["random-pi", "2", "--seed", "9" * 4301], True),
+    (["random-pi", "2", "--seed=3"], False),
+    (["random-pi", "2", "--se", "3"], False),  # an abbreviation
+    (["random-pi", "2", "--seed", "-5"], False),  # a negative number
+    (["sigma", "(1,2)", "-1"], False),
+    (["random-pi", "2", "--seed", "1", "--seed", "2"], False),  # a repeated option
+    (["sa-factor", "(1)", "--all", "--all"], False),
+    (["reduce", "(1)", "--json", "--json"], False),
+    (["reduce", "--", "(1)"], False),
+    (["reduce", "-h"], False),
+    (["reduce", "(1)", "-"], False),
+    (["reduce", "(1)", "(2)"], False),  # too many positionals
+    (["random-pi", "2", "--seed"], False),  # a value missing
+    (["random-pi", "x"], False),  # refused by its type
+    (["verify-rep", "--tol", "x"], False),
+    (["verify-rep", "--dim", "1.5"], False),
+    (["reduce", "--all", "(1)"], False),  # another command's option
+]
+
+#: the call shapes of the cli-session benchmark that LOADS does not run
+SESSION_ARGVS = [
+    ["factor", "(-2,3,-3,2)", "--in-d0"],
+    ["beta-omega", "(-4,2,-2,4)"],
+    ["order-succ", "(-3,2,-2,3)", "--json"],
+    ["enum-irr", "7", "--json"],
+    ["classify", "(-3,2,-2,3)"],
+    ["verify-rep", "--seed", "123456", "--dim", "3", "--count", "20"],
+]
+
+
+def test_parse_reads_what_parse_args_reads():
+    for argv, read in PARSE_CASES:
+        assert parse_agrees(argv) is read, argv
+    for argv in PARSER_BATTERY:
+        parse_agrees(argv)
+    # every golden call and every call shape of the cli-session benchmark
+    # is read, so it imports no argparse
+    plain = [argv for _, argv in GOLDEN_CASES] + [row[0] for row in LOADS if not row[3]] + SESSION_ARGVS
+    assert all(parse_agrees(argv) for argv in plain)
 
 
 @st.composite
@@ -913,6 +996,12 @@ def argvs(draw):
     if draw(st.booleans()):
         args.append("--json")
     return [name] + args
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_parse_agrees_with_parse_args(argv):
+    parse_agrees(argv)
 
 
 class CallTimedOut(Exception):

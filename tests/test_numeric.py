@@ -1,5 +1,7 @@
 import json
 import random
+import time
+import tracemalloc
 import types
 import warnings
 
@@ -76,6 +78,30 @@ def test_eval_contractive():
         r = random_partial_isometry(1 + seed % 6, seed)
         for w in list(iter_words(5))[::7]:
             assert opnorm(eval_word(r, w)) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_a_huge_exponent_keeps_no_table_of_powers(seed):
+    # rank 1 at seed 0 and 2 at seeds 3 and 4: a power from 64 on is taken by
+    # repeated squaring, so it returns or is refused at once and keeps no
+    # power but itself; at rank 2, v^(10^4000) overflows at seed 3 and
+    # underflows to 0 at seed 4
+    rep = random_partial_isometry(2, seed)
+    for e in (64, 100, 1000):
+        assert opnorm(eval_word(rep, Word((e,))) - np.linalg.matrix_power(rep.v, e)) <= 1e-12
+    for e in (10**5, -(10**5), 10**4000):
+        w = Word((e,))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert np.isfinite(eval_word(rep, w)).all()
+        except DomainError as exc:
+            assert str(exc).startswith("eval_word: the word does not evaluate in double precision")
+        finally:
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 2**14, (seed, len(str(e)), seconds, peak)
 
 
 def test_eval_representation_laws(rep):
