@@ -998,12 +998,6 @@ def argvs(draw):
     return [name] + args
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_parse_agrees_with_parse_args(argv):
-    parse_agrees(argv)
-
-
 class CallTimedOut(Exception):
     """Raised by the alarm inside a CLI call; cli.run does not catch it."""
 
@@ -1060,8 +1054,10 @@ def assert_contract(argv, code, out, err):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 def test_cli_contract(argv):
-    # every input ends within a time bound, as assert_contract states
+    # every input ends within a time bound, as assert_contract states, and
+    # _parse reads it as argparse does or leaves it to argparse
     assert_contract(argv, *invoke_within(5.0, argv))
+    parse_agrees(argv)
 
 
 # -- a seeded grammar fuzzer over cli.COMMANDS --------------------------------------
